@@ -184,6 +184,12 @@ def count_nontrivial_gcd_pairs(reps, n):
     one-sided ideals are symmetric in the pair, so unordered pairs are
     counted once and doubled; the diagonal gcd is the element itself
     (norm n, trivial).
+
+    This is the O(k^2) pairwise reference: two gcds per pair.  The
+    library no longer calls it; `factor.semiprime_pair_fraction` counts
+    the same pairs from four gcds per representation.  It stays for the
+    tests that hold that census to it and for the check that the
+    compiled and pure backends agree.
     """
     k = len(reps)
     right_ct = left_ct = either_ct = 0

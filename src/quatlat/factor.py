@@ -30,6 +30,7 @@ from quatlat.core import (
     HurwitzQuaternion,
     I,
     ONE,
+    canonical_associate,
     embed_gaussian_pair,
     is_associate,
     is_primitive,
@@ -572,17 +573,44 @@ def _check_odd_semiprime_pair(p: int, q: int) -> None:
             raise PreconditionViolated(f"{v} is not an odd prime")
 
 
+def _divisor_class(alpha: HurwitzQuaternion, m: int, right: bool) -> tuple:
+    # The one-sided gcd of alpha with m, canonicalized on its generating
+    # side so that associated divisors give equal keys.
+    g = _kernel.qgcd(alpha.doubled, (2 * m, 0, 0, 0), right)
+    side = "left" if right else "right"
+    return canonical_associate(HurwitzQuaternion._raw(g), side)[0].doubled
+
+
 def semiprime_pair_fraction(
     p: int, q: int, convention: str = "right", bound: int | None = None
 ) -> PairFractionReport:
     """Exact census of nontrivial one-sided gcds over representation pairs.
 
-    Enumerates every ordered pair (alpha, beta) of Lipschitz
-    representations of n = p*q and counts those whose gcd norm is
-    neither 1 nor n, under the chosen convention: "right" and "left"
-    name the gcd side, "either" counts pairs nontrivial on at least one
-    side.  The predicted fraction (p+q+2)/((p+1)(q+1)) rides along for
-    comparison.
+    Counts the ordered pairs (alpha, beta) of Lipschitz representations
+    of n = p*q whose gcd norm is neither 1 nor n, under the chosen
+    convention: "right" and "left" name the gcd side, "either" counts
+    pairs nontrivial on at least one side.  The predicted fraction
+    (p+q+2)/((p+1)(q+1)) rides along for comparison.
+
+    The census takes four gcds per representation instead of two per
+    pair.  n is squarefree, so every representation is primitive and
+    has exactly one right divisor of norm p and one of norm q, up to
+    left units (likewise on the left).  Each representation is keyed
+    by those four divisor classes.  Two representations sharing both
+    right classes lie in the left ideal of the lcm of the two divisors,
+    whose norm is n, so they are left-associated and their right gcd
+    has norm n: trivial.  Sharing exactly one right class gives a right
+    gcd of norm p or q; sharing none gives a unit.  Summing squared
+    bucket sizes counts the ordered pairs agreeing on each subset of
+    the keys, and Moebius inversion over the subsets yields the pairs
+    agreeing on exactly each subset, from which all three conventions
+    read off.
+
+    With P(p), P(q) and P(both) the shares of pairs sharing the norm-p
+    class, the norm-q class and both, the one-sided fraction is
+    P(p) + P(q) - 2*P(both) = (p+q)/((p+1)(q+1)).  The prediction is
+    P(p) + P(q) alone: it counts the pairs sharing both classes, whose
+    gcd is trivial, instead of subtracting them from each term.
 
     Raises:
         PreconditionViolated: unless p and q are distinct odd primes.
@@ -594,11 +622,47 @@ def semiprime_pair_fraction(
         )
     _check_odd_semiprime_pair(p, q)
     n = p * q
-    reps = [r.doubled for r in representations(n, hurwitz=False, bound=bound)]
-    right_ct, left_ct, either_ct, total = _kernel.count_nontrivial_gcd_pairs(
-        reps, n
-    )
-    count = {"right": right_ct, "left": left_ct, "either": either_ct}[convention]
+    # Key positions 0, 1 hold the right classes of norm p and q; 2, 3
+    # the left ones.  Bit i of a subset mask stands for position i.
+    keys = [
+        (
+            _divisor_class(a, p, True),
+            _divisor_class(a, q, True),
+            _divisor_class(a, p, False),
+            _divisor_class(a, q, False),
+        )
+        for a in representations(n, hurwitz=False, bound=bound)
+    ]
+    # agree[s]: ordered pairs whose keys match at every bit of s.
+    agree = [
+        sum(
+            c * c
+            for c in Counter(
+                tuple(key[i] for i in range(4) if s >> i & 1) for key in keys
+            ).values()
+        )
+        for s in range(16)
+    ]
+    # exact[t]: ordered pairs whose keys match at the bits of t and
+    # nowhere else.
+    exact = [
+        sum(
+            (-1) ** bin(s ^ t).count("1") * agree[s]
+            for s in range(16)
+            if s & t == t
+        )
+        for t in range(16)
+    ]
+    # A side's gcd is nontrivial when exactly one of its classes agrees.
+    right = [(t & 1) != (t >> 1 & 1) for t in range(16)]
+    left = [(t >> 2 & 1) != (t >> 3 & 1) for t in range(16)]
+    nontrivial = {
+        "right": right,
+        "left": left,
+        "either": [r or l for r, l in zip(right, left)],
+    }[convention]
+    count = sum(e for e, hit in zip(exact, nontrivial) if hit)
+    total = len(keys) ** 2
     return PairFractionReport(
         p,
         q,

@@ -4,7 +4,9 @@ modelled factorizations, divisor counts, and the semiprime pair census.
 Frozen fractions in the census tests come from exhaustive enumeration
 over all representation pairs; they are regression pins for the exact
 law the census measures, which differs from the predicted closed form
-(p+q+2)/((p+1)(q+1)) recorded in the reports.
+(p+q+2)/((p+1)(q+1)) recorded in the reports.  The census buckets
+representations by divisor class; the pairwise gcd loop of the pure
+kernel is the reference it must match count for count.
 """
 
 import random
@@ -43,6 +45,7 @@ from quatlat import (
     two_squares,
     unit_migration_equal,
 )
+from quatlat._kernel import pure
 
 
 def _is_prime_trial(n: int) -> bool:
@@ -377,6 +380,24 @@ def test_pair_fraction_exact_census():
         assert not left.matches_prediction
         assert not both.matches_prediction
         assert right.n == p * q
+    # The one-sided law on larger semiprimes: the prediction less twice
+    # the share of pairs that share both divisor classes.
+    for p, q in ((5, 11), (7, 11), (7, 13), (11, 13), (17, 19), (31, 37)):
+        right = semiprime_pair_fraction(p, q, "right")
+        left = semiprime_pair_fraction(p, q, "left")
+        assert right.nontrivial_pairs == left.nontrivial_pairs
+        assert right.fraction == Fraction(p + q, (p + 1) * (q + 1))
+        assert right.total_pairs == left.total_pairs == (8 * (p + 1) * (q + 1)) ** 2
+
+
+@pytest.mark.parametrize("p, q", [(3, 5), (3, 7), (3, 11)])
+def test_pair_fraction_matches_pairwise_reference(p, q):
+    reps = [r.doubled for r in representations(p * q)]
+    right, left, either, total = pure.count_nontrivial_gcd_pairs(reps, p * q)
+    for convention, expected in (("right", right), ("left", left), ("either", either)):
+        rep = semiprime_pair_fraction(p, q, convention)
+        assert rep.nontrivial_pairs == expected
+        assert rep.total_pairs == total
 
 
 def test_pair_fraction_input_validation():
