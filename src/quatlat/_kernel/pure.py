@@ -9,10 +9,12 @@ inputs are well formed and never allocates wrapper objects, which keeps
 the enumeration loops tight.
 
 The compiled twin (_speedups) exports the same names with identical
-semantics; `quatlat._kernel` picks one at import time.
+semantics; `quatlat._kernel` picks one at import time.  Only this
+module has `combination_solver`: the box census and
+`lattice.in_orthogonal_lattice` share it on either backend.
 """
 
-from math import gcd, isqrt
+from math import isqrt
 
 BACKEND = "pure"
 
@@ -218,112 +220,85 @@ def _det3(p, q, r):
     )
 
 
-def _line_range(base, step, bound):
-    """Integer s with |base + s*step| <= bound, as a (lo, hi) pair.
+def _cross3(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
 
-    step == 0 degenerates to all s (returned as None) when the fixed
-    value fits and to the empty range otherwise.
+
+def combination_solver(basis):
+    """Exact solver for integer combinations of three integer 4-vectors.
+
+    Returns a function mapping a 4-vector q to the integers (r0, r1, r2)
+    with r0*basis[0] + r1*basis[1] + r2*basis[2] == q, or to None.  The
+    first nonsingular 3x3 column minor, in the order (0,1,2), (0,1,3),
+    (0,2,3), (1,2,3), its determinant and its adjugate are found once;
+    each query then takes three dot products and checks the remaining
+    coordinate.  A singular basis admits only q = 0.
     """
-    if step == 0:
-        return None if -bound <= base <= bound else (1, 0)
-    lo_num, hi_num = -bound - base, bound - base
-    if step < 0:
-        lo_num, hi_num, step = -hi_num, -lo_num, -step
-    lo = -((-lo_num) // step)
-    hi = hi_num // step
-    return lo, hi
+    for pick in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        m0, m1, m2 = ((row[pick[0]], row[pick[1]], row[pick[2]]) for row in basis)
+        det = _det3(m0, m1, m2)
+        if det:
+            break
+    else:
+        return lambda q: None if any(q) else (0, 0, 0)
+    p0, p1, p2 = pick
+    rest = 6 - p0 - p1 - p2
+    b0, b1, b2 = (row[rest] for row in basis)
+    # r_k * det is q's minor part dotted with the cross product of the
+    # other two minor rows; those cross products are the adjugate.
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+        _cross3(m1, m2), _cross3(m2, m0), _cross3(m0, m1)
+    )
+
+    def solve(q):
+        v0, v1, v2 = q[p0], q[p1], q[p2]
+        r0, x0 = divmod(c00 * v0 + c01 * v1 + c02 * v2, det)
+        r1, x1 = divmod(c10 * v0 + c11 * v1 + c12 * v2, det)
+        r2, x2 = divmod(c20 * v0 + c21 * v1 + c22 * v2, det)
+        if x0 or x1 or x2 or r0 * b0 + r1 * b1 + r2 * b2 != q[rest]:
+            return None
+        return r0, r1, r2
+
+    return solve
 
 
 def count_orthogonality_failures(alpha, basis, q_bound):
     """Exhaustively check a claimed basis of the orthogonal lattice of alpha.
 
-    alpha is an integer 4-vector, basis three integer 4-vectors.  Every
-    integer q with coordinates in [-q_bound, q_bound] and q . alpha = 0
-    is tested for being an integer combination of the basis rows.
+    alpha is a nonzero integer 4-vector, basis three integer 4-vectors.
+    Every integer q with coordinates in [-q_bound, q_bound] and
+    q . alpha = 0 is tested for being an integer combination of the
+    basis rows; the box is walked on three coordinates and q . alpha = 0
+    solved for the fourth, the one where |alpha_i| is largest.
     Returns (orthogonal_count, failure_count).
     """
-    a0, a1, a2, a3 = alpha
-    cols = list(zip(*basis))
-    pick = None
-    for comb in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        det = _det3(cols[comb[0]], cols[comb[1]], cols[comb[2]])
-        if det:
-            pick = comb
-            break
-    orthogonal = failures = 0
-
-    def is_combination(q):
-        if pick is None:
-            return q == (0, 0, 0, 0)
-        p0, p1, p2 = pick
-        v0, v1, v2 = q[p0], q[p1], q[p2]
-        m0, m1, m2 = cols[p0], cols[p1], cols[p2]
-        # Cramer: coefficient k replaces column k of the picked matrix.
-        r = []
-        for k in range(3):
-            sub = [list(m0), list(m1), list(m2)]
-            sub[0][k], sub[1][k], sub[2][k] = v0, v1, v2
-            num = _det3(sub[0], sub[1], sub[2])
-            if num % det:
-                return False
-            r.append(num // det)
-        rest = ({0, 1, 2, 3} - set(pick)).pop()
-        return (
-            r[0] * basis[0][rest] + r[1] * basis[1][rest] + r[2] * basis[2][rest]
-            == q[rest]
-        )
-
-    # Solve the orthogonality equation on the coordinate pair (slots),
-    # iterating the complementary pair freely.
-    if (a2, a3) != (0, 0):
-        free, slots, cu, cv = (0, 1), (2, 3), a2, a3
-    else:
-        free, slots, cu, cv = (2, 3), (0, 1), a0, a1
-    g = gcd(cu, cv)
-    # Bezout point for cu*u + cv*v = g.
-    old_r, r = cu, cv
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    bu, bv = old_s, old_t
-    du, dv = cv // g, -cu // g
-    fa = alpha[free[0]]
-    fb = alpha[free[1]]
+    solve = combination_solver(basis)
+    s = max(range(4), key=lambda i: abs(alpha[i]))
+    a_s = alpha[s]
+    i, j, k = (m for m in range(4) if m != s)
+    a_i, a_j, a_k = alpha[i], alpha[j], alpha[k]
+    span = range(-q_bound, q_bound + 1)
+    # Third-coordinate values keyed by a_k*z mod a_s, so each (x, y)
+    # visits only the z that make a_s divide a_i*x + a_j*y + a_k*z.
+    by_residue = {}
+    for z in span:
+        by_residue.setdefault(a_k * z % a_s, []).append((z, a_k * z))
     q = [0, 0, 0, 0]
-    for x in range(-q_bound, q_bound + 1):
-        mx = -fa * x
-        for y in range(-q_bound, q_bound + 1):
-            m = mx - fb * y
-            if m % g:
-                continue
-            k = m // g
-            u0, v0 = bu * k, bv * k
-            span_u = _line_range(u0, du, q_bound)
-            if span_u == (1, 0):
-                continue
-            span_v = _line_range(v0, dv, q_bound)
-            if span_v == (1, 0):
-                continue
-            if span_u is None and span_v is None:
-                continue  # cannot happen: (du, dv) != (0, 0)
-            if span_u is None:
-                lo, hi = span_v
-            elif span_v is None:
-                lo, hi = span_u
-            else:
-                lo, hi = max(span_u[0], span_v[0]), min(span_u[1], span_v[1])
-            for step in range(lo, hi + 1):
-                q[free[0]] = x
-                q[free[1]] = y
-                q[slots[0]] = u0 + step * du
-                q[slots[1]] = v0 + step * dv
-                orthogonal += 1
-                if not is_combination(tuple(q)):
-                    failures += 1
+    orthogonal = failures = 0
+    for x in span:
+        q[i] = x
+        for y in span:
+            q[j] = y
+            t_xy = a_i * x + a_j * y
+            for z, t_z in by_residue.get(-t_xy % a_s, ()):
+                w = -(t_xy + t_z) // a_s
+                if -q_bound <= w <= q_bound:
+                    q[k], q[s] = z, w
+                    orthogonal += 1
+                    if solve(q) is None:
+                        failures += 1
     return orthogonal, failures

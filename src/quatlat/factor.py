@@ -1,8 +1,8 @@
 """Prime decompositions, four-square representations, and the
 quaternionic factoring experiments.
 
-Rational side: a Miller-Rabin test (deterministic below 3.4e14, seeded
-random bases beyond), Pollard-Brent factorization, and the classic
+Rational side: a Miller-Rabin test (proven below 3.3e24, with bases
+seeded by n beyond), Pollard-Brent factorization, and the classic
 randomized reductions writing a prime as two squares and any positive
 integer as four squares.
 
@@ -75,18 +75,23 @@ __all__ = [
 # Below this limit the fixed witness set is a proven primality certificate.
 _DETERMINISTIC_LIMIT = 341_550_071_728_321
 _FIXED_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
+# Below this limit the first 13 primes are one too (Sorenson & Webster,
+# Math. Comp. 2017).
+_PRIME_BASES_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _BRUTE_FORCE_LIMIT = 1000
 
 CONVENTIONS = ("right", "left", "either")
 
 
-def miller_rabin(n: int, rounds: int = 40, seed: int | None = None) -> bool:
-    """Strong probable-prime test.
+def miller_rabin(n: int) -> bool:
+    """Strong probable-prime test; the answer depends on n alone.
 
-    Deterministic (a proof, not a gamble) for n below 3.4e14 via a
-    fixed witness set; beyond that, `rounds` random bases drawn from a
-    generator seeded with `seed`.
+    A proof below 3.3e24: the prime bases up to 17 suffice below 3.4e14
+    and the first 13 primes below 3.3e24.  Beyond that it tests those 13
+    bases plus 27 drawn from random.Random(n), so the same n always gets
+    the same answer.
     """
     if n < 2:
         return False
@@ -113,9 +118,11 @@ def miller_rabin(n: int, rounds: int = 40, seed: int | None = None) -> bool:
 
     if n < _DETERMINISTIC_LIMIT:
         bases = _FIXED_WITNESSES
+    elif n < _PRIME_BASES_LIMIT:
+        bases = _PRIME_BASES
     else:
-        rng = random.Random(seed)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+        rng = random.Random(n)
+        bases = _PRIME_BASES + tuple(rng.randrange(2, n - 1) for _ in range(27))
     return not any(witnesses_composite(a) for a in bases)
 
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from quatlat import _kernel
+from quatlat._kernel.pure import combination_solver
 from quatlat.core import HurwitzQuaternion, is_primitive
 from quatlat.errors import (
     BoundExceeded,
@@ -168,41 +168,6 @@ def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
     )
 
 
-def _det3(p, q, r) -> int:
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
-
-
-def _integer_combination(rows, target):
-    """Coefficients (r1, r2, r3) with sum r_k * rows[k] == target, or None."""
-    cols = list(zip(*rows))
-    for pick in combinations(range(4), 3):
-        det = _det3(cols[pick[0]], cols[pick[1]], cols[pick[2]])
-        if det:
-            break
-    else:
-        return None
-    coeffs = []
-    for k in range(3):
-        sub = [list(cols[p]) for p in pick]
-        for l in range(3):
-            sub[l][k] = target[pick[l]]
-        num = _det3(*sub)
-        if num % det:
-            return None
-        coeffs.append(num // det)
-    for m in range(4):
-        if (
-            coeffs[0] * rows[0][m] + coeffs[1] * rows[1][m] + coeffs[2] * rows[2][m]
-            != target[m]
-        ):
-            return None
-    return tuple(coeffs)
-
-
 def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> bool:
     """Whether q lies in the orthogonal lattice of the primitive alpha.
 
@@ -215,7 +180,7 @@ def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> boo
     if not q.is_lipschitz:
         return False
     by_dot = _kernel.qdot4(alpha.doubled, q.doubled) == 0
-    by_combination = _integer_combination(basis.rows(), q.coords) is not None
+    by_combination = combination_solver(basis.rows())(q.coords) is not None
     if by_dot != by_combination:
         raise RuntimeError(
             f"orthogonal basis of {alpha} is inconsistent at {q}: "

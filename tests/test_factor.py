@@ -71,6 +71,14 @@ def test_miller_rabin_known_large_cases():
     assert not miller_rabin(561)  # Carmichael
     assert not miller_rabin(1105)  # Carmichael
     assert miller_rabin(1_000_000_007)
+    # Strong pseudoprimes to every prime base up to 19, 37 and 41, which
+    # sit on or past the limits of the two fixed base sets.
+    assert not miller_rabin(341550071728321)
+    assert not miller_rabin(318665857834031151167461)
+    assert not miller_rabin(3317044064679887385961981)
+    assert not miller_rabin((2**61 - 1) * (2**89 - 1))
+    assert miller_rabin(2**89 - 1)
+    assert miller_rabin(2**127 - 1)
 
 
 def test_sqrt_minus_one_mod_p():

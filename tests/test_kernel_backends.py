@@ -133,9 +133,13 @@ def test_orthogonality_failure_counts_agree():
             continue
         seen += 1
         basis = orthogonal_basis(alpha).rows()
-        got = compiled.count_orthogonality_failures(coords, basis, 5)
-        want = pure.count_orthogonality_failures(coords, basis, 5)
-        assert got == want
+        # The same basis with row seen % 3 scaled by 2 misses lattice points.
+        broken = list(basis)
+        broken[seen % 3] = tuple(2 * x for x in basis[seen % 3])
+        for rows in (basis, tuple(broken)):
+            got = compiled.count_orthogonality_failures(coords, rows, 5)
+            want = pure.count_orthogonality_failures(coords, rows, 5)
+            assert got == want
 
 
 def test_env_variable_selects_pure_backend():

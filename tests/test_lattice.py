@@ -6,11 +6,15 @@ computing dot products directly, so the lattice kernel is checked
 against an implementation that shares none of its code.
 """
 
+import dataclasses
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from quatlat import lattice
+from quatlat._kernel import count_orthogonality_failures
 from quatlat import (
     OMEGA,
     HurwitzQuaternion,
@@ -41,6 +45,40 @@ def _brute_orthogonal_count(alpha: HurwitzQuaternion, q_bound: int) -> int:
         for x, y, z, t in product(span, repeat=4)
         if a * x + b * y + c * z + d * t == 0
     )
+
+
+def _fraction_member(rows, q) -> bool:
+    """Whether q is an integer combination of rows, by rational elimination.
+
+    Solves sum_k r_k * rows[k] == q over the rationals; rows must be
+    linearly independent or all zero.
+    """
+    # Augmented 4x4 system: one equation per coordinate.
+    m = [[Fraction(row[c]) for row in rows] + [Fraction(q[c])] for c in range(4)]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in range(rank, 4) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(4):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    assert rank in (0, 3)
+    if any(m[r][3] for r in range(rank, 4)):
+        return False  # inconsistent
+    return all((m[r][3] / m[r][r]).denominator == 1 for r in range(rank))
+
+
+def _brute_failure_count(alpha, rows, q_bound):
+    span = range(-q_bound, q_bound + 1)
+    orthogonal = [
+        q for q in product(span, repeat=4)
+        if sum(a * x for a, x in zip(alpha, q)) == 0
+    ]
+    return len(orthogonal), sum(not _fraction_member(rows, q) for q in orthogonal)
 
 
 def test_basis_rows_are_orthogonal_to_alpha():
@@ -101,6 +139,32 @@ def test_census_matches_brute_force_count():
         count, failures = orthogonality_census(alpha, 4)
         assert failures == 0
         assert count == _brute_orthogonal_count(alpha, 4)
+
+
+def test_census_counts_failures_of_broken_bases():
+    # A basis with one row scaled misses part of the lattice, and an
+    # all-zero basis spans only 0; the census must count exactly the
+    # orthogonal box points that rational elimination rejects.
+    alphas = [(1, 2, 3, 4), (3, -5, 2, 7), (0, 0, 1, 2), (3, 4, 0, 0), (0, 5, 7, 0)]
+    failures = 0
+    for coords in alphas:
+        rows = orthogonal_basis(HurwitzQuaternion.from_coords(*coords)).rows()
+        broken = [rows[:k] + (tuple(f * x for x in rows[k]),) + rows[k + 1:]
+                  for k, f in ((0, 2), (1, 3), (2, 2))]
+        for basis in broken + [((0, 0, 0, 0),) * 3]:
+            got = count_orthogonality_failures(coords, basis, 4)
+            assert got == _brute_failure_count(coords, basis, 4), (coords, basis)
+            failures += got[1]
+    assert failures > 0
+
+
+def test_membership_reports_a_broken_basis(monkeypatch):
+    alpha = HurwitzQuaternion.from_coords(1, 2, 3, 4)
+    basis = orthogonal_basis(alpha)
+    broken = dataclasses.replace(basis, beta1=2 * basis.beta1)
+    monkeypatch.setattr(lattice, "orthogonal_basis", lambda a: broken)
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        in_orthogonal_lattice(alpha, basis.beta1)
 
 
 def test_membership_examples():
