@@ -5,7 +5,10 @@ Cython module when it is installed and importable, and to the pure
 Python twin otherwise.  Setting the environment variable QUATLAT_PURE
 to a non-empty value forces the pure backend.  Both backends implement
 exactly the same contracts; `tests/test_kernel_backends.py` holds them
-to bitwise agreement.
+to bitwise agreement.  The box census `count_orthogonality_failures`
+is the pure one on every backend: it proves that a basis spans the
+whole orthogonal lattice, which the compiled point walk cannot, and
+then only counts the box.
 """
 
 import os
@@ -33,7 +36,7 @@ qgcd = _impl.qgcd
 cross4 = _impl.cross4
 norm_representations = _impl.norm_representations
 count_nontrivial_gcd_pairs = _impl.count_nontrivial_gcd_pairs
-count_orthogonality_failures = _impl.count_orthogonality_failures
+count_orthogonality_failures = _pure_module.count_orthogonality_failures
 
 
 def backend_name():

@@ -9,12 +9,18 @@ inputs are well formed and never allocates wrapper objects, which keeps
 the enumeration loops tight.
 
 The compiled twin (_speedups) exports the same names with identical
-semantics; `quatlat._kernel` picks one at import time.  Only this
-module has `combination_solver`: the box census and
-`lattice.in_orthogonal_lattice` share it on either backend.
+semantics; `quatlat._kernel` picks one at import time, except for the
+box census `count_orthogonality_failures`, which is this module's on
+every backend.  That census first tries a Gram-determinant
+certificate that the basis spans the whole orthogonal lattice; when
+it holds, the orthogonal points of the box are only counted, by a
+meet-in-the-middle tally, and none can fail.  Otherwise it walks the
+box and solves for each point with `combination_solver`, which
+`lattice.in_orthogonal_lattice` shares.
 """
 
-from math import isqrt
+from collections import Counter
+from math import gcd, isqrt
 
 BACKEND = "pure"
 
@@ -266,15 +272,69 @@ def combination_solver(basis):
     return solve
 
 
+def _spans_orthogonal_lattice(alpha, basis):
+    """Whether basis provably spans every integer q with q . alpha = 0.
+
+    True when alpha has integer content 1, every row is orthogonal to
+    alpha, and the Gram determinant of the rows equals alpha . alpha;
+    `count_orthogonality_failures` gives the argument.
+    """
+    if gcd(*alpha) != 1:
+        return False
+    if any(qdot4(row, alpha) for row in basis):
+        return False
+    gram = [[qdot4(u, v) for v in basis] for u in basis]
+    return _det3(*gram) == qdot4(alpha, alpha)
+
+
+def _count_orthogonal(alpha, q_bound):
+    """Number of integer q in [-q_bound, q_bound]^4 with q . alpha = 0.
+
+    Meet in the middle: tally alpha_0*x + alpha_1*y over the box's
+    (x, y) pairs, then look up -(alpha_2*z + alpha_3*w) for each (z, w).
+    """
+    span = range(-q_bound, q_bound + 1)
+    xs, ys, zs, ws = ([a * t for t in span] for a in alpha)
+    tally = Counter(u + v for u in xs for v in ys)
+    get = tally.get
+    return sum(get(-(u + v), 0) for u in zs for v in ws)
+
+
 def count_orthogonality_failures(alpha, basis, q_bound):
-    """Exhaustively check a claimed basis of the orthogonal lattice of alpha.
+    """Check a claimed basis of the orthogonal lattice of alpha over a box.
 
     alpha is a nonzero integer 4-vector, basis three integer 4-vectors.
-    Every integer q with coordinates in [-q_bound, q_bound] and
-    q . alpha = 0 is tested for being an integer combination of the
-    basis rows; the box is walked on three coordinates and q . alpha = 0
-    solved for the fourth, the one where |alpha_i| is largest.
-    Returns (orthogonal_count, failure_count).
+    Returns (orthogonal_count, failure_count): how many integer q with
+    coordinates in [-q_bound, q_bound] satisfy q . alpha = 0, and how
+    many of those are not integer combinations of the basis rows.
+
+    When `_spans_orthogonal_lattice` holds, no q can fail, and only the
+    count is computed, exactly and in O(q_bound^2).  The argument:
+    M = {q in Z^4 : q . alpha = 0} is a primitive rank-3 sublattice of
+    the unimodular Z^4, and for alpha of integer content 1 its
+    orthogonal complement there is Z*alpha.  Complementary primitive
+    sublattices of a unimodular lattice have equal Gram determinants,
+    so M's is alpha . alpha.  Rows lying in M span a sublattice of
+    index k, with Gram determinant k^2 times that of M.  Rows with Gram
+    determinant alpha . alpha therefore have k = 1: they span all of M,
+    not only its points in the box.  Otherwise (a broken or scaled
+    basis, content > 1, a zero basis) the box is walked point by point
+    by `_walk_orthogonality_failures`, the only path that counts
+    failures.
+    """
+    if _spans_orthogonal_lattice(alpha, basis):
+        return _count_orthogonal(alpha, q_bound), 0
+    return _walk_orthogonality_failures(alpha, basis, q_bound)
+
+
+def _walk_orthogonality_failures(alpha, basis, q_bound):
+    """Exhaustively check a claimed basis of the orthogonal lattice of alpha.
+
+    Same contract as `count_orthogonality_failures`.  Every orthogonal
+    q in the box is tested for being an integer combination of the
+    basis rows; the box is walked on three coordinates and
+    q . alpha = 0 solved for the fourth, the one where |alpha_i| is
+    largest.
     """
     solve = combination_solver(basis)
     s = max(range(4), key=lambda i: abs(alpha[i]))

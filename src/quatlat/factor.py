@@ -4,7 +4,7 @@ quaternionic factoring experiments.
 Rational side: a Miller-Rabin test (proven below 3.3e24, with bases
 seeded by n beyond), Pollard-Brent factorization, and the classic
 randomized reductions writing a prime as two squares and any positive
-integer as four squares.
+integer as four squares, seeded by their input unless a seed is given.
 
 Quaternion side: factorization of a primitive Hurwitz integer along a
 model (an ordered tuple of primes multiplying to its norm), the
@@ -138,12 +138,15 @@ def _sqrt_minus_one(p: int, rng: random.Random) -> int:
 def sqrt_minus_one_mod_p(p: int, seed: int | None = None) -> int:
     """A square root of -1 modulo a prime p with p % 4 == 1.
 
+    The search is seeded by p unless a seed is given, so the same
+    arguments always pick the same one of the two roots.
+
     Raises:
         BadResidueClass: when p % 4 != 1.
     """
     if p % 4 != 1:
         raise BadResidueClass(f"-1 is not a square modulo {p}")
-    u = _sqrt_minus_one(p, random.Random(seed))
+    u = _sqrt_minus_one(p, random.Random(p if seed is None else seed))
     return u
 
 
@@ -158,7 +161,8 @@ def _two_squares_prime(p: int, rng: random.Random) -> tuple[int, int]:
 def two_squares(p: int, seed: int | None = None) -> tuple[int, int]:
     """Write a prime p as an ascending pair of squares, exactly.
 
-    Defined for p = 2 and for primes p with p % 4 == 1.
+    Defined for p = 2 and for primes p with p % 4 == 1.  The randomized
+    search is seeded by p unless a seed is given.
 
     Raises:
         NotRepresentable: for other residue classes or composite p.
@@ -167,7 +171,7 @@ def two_squares(p: int, seed: int | None = None) -> tuple[int, int]:
         return (1, 1)
     if p % 4 != 1 or not miller_rabin(p):
         raise NotRepresentable(f"{p} is not a sum of two squares")
-    return _two_squares_prime(p, random.Random(seed))
+    return _two_squares_prime(p, random.Random(p if seed is None else seed))
 
 
 def _four_squares_brute(n: int) -> tuple[int, int, int, int]:
@@ -250,15 +254,16 @@ def four_squares(n: int, seed: int | None = None) -> tuple[int, int, int, int]:
 
     Below 1000 the answer is the deterministic lexicographically
     smallest sorted quadruple (the seed is unused there); larger inputs
-    strip powers of 4 and run the randomized two-squares reduction, so
-    identical seeds give identical quadruples.
+    strip powers of 4 and run the randomized two-squares reduction,
+    seeded by n unless a seed is given, so the same arguments always
+    give the same quadruple.
 
     Raises:
         PreconditionViolated: for n < 1.
     """
     if n < 1:
         raise PreconditionViolated(f"four_squares needs n >= 1, got {n}")
-    return _four_squares(n, random.Random(seed))
+    return _four_squares(n, random.Random(n if seed is None else seed))
 
 
 def _pollard_brent(n: int) -> int:

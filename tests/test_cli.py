@@ -8,10 +8,14 @@ parse error.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import quatlat
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
 from quatlat.cli import dispatch, format_quaternion, main, parse_gaussian, parse_quaternion
 from conftest import random_hurwitz
@@ -232,6 +236,29 @@ def test_montecarlo_is_byte_identical_across_runs():
     assert first.payload == second.payload
     json_argv = argv + ["--json"]
     assert dispatch(json_argv).payload == dispatch(json_argv).payload
+
+
+def test_foursq_without_seed_is_byte_identical_across_processes():
+    src = os.path.dirname(os.path.dirname(quatlat.__file__))
+    argv = ["foursq", "1000000000000000000007", "--json"]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "quatlat.cli", *argv],
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    assert doc["seed"] is None
+    assert sum(int(x) ** 2 for x in doc["parts"]) == 10**21 + 7
 
 
 def test_montecarlo_threads_merge_trials():

@@ -140,6 +140,17 @@ def test_four_squares_large_inputs_are_valid_and_seeded():
         assert four_squares(n, seed=17) == quad
 
 
+def test_default_seeds_come_from_the_input():
+    n = 10**21 + 7
+    quad = four_squares(n)
+    assert sum(v * v for v in quad) == n
+    assert four_squares(n) == quad == four_squares(n, seed=n)
+    p = 1000000009
+    root = sqrt_minus_one_mod_p(p)
+    assert (root * root + 1) % p == 0
+    assert sqrt_minus_one_mod_p(p) == root == sqrt_minus_one_mod_p(p, seed=p)
+
+
 def test_four_squares_strips_powers_of_four():
     assert four_squares(4096) == (0, 0, 0, 64)
     # 10000 = 4 * 4 * 625 reduces to the deterministic small case.

@@ -3,7 +3,9 @@ enumeration.
 
 The census oracle is a plain four-deep loop over the coordinate box
 computing dot products directly, so the lattice kernel is checked
-against an implementation that shares none of its code.
+against an implementation that shares none of its code.  The census's
+Gram-determinant certificate and its meet-in-the-middle count are held
+to the point walk, as Hypothesis properties over small alphas and boxes.
 """
 
 import dataclasses
@@ -12,9 +14,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from quatlat import lattice
-from quatlat._kernel import count_orthogonality_failures
+from quatlat import _kernel, lattice
+from quatlat._kernel import count_orthogonality_failures, pure
 from quatlat import (
     OMEGA,
     HurwitzQuaternion,
@@ -29,6 +32,7 @@ from quatlat import (
     gram_norm,
     in_orthogonal_lattice,
     inner_product,
+    is_primitive,
     orthogonal_basis,
     orthogonality_census,
     representation_count,
@@ -156,6 +160,71 @@ def test_census_counts_failures_of_broken_bases():
             assert got == _brute_failure_count(coords, basis, 4), (coords, basis)
             failures += got[1]
     assert failures > 0
+
+
+_census_settings = settings(derandomize=True, deadline=None)
+_primitive_coords = st.tuples(*[st.integers(-8, 8)] * 4).filter(
+    lambda c: any(c) and is_primitive(HurwitzQuaternion.from_coords(*c))
+)
+_small_boxes = st.integers(0, 5)
+
+
+def _true_rows(alpha):
+    return orthogonal_basis(HurwitzQuaternion.from_coords(*alpha)).rows()
+
+
+def test_box_census_is_the_pure_one_on_every_backend():
+    assert _kernel.count_orthogonality_failures is pure.count_orthogonality_failures
+
+
+@_census_settings
+@given(
+    _primitive_coords,
+    _small_boxes,
+    st.permutations(range(3)),
+    st.tuples(*[st.sampled_from((1, -1))] * 3),
+    st.integers(-3, 3),
+)
+def test_certified_census_matches_the_walk_on_unimodular_bases(alpha, q_bound, order, signs, k):
+    # Swapping, negating and shearing rows keeps the span, so the
+    # certificate still holds and no box point may fail.
+    rows = _true_rows(alpha)
+    rows = [tuple(sign * x for x in rows[i]) for i, sign in zip(order, signs)]
+    rows[0] = tuple(x + k * y for x, y in zip(rows[0], rows[1]))
+    assert pure._spans_orthogonal_lattice(alpha, rows)
+    got = pure.count_orthogonality_failures(alpha, rows, q_bound)
+    assert got[1] == 0
+    assert got == pure._walk_orthogonality_failures(alpha, rows, q_bound)
+
+
+@_census_settings
+@given(
+    _primitive_coords,
+    _small_boxes,
+    st.integers(0, 2),
+    st.sampled_from((2, 3)),
+    st.sampled_from(("scaled row", "zero basis", "content", "rotated")),
+)
+def test_broken_bases_fall_back_to_the_walk(alpha, q_bound, row, factor, kind):
+    rows = _true_rows(alpha)
+    scaled = rows[:row] + (tuple(factor * x for x in rows[row]),) + rows[row + 1:]
+    if kind == "scaled row":
+        rows = scaled
+    elif kind == "zero basis":
+        rows = ((0, 0, 0, 0),) * 3
+    elif kind == "content":
+        # Gram determinant factor^2 * N(alpha), the scaled alpha's own
+        # norm, yet the rows miss part of the lattice: only the content
+        # test rejects this basis.
+        alpha, rows = tuple(factor * x for x in alpha), scaled
+    else:
+        # Coordinates rotated: Gram determinant still N(alpha), but the
+        # rows are orthogonal to another vector.
+        rows = tuple(r[1:] + r[:1] for r in rows)
+        assume(any(sum(a * x for a, x in zip(alpha, r)) for r in rows))
+    assert not pure._spans_orthogonal_lattice(alpha, rows)
+    got = pure.count_orthogonality_failures(alpha, rows, q_bound)
+    assert got == pure._walk_orthogonality_failures(alpha, rows, q_bound)
 
 
 def test_membership_reports_a_broken_basis(monkeypatch):
