@@ -74,31 +74,47 @@ def qdivmod(a, b, right_quotient, lipschitz_only=False):
     """Nearest-point division: returns (q, r) with norm(r) <= norm(b)/2.
 
     right_quotient=True solves a = b*q + r, False solves a = q*b + r.
-    Two candidate quotients are tried, the nearest all-even doubled
+    Two candidate quotients are weighed, the nearest all-even doubled
     tuple and the nearest all-odd one; the smaller remainder norm wins
     and norm ties go to the lexicographically smaller quotient.  With
     lipschitz_only=True the all-odd candidate is skipped, which only
     guarantees norm(r) <= norm(b).
+
+    Only the winner's remainder is formed.  With n = N(b), the exact
+    quotient q* = b^-1 a (or a b^-1) has doubled coordinates num_i/n,
+    and r = b*(q* - q) (or (q* - q)*b), so N(r) = N(b) * N(num/n - q) =
+    sum((num_i - n*q_i)^2) / (4n): the candidates are ranked by that
+    integer sum.  Write k_i, m_i = divmod(num_i, 2n).  The odd
+    candidate is 2k_i + 1, with residual t_i = m_i - n in [-n, n); the
+    even one is 2(k_i + [m_i >= n]), the nearer of 2k_i and 2k_i + 2
+    (ties upward), with residual of size n - |t_i|.  So the even sum
+    minus the odd sum is sum((n - |t_i|)^2 - t_i^2) =
+    n * (4n - 2 * sum(|t_i|)): the even candidate wins when
+    sum(|t_i|) > 2n, and on equality too when its first coordinate is
+    the smaller one, i.e. when m_0 < n.
     """
     n = qnorm(b)
     if n == 0:
         raise ZeroDivisionError("quaternion division by zero")
-    if right_quotient:
-        num = qmul(qconj(b), a)
-    else:
-        num = qmul(a, qconj(b))
-    # The exact quotient has doubled coordinate num[i]/n; round to the
-    # nearest even and nearest odd integers (ties upward).
+    cb = qconj(b)
+    num = qmul(cb, a) if right_quotient else qmul(a, cb)
     two_n = 2 * n
-    qe = tuple(2 * ((x + n) // two_n) for x in num)
-    re = qsub(a, qmul(b, qe) if right_quotient else qmul(qe, b))
-    if lipschitz_only:
-        return qe, re
-    qo = tuple(2 * (x // two_n) + 1 for x in num)
-    ro = qsub(a, qmul(b, qo) if right_quotient else qmul(qo, b))
-    if (qnorm(re), qe) <= (qnorm(ro), qo):
-        return qe, re
-    return qo, ro
+    x0, x1, x2, x3 = num
+    k0, m0 = divmod(x0, two_n)
+    k1, m1 = divmod(x1, two_n)
+    k2, m2 = divmod(x2, two_n)
+    k3, m3 = divmod(x3, two_n)
+    dist = abs(m0 - n) + abs(m1 - n) + abs(m2 - n) + abs(m3 - n)
+    if lipschitz_only or dist > two_n or (dist == two_n and m0 < n):
+        q = (
+            2 * (k0 + (m0 >= n)),
+            2 * (k1 + (m1 >= n)),
+            2 * (k2 + (m2 >= n)),
+            2 * (k3 + (m3 >= n)),
+        )
+    else:
+        q = (2 * k0 + 1, 2 * k1 + 1, 2 * k2 + 1, 2 * k3 + 1)
+    return q, qsub(a, qmul(b, q) if right_quotient else qmul(q, b))
 
 
 def qgcd(a, b, right):

@@ -396,9 +396,9 @@ def _run_fraction(args):
 def _merged_attempt(args) -> FactorAttemptReport:
     """Run the trials, chunked across a thread pool when asked.
 
-    Chunk seeds derive from the given seed so a run is reproducible
-    from argv alone; chunk results merge by summation, so scheduling
-    order cannot change the report.
+    Chunk seeds derive from the given seed, or from n without one, so
+    a run is reproducible from argv alone; chunk results merge by
+    summation, so scheduling order cannot change the report.
     """
     threads = args.threads
     if threads < 2 or args.trials < 2:
@@ -406,10 +406,8 @@ def _merged_attempt(args) -> FactorAttemptReport:
     share, extra = divmod(args.trials, threads)
     sizes = [share + (1 if idx < extra else 0) for idx in range(threads)]
     sizes = [size for size in sizes if size]
-    seeds = [
-        None if args.seed is None else args.seed * 1000003 + idx
-        for idx in range(len(sizes))
-    ]
+    base = args.n if args.seed is None else args.seed
+    seeds = [base * 1000003 + idx for idx in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
         chunks = list(
             pool.map(

@@ -204,6 +204,7 @@ def _build_units() -> tuple[HurwitzQuaternion, ...]:
 
 #: The 24 invertible Hurwitz integers, sorted by doubled quadruple.
 UNITS: tuple[HurwitzQuaternion, ...] = _build_units()
+_UNIT_DOUBLED = tuple(e.doubled for e in UNITS)
 
 
 def units() -> tuple[HurwitzQuaternion, ...]:
@@ -247,18 +248,29 @@ def canonical_associate(
 
     Returns (canonical, unit) with canonical == unit * u for side
     "left" and canonical == u * unit for side "right".
+
+    The first coordinate decides most of the minimum, and it needs no
+    product: Re(e*u) = Re(u*e), which in doubled coordinates is
+    (e0*u0 - e1*u1 - e2*u2 - e3*u3) / 2 on both sides.  So the 24 real
+    parts are found as dot products, and only the units that reach
+    their minimum are multiplied out.  For nonzero u the 24 associates
+    are distinct, so the smallest, and its unit, are unique.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     ud = u.doubled
+    u0, u1, u2, u3 = ud
+    reals = [
+        e0 * u0 - e1 * u1 - e2 * u2 - e3 * u3
+        for e0, e1, e2, e3 in _UNIT_DOUBLED
+    ]
+    low = min(reals)
     best = None
     best_unit = None
-    for e in UNITS:
-        cand = (
-            _kernel.qmul(e.doubled, ud)
-            if side == "left"
-            else _kernel.qmul(ud, e.doubled)
-        )
+    for e, ed, real in zip(UNITS, _UNIT_DOUBLED, reals):
+        if real != low:
+            continue
+        cand = _kernel.qmul(ed, ud) if side == "left" else _kernel.qmul(ud, ed)
         if best is None or cand < best:
             best, best_unit = cand, e
     return HurwitzQuaternion._raw(best), best_unit

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from quatlat import _kernel
 from quatlat.core import (
+    ZERO,
     GaussianInteger,
     HurwitzQuaternion,
     canonical_associate,
@@ -112,6 +113,13 @@ def gcd(
     gcd(a, 0) is the canonical associate of a.  A unit gcd means the
     pair generates the whole order on that side.
 
+    The loop tracks only the witness x.  Once g is canonicalized, y is
+    recovered by one exact division (`cofactor`): y*b = g - x*a for a
+    right gcd, so y = (g - x*a) * conj(b) / N(b), and b*y = g - a*x for
+    a left gcd, so y = conj(b) * (g - a*x) / N(b).  A nonzero b is
+    invertible, so this is the y the loop would have carried; for
+    b = 0, y = 0.
+
     Raises:
         BothZero: when both arguments are zero.
     """
@@ -124,27 +132,26 @@ def gcd(
     quotient_right = not right
     r0, r1 = a.doubled, b.doubled
     x0, x1 = (2, 0, 0, 0), (0, 0, 0, 0)
-    y0, y1 = (0, 0, 0, 0), (2, 0, 0, 0)
     while r1 != (0, 0, 0, 0):
         q, r2 = _kernel.qdivmod(r0, r1, quotient_right)
         if right:
             x2 = _kernel.qsub(x0, _kernel.qmul(q, x1))
-            y2 = _kernel.qsub(y0, _kernel.qmul(q, y1))
         else:
             x2 = _kernel.qsub(x0, _kernel.qmul(x1, q))
-            y2 = _kernel.qsub(y0, _kernel.qmul(y1, q))
-        r0, x0, y0 = r1, x1, y1
-        r1, x1, y1 = r2, x2, y2
+        r0, x0 = r1, x1
+        r1, x1 = r2, x2
     g = HurwitzQuaternion._raw(r0)
     # Canonicalize on the generating side: unit*g generates the same
     # left ideal, g*unit the same right ideal.
     canon, unit = canonical_associate(g, "left" if right else "right")
     if right:
         x = HurwitzQuaternion._raw(_kernel.qmul(unit.doubled, x0))
-        y = HurwitzQuaternion._raw(_kernel.qmul(unit.doubled, y0))
     else:
         x = HurwitzQuaternion._raw(_kernel.qmul(x0, unit.doubled))
-        y = HurwitzQuaternion._raw(_kernel.qmul(y0, unit.doubled))
+    if b.is_zero:
+        y = ZERO
+    else:
+        y = cofactor(canon - x * a if right else canon - a * x, b, side)
     return GcdResult(canon, x, y, side)
 
 

@@ -730,7 +730,8 @@ def semiprime_factor_attempt(
     permutation, which no longer covers every representation evenly.
 
     n must be an odd product of two primes; p = q is accepted but
-    flagged degenerate in the report.
+    flagged degenerate in the report.  The draws are seeded by n unless
+    a seed is given, so the same arguments always give the same report.
 
     Raises:
         PreconditionViolated: when n is even, prime, or not a semiprime,
@@ -744,7 +745,7 @@ def semiprime_factor_attempt(
     if len(primes) != 2:
         raise PreconditionViolated(f"{n} is not a product of two primes")
     p, q = primes
-    rng = random.Random(seed)
+    rng = random.Random(n if seed is None else seed)
     limit = enumeration_bound() if bound is None else bound
     if n <= limit:
         sampler = "enumeration"

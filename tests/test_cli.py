@@ -238,9 +238,9 @@ def test_montecarlo_is_byte_identical_across_runs():
     assert dispatch(json_argv).payload == dispatch(json_argv).payload
 
 
-def test_foursq_without_seed_is_byte_identical_across_processes():
+def _stdout_under_two_hash_seeds(argv):
+    """The CLI's stdout for argv in two processes, PYTHONHASHSEED 1 and 2."""
     src = os.path.dirname(os.path.dirname(quatlat.__file__))
-    argv = ["foursq", "1000000000000000000007", "--json"]
     outputs = []
     for hash_seed in ("1", "2"):
         env = dict(
@@ -255,10 +255,25 @@ def test_foursq_without_seed_is_byte_identical_across_processes():
             check=True,
         )
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_foursq_without_seed_is_byte_identical_across_processes():
+    outputs = _stdout_under_two_hash_seeds(["foursq", "1000000000000000000007", "--json"])
     assert outputs[0] == outputs[1]
     doc = json.loads(outputs[0])
     assert doc["seed"] is None
     assert sum(int(x) ** 2 for x in doc["parts"]) == 10**21 + 7
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_montecarlo_without_seed_is_byte_identical_across_processes(threads):
+    argv = ["experiment", "montecarlo", "15", "--trials", "40", "--threads", threads, "--json"]
+    outputs = _stdout_under_two_hash_seeds(argv)
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    assert doc["seed"] is None
+    assert doc["trials"] == "40"
 
 
 def test_montecarlo_threads_merge_trials():

@@ -4,11 +4,19 @@ The division contract under test: divide(a, b, "right") solves
 a = b * q + r, divide(a, b, "left") solves a = q * b + r, with
 2 * N(r) <= N(b) for Hurwitz quotients and N(r) <= N(b) when the
 quotient is restricted to Lipschitz form.
+
+The library forms only the winning remainder of a division, carries one
+Bezout witness through the gcd loop, and screens canonical associates by
+real part.  Test-only references that form both remainders, carry both
+witnesses and multiply out all 24 associates hold those forms bit for
+bit; Hypothesis properties hold the contracts at doubled coordinates up
+to 2^40.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatlat import (
     ONE,
@@ -29,6 +37,8 @@ from quatlat import (
     is_associate,
     is_multiple,
 )
+from quatlat import _kernel
+from quatlat._kernel import pure
 from conftest import random_hurwitz, random_lipschitz, random_nonzero
 
 
@@ -259,3 +269,223 @@ def test_division_handles_basis_vectors():
     for unit in (I, J, K):
         exact = divide(unit, unit, "left")
         assert exact.quotient == ONE and exact.remainder == ZERO
+
+
+# ---------------------------------------------------------------------------
+# References: division that forms both candidates' remainders and ranks
+# them by norm, the Euclidean loop carrying both Bezout witnesses, and
+# the minimum over all 24 associates.
+
+_Z4 = (0, 0, 0, 0)
+_BANDS = (40, 2**25, 2**40)
+
+
+def _ref_candidates(a, b, right_quotient):
+    """The even and the odd rounded quotient, each as (N(r), q, r)."""
+    n = pure.qnorm(b)
+    if right_quotient:
+        num = pure.qmul(pure.qconj(b), a)
+    else:
+        num = pure.qmul(a, pure.qconj(b))
+    two_n = 2 * n
+    out = []
+    for q in (
+        tuple(2 * ((x + n) // two_n) for x in num),
+        tuple(2 * (x // two_n) + 1 for x in num),
+    ):
+        r = pure.qsub(a, pure.qmul(b, q) if right_quotient else pure.qmul(q, b))
+        out.append((pure.qnorm(r), q, r))
+    return out
+
+
+def _ref_qdivmod(a, b, right_quotient, lipschitz_only=False):
+    (ne, qe, re), (no, qo, ro) = _ref_candidates(a, b, right_quotient)
+    if lipschitz_only or (ne, qe) <= (no, qo):
+        return qe, re
+    return qo, ro
+
+
+def _ref_canonical(u, side):
+    """(canonical, unit) as doubled tuples, the first minimum over UNITS."""
+    best = best_unit = None
+    for e in UNITS:
+        ed = e.doubled
+        cand = pure.qmul(ed, u) if side == "left" else pure.qmul(u, ed)
+        if best is None or cand < best:
+            best, best_unit = cand, ed
+    return best, best_unit
+
+
+def _ref_gcd(a, b, side):
+    right = side == "right"
+    r0, r1 = a, b
+    x0, x1 = (2, 0, 0, 0), _Z4
+    y0, y1 = _Z4, (2, 0, 0, 0)
+    while r1 != _Z4:
+        q, r2 = _ref_qdivmod(r0, r1, not right)
+        if right:
+            x2 = pure.qsub(x0, pure.qmul(q, x1))
+            y2 = pure.qsub(y0, pure.qmul(q, y1))
+        else:
+            x2 = pure.qsub(x0, pure.qmul(x1, q))
+            y2 = pure.qsub(y0, pure.qmul(y1, q))
+        r0, x0, y0 = r1, x1, y1
+        r1, x1, y1 = r2, x2, y2
+    canon, unit = _ref_canonical(r0, "left" if right else "right")
+    if right:
+        return canon, pure.qmul(unit, x0), pure.qmul(unit, y0)
+    return canon, pure.qmul(x0, unit), pure.qmul(y0, unit)
+
+
+def _seeded_pairs(rng, span, count):
+    """count (a, b) doubled pairs, either parity, some a or b zero."""
+    pairs = [(_Z4, random_nonzero(rng, span, hurwitz=True).doubled)]
+    pairs.append((pairs[0][1], _Z4))
+    for _ in range(count):
+        pairs.append((random_hurwitz(rng, span).doubled, random_hurwitz(rng, span).doubled))
+    return pairs
+
+
+def _tied_pairs(rng, span, count):
+    """Divisions whose two candidates leave remainders of equal norm.
+
+    With b = 2c and a = c*w (a = w*c for a left quotient) the exact
+    quotient is w/2.  A half-odd w puts every doubled coordinate of w/2
+    half-way between an even and an odd integer, and a Lipschitz w with
+    exactly two even integer coordinates gives distances 1, 1, 0, 0: in
+    both cases the two candidates tie.
+    """
+    out = []
+    for _ in range(count):
+        c = random_nonzero(rng, span, hurwitz=True).doubled
+        if rng.randint(0, 1):
+            w = random_hurwitz(rng, span).doubled
+            w = tuple(x | 1 for x in w)
+        else:
+            coords = [2 * rng.randint(-span, span) for _ in range(2)]
+            coords += [2 * rng.randint(-span, span) + 1 for _ in range(2)]
+            rng.shuffle(coords)
+            w = tuple(2 * x for x in coords)
+        b = tuple(2 * x for x in c)
+        for right_quotient in (True, False):
+            a = pure.qmul(c, w) if right_quotient else pure.qmul(w, c)
+            out.append((a, b, right_quotient))
+    return out
+
+
+@pytest.mark.parametrize("span", _BANDS)
+def test_division_matches_the_two_candidate_reference(span):
+    rng = random.Random(2114 + span.bit_length())
+    for a, b in _seeded_pairs(rng, span, 300):
+        if b == _Z4:
+            continue
+        for right_quotient in (True, False):
+            for lipschitz_only in (False, True):
+                want = _ref_qdivmod(a, b, right_quotient, lipschitz_only)
+                assert _kernel.qdivmod(a, b, right_quotient, lipschitz_only) == want
+                assert pure.qdivmod(a, b, right_quotient, lipschitz_only) == want
+
+
+def test_division_ties_follow_the_reference():
+    rng = random.Random(2115)
+    winners = set()
+    for span in (1, 3, 40, 2**25, 2**40):
+        for a, b, right_quotient in _tied_pairs(rng, span, 60):
+            (ne, qe, _), (no, qo, _) = _ref_candidates(a, b, right_quotient)
+            assert ne == no
+            want = _ref_qdivmod(a, b, right_quotient)
+            assert _kernel.qdivmod(a, b, right_quotient) == want
+            assert pure.qdivmod(a, b, right_quotient) == want
+            winners.add(want[0] == qe)
+    # Ties are decided both ways: the even quotient is not always the
+    # lexicographically smaller one.
+    assert winners == {True, False}
+
+
+@pytest.mark.parametrize("span", _BANDS)
+def test_gcd_matches_the_two_witness_reference(span):
+    rng = random.Random(2116 + span.bit_length())
+    for a, b in _seeded_pairs(rng, span, 60):
+        for side in ("right", "left"):
+            res = gcd(HurwitzQuaternion(*a), HurwitzQuaternion(*b), side)
+            got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
+            assert got == _ref_gcd(a, b, side), (a, b, side)
+
+
+def test_canonical_associate_is_the_brute_force_minimum():
+    rng = random.Random(2117)
+    samples = [ZERO] + list(UNITS)
+    for span in (1, 2, 40, 2**40):
+        samples += [random_hurwitz(rng, span) for _ in range(300)]
+    for u in samples:
+        for side in ("left", "right"):
+            canon, unit = canonical_associate(u, side)
+            assert (canon.doubled, unit.doubled) == _ref_canonical(u.doubled, side)
+
+
+# ---------------------------------------------------------------------------
+# Properties at doubled coordinates up to 2^40, either parity.
+
+_properties = settings(derandomize=True, deadline=None)
+_half = 2**39
+_hurwitz = st.builds(
+    lambda coords, odd: HurwitzQuaternion(*(2 * c + odd for c in coords)),
+    st.tuples(*[st.integers(-_half, _half - 1)] * 4),
+    st.integers(0, 1),
+)
+_nonzero = _hurwitz.filter(lambda u: not u.is_zero)
+_sides = st.sampled_from(("right", "left"))
+
+
+@_properties
+@given(_hurwitz, _nonzero, _sides)
+def test_division_contract_property(a, b, side):
+    res = divide(a, b, side)
+    product = b * res.quotient if side == "right" else res.quotient * b
+    assert a == product + res.remainder
+    assert 2 * res.remainder.norm() <= b.norm()
+    res = divide(a, b, side, lipschitz_only=True)
+    product = b * res.quotient if side == "right" else res.quotient * b
+    assert a == product + res.remainder
+    assert res.quotient.is_lipschitz
+    assert res.remainder.norm() <= b.norm()
+
+
+@_properties
+@given(_hurwitz, _hurwitz, _sides)
+def test_bezout_identity_property(a, b, side):
+    if a.is_zero and b.is_zero:
+        return
+    res = gcd(a, b, side)
+    if side == "right":
+        assert res.x * a + res.y * b == res.gcd
+    else:
+        assert a * res.x + b * res.y == res.gcd
+
+
+@_properties
+@given(_hurwitz, _hurwitz, _sides)
+def test_gcd_divides_both_arguments_property(a, b, side):
+    if a.is_zero and b.is_zero:
+        return
+    g = gcd(a, b, side).gcd
+    assert is_multiple(a, g, side)
+    assert is_multiple(b, g, side)
+
+
+@_properties
+@given(_nonzero, _sides)
+def test_canonical_form_is_unique_over_associates_property(u, side):
+    canon, unit = canonical_associate(u, side)
+    assert canon == (unit * u if side == "left" else u * unit)
+    for e in UNITS:
+        v = e * u if side == "left" else u * e
+        assert v.doubled >= canon.doubled
+        assert canonical_associate(v, side)[0] == canon
+
+
+@_properties
+@given(_hurwitz, _hurwitz)
+def test_norm_is_multiplicative_property(a, b):
+    assert (a * b).norm() == a.norm() * b.norm()
+    assert (b * a).norm() == a.norm() * b.norm()

@@ -149,6 +149,8 @@ def test_default_seeds_come_from_the_input():
     root = sqrt_minus_one_mod_p(p)
     assert (root * root + 1) % p == 0
     assert sqrt_minus_one_mod_p(p) == root == sqrt_minus_one_mod_p(p, seed=p)
+    report = semiprime_factor_attempt(15, 40)
+    assert semiprime_factor_attempt(15, 40) == report == semiprime_factor_attempt(15, 40, seed=15)
 
 
 def test_four_squares_strips_powers_of_four():
