@@ -73,6 +73,8 @@ def build_workloads(seed: int, size: int):
         return lambda: [kernel.cross4(u, v, w) for u, v, w in triples]
 
     def sphere(kernel):
+        # The compiled triple loop against the pure bucketed walk, which
+        # the library uses on every backend.
         return lambda: kernel.norm_representations(225, True)
 
     def census(kernel):

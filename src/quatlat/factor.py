@@ -585,12 +585,21 @@ def _check_odd_semiprime_pair(p: int, q: int) -> None:
             raise PreconditionViolated(f"{v} is not an odd prime")
 
 
-def _divisor_class(alpha: HurwitzQuaternion, m: int, right: bool) -> tuple:
+def _divisor_class(
+    alpha: HurwitzQuaternion, m: int, right: bool, classes: dict
+) -> tuple:
     # The one-sided gcd of alpha with m, canonicalized on its generating
-    # side so that associated divisors give equal keys.
+    # side so that associated divisors give equal keys.  Few raw gcds
+    # repeat across a census, so classes memoizes the canonical form by
+    # (raw gcd, side); the caller owns it for one census.
     g = _kernel.qgcd(alpha.doubled, (2 * m, 0, 0, 0), right)
-    side = "left" if right else "right"
-    return canonical_associate(HurwitzQuaternion._raw(g), side)[0].doubled
+    key = (g, right)
+    canon = classes.get(key)
+    if canon is None:
+        side = "left" if right else "right"
+        canon = canonical_associate(HurwitzQuaternion._raw(g), side)[0].doubled
+        classes[key] = canon
+    return canon
 
 
 def semiprime_pair_fraction(
@@ -636,12 +645,13 @@ def semiprime_pair_fraction(
     n = p * q
     # Key positions 0, 1 hold the right classes of norm p and q; 2, 3
     # the left ones.  Bit i of a subset mask stands for position i.
+    classes: dict = {}
     keys = [
         (
-            _divisor_class(a, p, True),
-            _divisor_class(a, q, True),
-            _divisor_class(a, p, False),
-            _divisor_class(a, q, False),
+            _divisor_class(a, p, True, classes),
+            _divisor_class(a, q, True, classes),
+            _divisor_class(a, p, False, classes),
+            _divisor_class(a, q, False, classes),
         )
         for a in representations(n, hurwitz=False, bound=bound)
     ]

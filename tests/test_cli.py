@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quatlat
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
@@ -26,6 +27,25 @@ def test_parse_round_trips_random_quaternions():
     for _ in range(10_000):
         u = random_hurwitz(rng, 40)
         assert parse_quaternion(format_quaternion(u)) == u
+
+
+# Doubled coordinates up to 2^70, either parity; 0 and +-1 are drawn
+# often so that zero terms, bare axes and +-1/2 coefficients occur.
+_half = 2**69
+_coord = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-_half, _half - 1))
+_quaternions = st.builds(
+    lambda coords, odd: HurwitzQuaternion(*(2 * c + odd for c in coords)),
+    st.tuples(*[_coord] * 4),
+    st.integers(0, 1),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_quaternions)
+@example(ZERO)
+@example(OMEGA)
+def test_parse_inverts_format(u):
+    assert parse_quaternion(format_quaternion(u)) == u
 
 
 def test_parse_literal_examples():

@@ -107,7 +107,7 @@ def test_cross_agrees_across_magnitudes():
 
 
 def test_norm_representations_agree():
-    for n in (1, 2, 3, 4, 15, 25, 35, 99):
+    for n in (1, 2, 3, 4, 15, 25, 35, 99, 1009, 1913):
         for half_odd in (False, True):
             got = compiled.norm_representations(n, half_odd)
             want = pure.norm_representations(n, half_odd)

@@ -6,12 +6,15 @@ computing dot products directly, so the lattice kernel is checked
 against an implementation that shares none of its code.  The census's
 Gram-determinant certificate and its meet-in-the-middle count are held
 to the point walk, as Hypothesis properties over small alphas and boxes.
+The sphere walk is held to the triple loop it replaced, kept here as
+the oracle, and to Jacobi's four-square counts.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -265,6 +268,87 @@ def test_integer_combinations_of_basis_are_members():
         assert in_orthogonal_lattice(alpha, q)
 
 
+def _ref_norm_representations(n, include_half_odd):
+    """The triple loop over (a, b, c) that solves for d; the sphere oracle."""
+    out = []
+    r0 = isqrt(n)
+    for a in range(-r0, r0 + 1):
+        n1 = n - a * a
+        r1 = isqrt(n1)
+        for b in range(-r1, r1 + 1):
+            n2 = n1 - b * b
+            r2 = isqrt(n2)
+            for c in range(-r2, r2 + 1):
+                n3 = n2 - c * c
+                d = isqrt(n3)
+                if d * d == n3:
+                    if d == 0:
+                        out.append((2 * a, 2 * b, 2 * c, 0))
+                    else:
+                        out.append((2 * a, 2 * b, 2 * c, 2 * d))
+                        out.append((2 * a, 2 * b, 2 * c, -2 * d))
+    if include_half_odd and n % 2 == 1:
+        m = 4 * n
+        r0 = isqrt(m)
+        r0 -= 1 - r0 % 2
+        for a in range(-r0, r0 + 1, 2):
+            n1 = m - a * a
+            r1 = isqrt(n1)
+            r1 -= 1 - r1 % 2
+            for b in range(-r1, r1 + 1, 2):
+                n2 = n1 - b * b
+                r2 = isqrt(n2)
+                r2 -= 1 - r2 % 2
+                for c in range(-r2, r2 + 1, 2):
+                    n3 = n2 - c * c
+                    d = isqrt(n3)
+                    if d % 2 == 1 and d * d == n3:
+                        out.append((a, b, c, d))
+                        out.append((a, b, c, -d))
+    out.sort()
+    return out
+
+
+def _sigma(n: int) -> int:
+    return sum(
+        d if d * d == n else d + n // d
+        for d in range(1, isqrt(n) + 1)
+        if n % d == 0
+    )
+
+
+def _jacobi_counts(n: int) -> tuple[int, int]:
+    """(Lipschitz, Hurwitz) sphere sizes by Jacobi's four-square theorem."""
+    if n % 2:
+        return 8 * _sigma(n), 24 * _sigma(n)
+    odd_part = n
+    while odd_part % 2 == 0:
+        odd_part //= 2
+    return 24 * _sigma(odd_part), 24 * _sigma(odd_part)
+
+
+_SPHERE_NORMS = list(range(401)) + [1009, 1913, 4999, 10000]
+
+
+@pytest.mark.parametrize("half_odd", (False, True))
+def test_sphere_walk_matches_the_triple_loop(half_odd):
+    for n in _SPHERE_NORMS:
+        assert pure.norm_representations(n, half_odd) == _ref_norm_representations(
+            n, half_odd
+        ), n
+
+
+def test_sphere_sizes_follow_jacobi():
+    for n in _SPHERE_NORMS[1:]:
+        lipschitz, hurwitz = _jacobi_counts(n)
+        assert len(pure.norm_representations(n, False)) == lipschitz, n
+        assert len(pure.norm_representations(n, True)) == hurwitz, n
+
+
+def test_sphere_walk_is_the_pure_one_on_every_backend():
+    assert _kernel.norm_representations is pure.norm_representations
+
+
 def test_representation_counts_for_small_norms():
     assert len(representations(1)) == 8
     assert len(representations(1, hurwitz=True)) == 24
@@ -301,11 +385,8 @@ def test_hurwitz_flag_only_adds_half_odd_elements():
 
 
 def test_representation_count_is_eight_sigma():
-    def sigma(n: int) -> int:
-        return sum(d for d in range(1, n + 1) if n % d == 0)
-
     for n in range(1, 120, 2):
-        assert representation_count(n) == 8 * sigma(n)
+        assert representation_count(n) == 8 * _sigma(n)
 
 
 def test_representation_count_rejects_even_norms():
