@@ -6,12 +6,9 @@ division and gcds, generalized cross products, orthogonal lattices of
 quaternions, four-square decompositions, and the experiments measuring
 how often random quaternion pairs betray a factor of a semiprime norm.
 
-Hot kernels run through a compiled extension when it built, with a
-pure-Python twin as fallback; `kernel_backend()` says which one is
-live.
+Hot loops run in one pure-Python kernel on plain integer tuples.
 """
 
-from quatlat._kernel import BACKEND as _BACKEND
 from quatlat.core import (
     GaussianInteger,
     HurwitzQuaternion,
@@ -104,8 +101,8 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Name of the active arithmetic kernel: "compiled" or "pure"."""
-    return _BACKEND
+    """Name of the arithmetic kernel; there is only the pure one."""
+    return "pure"
 
 
 __all__ = [

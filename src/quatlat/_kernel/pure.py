@@ -8,10 +8,7 @@ Callers are responsible for parity validation; the kernel assumes its
 inputs are well formed and never allocates wrapper objects, which keeps
 the enumeration loops tight.
 
-The compiled twin (_speedups) exports the same names with identical
-semantics; `quatlat._kernel` picks one at import time, except for two
-entries that are this module's on every backend because a better
-algorithm beats the compiled loop:
+Two entries carry most of the library's enumeration:
 
 - The box census `count_orthogonality_failures` first tries a
   Gram-determinant certificate that the basis spans the whole
@@ -21,17 +18,11 @@ algorithm beats the compiled loop:
   `combination_solver`, which `lattice.in_orthogonal_lattice` shares.
 - The sphere walk `norm_representations` files the pairs (c, d) by
   c^2 + d^2 and meets them with the pairs (a, b), in O(n + output)
-  where the compiled triple loop takes O(n^1.5).  Against a gcc -O3
-  build of that loop on a 2-core x86-64 host, best of seven: 2.7
-  against 4.4 ms at n = 1009, 7.5 against 13.8 ms at n = 1913, 36
-  against 73 ms at n = 9973, and 13 against 28 ms for the Hurwitz
-  sphere of 1913.
+  rather than the O(n^1.5) of a triple loop that solves for d.
 """
 
 from collections import Counter
 from math import gcd, isqrt
-
-BACKEND = "pure"
 
 _ZERO = (0, 0, 0, 0)
 
@@ -224,8 +215,8 @@ def count_nontrivial_gcd_pairs(reps, n):
     This is the O(k^2) pairwise reference: two gcds per pair.  The
     library no longer calls it; `factor.semiprime_pair_fraction` counts
     the same pairs from four gcds per representation.  It stays for the
-    tests that hold that census to it and for the check that the
-    compiled and pure backends agree.
+    tests that hold that census to it, and perfbench's tracer wraps it
+    by name.
     """
     k = len(reps)
     right_ct = left_ct = either_ct = 0

@@ -296,6 +296,44 @@ def test_montecarlo_without_seed_is_byte_identical_across_processes(threads):
     assert doc["trials"] == "40"
 
 
+# One small argv per subcommand in the README, each without --seed.
+_EVERY_SUBCOMMAND = [
+    ["foursq", "9999"],
+    ["twosq", "13"],
+    ["mul", "-1+3i+j-2k", "1+i"],
+    ["norm", "-1+3i+j-2k"],
+    ["conj", "1/2+3/2i-1/2j+1/2k"],
+    ["dot", "-1+3i+j-2k", "1+i"],
+    ["cross", "1", "i", "j"],
+    ["gcd", "--side", "right", "15", "-1+3i+j-2k"],
+    ["divmod", "--side", "left", "7+2i-j", "1+i+j+k"],
+    ["orthobasis", "-1+3i+j-2k"],
+    ["reps", "--hurwitz", "3"],
+    ["pall", "-1+3i+j-2k", "3"],
+    ["factor", "--model", "3,5", "-1+3i+j-2k"],
+    ["igama", "2+i", "1+3i"],
+    ["experiment", "fraction", "3", "5", "--convention", "either"],
+    ["experiment", "montecarlo", "15", "--trials", "20"],
+    ["check", "thm-3-5"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: " ".join(argv[:2]))
+def test_every_subcommand_is_byte_identical_across_processes(argv):
+    outputs = _stdout_under_two_hash_seeds([*argv, "--json"])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["kind"] != "error"
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_montecarlo_rejects_threads_below_one(threads, capsys):
+    argv = ["experiment", "montecarlo", "15", "--trials", "20", "--threads", threads, "--json"]
+    result = dispatch(argv)
+    assert result.exit_code == 2
+    assert result.payload == ""
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
 def test_montecarlo_threads_merge_trials():
     argv = [
         "experiment", "montecarlo", "15",
