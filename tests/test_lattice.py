@@ -202,6 +202,10 @@ def test_kernel_namespace_is_the_pure_kernel():
     assert kernel_backend() == "pure"
 
 
+def test_box_census_is_the_pure_one_on_every_backend():
+    assert _kernel.count_orthogonality_failures is pure.count_orthogonality_failures
+
+
 @_census_settings
 @given(
     _primitive_coords,
@@ -365,6 +369,10 @@ def test_sphere_sizes_follow_jacobi():
         lipschitz, hurwitz = _jacobi_counts(n)
         assert len(pure.norm_representations(n, False)) == lipschitz, n
         assert len(pure.norm_representations(n, True)) == hurwitz, n
+
+
+def test_sphere_walk_is_the_pure_one_on_every_backend():
+    assert _kernel.norm_representations is pure.norm_representations
 
 
 def test_representation_counts_for_small_norms():
