@@ -10,8 +10,10 @@ JSON output is a decimal string so consumers never face 64-bit
 overflow, and booleans stay native.
 
 Exit codes: 0 on success, 1 on a domain error (the error class name
-prefixes the message), 2 on parse or usage errors.  Identical argv
-plus seed always produce byte-identical output.
+prefixes the message), 2 on parse or usage errors.  Under `--json`
+every error, a usage error included, prints an object of kind
+"error".  Identical argv plus seed always produce byte-identical
+output.
 
 Quaternion literals are written as sign-separated terms in the order
 1, i, j, k, with integer coefficients or halves written n/2, e.g.
@@ -25,7 +27,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from quatlat.checks import SUITE_IDS, run_all, run_check
@@ -38,7 +39,6 @@ from quatlat.cross import cross3
 from quatlat.errors import MixedParity, ParseError, QuatlatError
 from quatlat.euclid import divide, gcd
 from quatlat.factor import (
-    FactorAttemptReport,
     factor_modelled,
     four_squares,
     igama_check,
@@ -59,12 +59,77 @@ class CommandResult:
 
 
 _NUM = re.compile(r"\d+")
-_AXES = "ijk"
 
 
 def format_quaternion(u: HurwitzQuaternion) -> str:
     """Canonical literal for u; parse_quaternion inverts it exactly."""
     return str(u)
+
+
+def _scan_terms(
+    text: str, axes: str, halves: bool, literal: str, axis_word: str
+) -> list[int]:
+    """Sum the sign-separated terms of a literal per axis.
+
+    Each term is an optional integer coefficient, written n/2 when
+    halves are allowed, followed by an optional letter from axes;
+    duplicate axes accumulate.  Returns len(axes) + 1 totals, the
+    scalar first; with halves they are doubled so n/2 stays exact.
+    literal and axis_word name the literal and its axes in messages.
+
+    Raises:
+        ParseError: on any grammar violation, with the position.
+    """
+    s = text.strip()
+    if not s:
+        raise ParseError(f"empty {literal} literal", 0)
+    totals = [0] * (len(axes) + 1)
+    whole = 2 if halves else 1
+    pos = 0
+    first = True
+    while pos < len(s):
+        sign = 1
+        if s[pos] == "+":
+            pos += 1
+        elif s[pos] == "-":
+            sign = -1
+            pos += 1
+        elif not first:
+            raise ParseError(
+                f"expected '+' or '-' at position {pos} of {text!r}", pos
+            )
+        first = False
+        m = _NUM.match(s, pos)
+        coefficient = None
+        scale = whole
+        if m:
+            coefficient = int(m.group())
+            pos = m.end()
+            if halves and pos < len(s) and s[pos] == "/":
+                pos += 1
+                dm = _NUM.match(s, pos)
+                if not dm or dm.group() != "2":
+                    raise ParseError(
+                        f"only the denominator 2 is allowed, at position"
+                        f" {pos} of {text!r}",
+                        pos,
+                    )
+                scale = 1
+                pos = dm.end()
+        axis = 0
+        if pos < len(s) and s[pos] in axes:
+            axis = axes.index(s[pos]) + 1
+            pos += 1
+        if coefficient is None and axis == 0:
+            raise ParseError(
+                f"expected a coefficient or {axis_word} at position {pos}"
+                f" of {text!r}",
+                pos,
+            )
+        if coefficient is None:
+            coefficient = 1
+        totals[axis] += sign * scale * coefficient
+    return totals
 
 
 def parse_quaternion(text: str) -> HurwitzQuaternion:
@@ -79,55 +144,7 @@ def parse_quaternion(text: str) -> HurwitzQuaternion:
         ParseError: on any grammar violation, with the position.
         MixedParity: when integer and half-odd coordinates mix.
     """
-    s = text.strip()
-    if not s:
-        raise ParseError("empty quaternion literal", 0)
-    doubled = [0, 0, 0, 0]
-    pos = 0
-    first = True
-    while pos < len(s):
-        sign = 1
-        if s[pos] == "+":
-            pos += 1
-        elif s[pos] == "-":
-            sign = -1
-            pos += 1
-        elif not first:
-            raise ParseError(
-                f"expected '+' or '-' at position {pos} of {text!r}", pos
-            )
-        first = False
-        m = _NUM.match(s, pos)
-        coefficient = None
-        halved = False
-        if m:
-            coefficient = int(m.group())
-            pos = m.end()
-            if pos < len(s) and s[pos] == "/":
-                pos += 1
-                dm = _NUM.match(s, pos)
-                if not dm or dm.group() != "2":
-                    raise ParseError(
-                        f"only the denominator 2 is allowed, at position"
-                        f" {pos} of {text!r}",
-                        pos,
-                    )
-                halved = True
-                pos = dm.end()
-        axis = 0
-        if pos < len(s) and s[pos] in _AXES:
-            axis = _AXES.index(s[pos]) + 1
-            pos += 1
-        if coefficient is None and axis == 0:
-            raise ParseError(
-                f"expected a coefficient or axis at position {pos}"
-                f" of {text!r}",
-                pos,
-            )
-        if coefficient is None:
-            coefficient = 1
-        doubled[axis] += sign * (coefficient if halved else 2 * coefficient)
-    return HurwitzQuaternion(*doubled)
+    return HurwitzQuaternion(*_scan_terms(text, "ijk", True, "quaternion", "axis"))
 
 
 def parse_gaussian(text: str) -> GaussianInteger:
@@ -136,46 +153,7 @@ def parse_gaussian(text: str) -> GaussianInteger:
     Raises:
         ParseError: on any grammar violation, with the position.
     """
-    s = text.strip()
-    if not s:
-        raise ParseError("empty Gaussian literal", 0)
-    re_part = im_part = 0
-    pos = 0
-    first = True
-    while pos < len(s):
-        sign = 1
-        if s[pos] == "+":
-            pos += 1
-        elif s[pos] == "-":
-            sign = -1
-            pos += 1
-        elif not first:
-            raise ParseError(
-                f"expected '+' or '-' at position {pos} of {text!r}", pos
-            )
-        first = False
-        m = _NUM.match(s, pos)
-        coefficient = None
-        if m:
-            coefficient = int(m.group())
-            pos = m.end()
-        imaginary = False
-        if pos < len(s) and s[pos] == "i":
-            imaginary = True
-            pos += 1
-        if coefficient is None and not imaginary:
-            raise ParseError(
-                f"expected a coefficient or 'i' at position {pos}"
-                f" of {text!r}",
-                pos,
-            )
-        if coefficient is None:
-            coefficient = 1
-        if imaginary:
-            im_part += sign * coefficient
-        else:
-            re_part += sign * coefficient
-    return GaussianInteger(re_part, im_part)
+    return GaussianInteger(*_scan_terms(text, "i", False, "Gaussian", "'i'"))
 
 
 def _opt_str(value) -> str | None:
@@ -393,48 +371,8 @@ def _run_fraction(args):
     return doc, text, 0
 
 
-def _merged_attempt(args) -> FactorAttemptReport:
-    """Run the trials, chunked across a thread pool when asked.
-
-    Chunk seeds derive from the given seed, or from n without one, so
-    a run is reproducible from argv alone; chunk results merge by
-    summation, so scheduling order cannot change the report.
-    """
-    threads = args.threads
-    if threads < 2 or args.trials < 2:
-        return semiprime_factor_attempt(args.n, args.trials, seed=args.seed)
-    share, extra = divmod(args.trials, threads)
-    sizes = [share + (1 if idx < extra else 0) for idx in range(threads)]
-    sizes = [size for size in sizes if size]
-    base = args.n if args.seed is None else args.seed
-    seeds = [base * 1000003 + idx for idx in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
-        chunks = list(
-            pool.map(
-                lambda pair: semiprime_factor_attempt(args.n, pair[0], seed=pair[1]),
-                zip(sizes, seeds),
-            )
-        )
-    head = chunks[0]
-    found: set[int] = set()
-    for chunk in chunks:
-        found.update(chunk.factors_found)
-    return FactorAttemptReport(
-        head.n,
-        head.p,
-        head.q,
-        head.degenerate,
-        sum(chunk.trials for chunk in chunks),
-        head.sampler,
-        sum(chunk.successes_right for chunk in chunks),
-        sum(chunk.successes_left for chunk in chunks),
-        sum(chunk.successes_either for chunk in chunks),
-        tuple(sorted(found)),
-    )
-
-
 def _run_montecarlo(args):
-    rep = _merged_attempt(args)
+    rep = semiprime_factor_attempt(args.n, args.trials, seed=args.seed)
     doc = {
         "kind": "factor_montecarlo",
         "n": str(rep.n),
@@ -443,7 +381,8 @@ def _run_montecarlo(args):
         "degenerate": rep.degenerate,
         "trials": str(rep.trials),
         "seed": _opt_str(args.seed),
-        "threads": str(args.threads),
+        # Always "1": perfbench/reference.json digests it (ROADMAP item 1).
+        "threads": "1",
         "sampler": rep.sampler,
         "successes_right": str(rep.successes_right),
         "successes_left": str(rep.successes_left),
@@ -496,14 +435,18 @@ def _run_check(args):
     return doc, "\n".join(lines), 0 if passed == len(outcomes) else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+class UsageError(Exception):
+    """argv that argparse rejects; its usage text is already on stderr."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors to stderr as argparse does, then raises."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit:
+            raise UsageError(message) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -511,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--json", action="store_true", help="emit a single JSON object"
     )
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quatlat",
         description="Exact arithmetic for Lipschitz and Hurwitz quaternions.",
     )
@@ -611,7 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(handler=_run_montecarlo)
 
     p = sub.add_parser("check", parents=[shared], help="run verification suites")
@@ -650,7 +592,6 @@ _VALUE_FLAGS = {
     "--convention",
     "--model",
     "--bound",
-    "--threads",
 }
 _BOOL_FLAGS = {"--json", "--hurwitz", "--help", "-h"}
 
@@ -705,11 +646,15 @@ def _preprocess(argv: list[str]) -> list[str]:
 
 def dispatch(argv) -> CommandResult:
     """Parse argv, run the subcommand, and map errors to exit codes."""
+    argv = _preprocess(list(argv))
+    cut = argv.index("--") if "--" in argv else len(argv)
+    as_json = "--json" in argv[:cut]
     try:
-        args = _PARSER.parse_args(_preprocess(list(argv)))
+        args = _PARSER.parse_args(argv)
+    except UsageError as exc:
+        return CommandResult(2, _error_payload(exc, True) if as_json else "")
     except SystemExit as exc:
         return CommandResult(exc.code if exc.code else 0, "")
-    as_json = getattr(args, "json", False)
     try:
         doc, text, code = args.handler(args)
     except (ParseError, MixedParity) as exc:

@@ -217,10 +217,14 @@ def inner_product(u: HurwitzQuaternion, v: HurwitzQuaternion) -> Fraction:
     return Fraction(_kernel.qdot4(u.doubled, v.doubled), 4)
 
 
-def is_associate(u: HurwitzQuaternion, v: HurwitzQuaternion, side: str) -> bool:
-    """Whether u equals a unit times v ("left") or v times a unit ("right")."""
+def _check_side(side: str) -> None:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def is_associate(u: HurwitzQuaternion, v: HurwitzQuaternion, side: str) -> bool:
+    """Whether u equals a unit times v ("left") or v times a unit ("right")."""
+    _check_side(side)
     if u.norm() != v.norm():
         return False
     vd = v.doubled
@@ -231,8 +235,7 @@ def is_associate(u: HurwitzQuaternion, v: HurwitzQuaternion, side: str) -> bool:
 
 def associates(u: HurwitzQuaternion, side: str) -> Iterator[HurwitzQuaternion]:
     """All 24 products of u with a unit on the named side."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     ud = u.doubled
     for e in UNITS:
         if side == "left":
@@ -256,8 +259,7 @@ def canonical_associate(
     their minimum are multiplied out.  For nonzero u the 24 associates
     are distinct, so the smallest, and its unit, are unique.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     ud = u.doubled
     u0, u1, u2, u3 = ud
     reals = [

@@ -33,29 +33,19 @@ __all__ = [
     "det_int",
 ]
 
-_BAREISS_THRESHOLD = 5
+def det_int(matrix) -> int:
+    """Exact determinant of a square integer matrix.
 
-
-def _det_cofactor(m: list[list[int]]) -> int:
+    Fraction-free (Bareiss) elimination: every division is exact, and
+    each entry stays a minor of the input, so growth is polynomial.  A
+    zero pivot is swapped with a lower row, flipping the sign.
+    """
+    m = [list(row) for row in matrix]
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    rest = m[1:]
-    for col in range(n):
-        if m[0][col] == 0:
-            continue
-        sub = [row[:col] + row[col + 1 :] for row in rest]
-        term = m[0][col] * _det_cofactor(sub)
-        total += term if col % 2 == 0 else -term
-    return total
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    m = [row[:] for row in m]
-    n = len(m)
+    if any(len(row) != n for row in m):
+        raise DimensionMismatch("determinant needs a square matrix")
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -74,23 +64,6 @@ def _det_bareiss(m: list[list[int]]) -> int:
             m[i][k] = 0
         prev = pivot
     return sign * m[-1][-1]
-
-
-def det_int(matrix) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Plain cofactor expansion up to 5x5, fraction-free (Bareiss)
-    elimination above that to keep intermediate growth polynomial.
-    """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    if n <= _BAREISS_THRESHOLD:
-        return _det_cofactor(m)
-    return _det_bareiss(m)
 
 
 def _as_int_vector(v, length: int | None = None):

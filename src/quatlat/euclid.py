@@ -25,6 +25,7 @@ from quatlat.core import (
     ZERO,
     GaussianInteger,
     HurwitzQuaternion,
+    _check_side,
     canonical_associate,
 )
 from quatlat.errors import BothZero, DivisionByZero
@@ -38,14 +39,6 @@ __all__ = [
     "cofactor",
     "gaussian_gcd",
 ]
-
-_SIDES = ("left", "right")
-
-
-def _check_side(side: str) -> None:
-    if side not in _SIDES:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
 
 @dataclass(frozen=True)
 class DivisionResult:

@@ -429,16 +429,9 @@ def unit_migration_equal(
     if f1.product() != f2.product():
         return False
     eps = ONE
-    for f, g, p in zip(f1.factors, f2.factors, f1.model):
-        num = (f.conjugate() * eps * g).doubled
-        if any(x % p for x in num):
-            return False
-        cand = tuple(x // p for x in num)
-        par = cand[0] & 1
-        if any((x & 1) != par for x in cand):
-            return False
-        eps = HurwitzQuaternion._raw(cand)
-        if eps.norm() != 1:
+    for f, g in zip(f1.factors, f2.factors):
+        eps = cofactor(eps * g, f, "left")
+        if eps is None or eps.norm() != 1:
             return False
     return eps == ONE
 

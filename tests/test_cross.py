@@ -8,6 +8,7 @@ cross by 8, so cross_general(doubled)/8 must equal cross3 exactly.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -16,6 +17,7 @@ from quatlat import (
     ONE,
     UNITS,
     ZERO,
+    DimensionMismatch,
     HurwitzQuaternion,
     I,
     J,
@@ -24,6 +26,7 @@ from quatlat import (
     RationalQuaternion,
     cross3,
     cross_general,
+    det_int,
     expanded_norm,
     gram_norm,
     inner_product,
@@ -229,3 +232,73 @@ def test_cross_norm_is_zero_iff_dependent():
             assert gram_norm(u, v, w) == 0
         else:
             assert gram_norm(u, v, w) > 0
+
+
+def _leibniz(rows):
+    """Determinant as the signed sum over permutations: the oracle."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        term = -1 if inversions % 2 else 1
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
+def test_det_int_matches_leibniz_at_every_size():
+    rng = random.Random(3121)
+    assert det_int([]) == 1
+    for n in range(1, 8):
+        for bound in (1, 9, 10**6):
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            assert det_int(rows) == _leibniz(rows), rows
+
+
+def test_det_int_swaps_zero_pivots():
+    rng = random.Random(3122)
+    for n in range(2, 8):
+        # Scaled permutation matrices put a zero on most pivots.
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = [[0] * n for _ in range(n)]
+            for i, col in enumerate(perm):
+                rows[i][col] = rng.choice((-3, -1, 2, 5))
+            assert det_int(rows) == _leibniz(rows), rows
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = 0
+        assert det_int(rows) == _leibniz(rows), rows
+
+
+def test_det_int_is_zero_on_singular_matrices():
+    rng = random.Random(3123)
+    for n in range(2, 8):
+        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n - 1)]
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        rng.shuffle(rows)
+        assert det_int(rows) == 0
+        for row in rows:
+            row[n // 2] = 0
+        assert det_int(rows) == 0
+
+
+def test_det_int_rejects_non_square_input():
+    for rows in ([[1, 2]], [[1, 2], [3]], [[1], [2]], [[1, 2, 3], [4, 5, 6]]):
+        with pytest.raises(DimensionMismatch):
+            det_int(rows)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cross_general_is_the_defining_pairing_beyond_four(n):
+    rng = random.Random(3124 + n)
+    for _ in range(5):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+        w = cross_general(rows)
+        for _ in range(3):
+            v = [rng.randint(-9, 9) for _ in range(n)]
+            assert sum(a * b for a, b in zip(w, v)) == _leibniz(rows + [v])
