@@ -214,9 +214,11 @@ def count_nontrivial_gcd_pairs(reps, n):
 
     This is the O(k^2) pairwise reference: two gcds per pair.  The
     library no longer calls it; `factor.semiprime_pair_fraction` counts
-    the same pairs from four gcds per representation.  It stays for the
-    tests that hold that census to it, and perfbench's tracer wraps it
-    by name.
+    the same pairs with no gcd, from each representation's divisor
+    classes read as points of P^1(F_p) off its matrix mod p.  It stays
+    for the tests that hold that census to it, and it stays in
+    `quatlat._kernel` because perfbench's tracer looks it up there by
+    name.
     """
     k = len(reps)
     right_ct = left_ct = either_ct = 0

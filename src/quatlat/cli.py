@@ -600,9 +600,11 @@ def _preprocess(argv: list[str]) -> list[str]:
     """Reorder argv so literals with a leading '-' parse as positionals.
 
     Quaternion literals like "-1+3i+j-2k" would otherwise be taken for
-    options.  Known flags are pulled in front (values joined with '='),
-    subcommand words stay first, and everything else goes behind an
-    explicit '--' separator.  An argv that already uses '--' is
+    options.  Flags are pulled in front (values of known ones joined
+    with '='), subcommand words stay first, and everything else goes
+    behind an explicit '--' separator.  Any other token that starts with
+    '--' counts as a flag too, so that a misspelt option reaches
+    argparse, not the literal parser.  An argv that already uses '--' is
     respected.
     """
     flags: list[str] = []
@@ -623,9 +625,7 @@ def _preprocess(argv: list[str]) -> list[str]:
                 idx += 1
             else:
                 flags.append(token)
-        elif token.startswith("--") and token.split("=", 1)[0] in (
-            _VALUE_FLAGS | _BOOL_FLAGS
-        ):
+        elif token.startswith("--"):
             flags.append(token)
         else:
             tail.append(token)
@@ -649,7 +649,17 @@ def dispatch(argv) -> CommandResult:
     argv = _preprocess(list(argv))
     cut = argv.index("--") if "--" in argv else len(argv)
     as_json = "--json" in argv[:cut]
+    unknown = [
+        token
+        for token in argv[:cut]
+        if token.startswith("--")
+        and token.split("=", 1)[0] not in _VALUE_FLAGS | _BOOL_FLAGS
+    ]
     try:
+        if unknown:
+            # Reported first: a subcommand would otherwise complain of a
+            # missing positional that the option only seemed to take.
+            _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = _PARSER.parse_args(argv)
     except UsageError as exc:
         return CommandResult(2, _error_payload(exc, True) if as_json else "")

@@ -11,7 +11,9 @@ hot paths.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Iterator
 
@@ -70,6 +72,15 @@ class HurwitzQuaternion:
         self = object.__new__(cls)
         self._d = d
         return self
+
+    @classmethod
+    def _raw_many(cls, ds: list) -> list["HurwitzQuaternion"]:
+        # Trusted bulk constructor, as _raw, for a whole kernel list: the
+        # instances come from one map over object.__new__ and their slot
+        # is filled through its descriptor, with no per-item Python frame.
+        out = list(map(object.__new__, repeat(cls, len(ds))))
+        deque(map(cls._d.__set__, out, ds), maxlen=0)
+        return out
 
     @classmethod
     def from_coords(cls, a: int, b: int, c: int, d: int) -> "HurwitzQuaternion":

@@ -30,7 +30,6 @@ from quatlat.core import (
     HurwitzQuaternion,
     I,
     ONE,
-    canonical_associate,
     embed_gaussian_pair,
     is_associate,
     is_primitive,
@@ -45,7 +44,7 @@ from quatlat.errors import (
     PreconditionViolated,
 )
 from quatlat.euclid import cofactor, gaussian_gcd, gcd as quaternion_gcd, is_multiple
-from quatlat.lattice import enumeration_bound, representations
+from quatlat.lattice import _check_bound, enumeration_bound, representations
 
 __all__ = [
     "miller_rabin",
@@ -578,21 +577,56 @@ def _check_odd_semiprime_pair(p: int, q: int) -> None:
             raise PreconditionViolated(f"{v} is not an odd prime")
 
 
-def _divisor_class(
-    alpha: HurwitzQuaternion, m: int, right: bool, classes: dict
-) -> tuple:
-    # The one-sided gcd of alpha with m, canonicalized on its generating
-    # side so that associated divisors give equal keys.  Few raw gcds
-    # repeat across a census, so classes memoizes the canonical form by
-    # (raw gcd, side); the caller owns it for one census.
-    g = _kernel.qgcd(alpha.doubled, (2 * m, 0, 0, 0), right)
-    key = (g, right)
-    canon = classes.get(key)
-    if canon is None:
-        side = "left" if right else "right"
-        canon = canonical_associate(HurwitzQuaternion._raw(g), side)[0].doubled
-        classes[key] = canon
-    return canon
+def _minus_one_as_two_squares(p: int) -> tuple[int, int]:
+    # (x, y) with x^2 + y^2 = -1 mod the odd prime p: the first x for
+    # which -1 - x^2 is a square.  Both x^2 and -1 - y^2 take (p + 1)/2
+    # values, so some pair meets within one pass over the table.
+    roots = {s * s % p: s for s in range(p)}
+    for x in range(p):
+        y = roots.get((-1 - x * x) % p)
+        if y is not None:
+            return x, y
+    raise AssertionError(f"unreachable: -1 is a sum of two squares mod {p}")
+
+
+def _matrix_mod_p(u: tuple, p: int, x: int, y: int) -> tuple[int, int, int, int]:
+    # The doubled tuple u as the 2x2 matrix (m00, m01, m10, m11) mod p,
+    # under i -> [[0, -1], [1, 0]], j -> [[x, y], [y, -x]] and
+    # k -> ij = [[-y, x], [x, y]], with x^2 + y^2 = -1 mod p.  For odd p
+    # this maps the Hurwitz order mod p onto M_2(F_p), and the norm to
+    # the determinant (times 4, for doubled coordinates).
+    a, b, c, d = u
+    s = c * x - d * y
+    t = c * y + d * x
+    return (a + s) % p, (t - b) % p, (t + b) % p, (a - s) % p
+
+
+def _line_keys(reps: list, p: int) -> tuple[list[int], list[int]]:
+    # The right and left divisor classes of norm p of each primitive
+    # doubled tuple whose norm p divides, as points of P^1(F_p).  Its
+    # matrix has rank 1; the right divisor is read from the row line and
+    # the left one from the column line.  A line (u : v) is keyed v/u,
+    # or p when u = 0.
+    x, y = _minus_one_as_two_squares(p)
+    inv = [0] + [pow(u, -1, p) for u in range(1, p)]
+    right: list[int] = []
+    left: list[int] = []
+    for m00, m01, m10, m11 in [_matrix_mod_p(u, p, x, y) for u in reps]:
+        if m00:
+            scale = inv[m00]
+            right.append(m01 * scale % p)
+            left.append(m10 * scale % p)
+        elif m01:
+            # Rank 1 forces m10 = 0: the first column vanishes.
+            right.append(p)
+            left.append(m11 * inv[m01] % p)
+        elif m10:
+            right.append(m11 * inv[m10] % p)
+            left.append(p)
+        else:
+            right.append(p)
+            left.append(p)
+    return right, left
 
 
 def semiprime_pair_fraction(
@@ -606,19 +640,22 @@ def semiprime_pair_fraction(
     pairs nontrivial on at least one side.  The predicted fraction
     (p+q+2)/((p+1)(q+1)) rides along for comparison.
 
-    The census takes four gcds per representation instead of two per
-    pair.  n is squarefree, so every representation is primitive and
-    has exactly one right divisor of norm p and one of norm q, up to
-    left units (likewise on the left).  Each representation is keyed
-    by those four divisor classes.  Two representations sharing both
-    right classes lie in the left ideal of the lcm of the two divisors,
-    whose norm is n, so they are left-associated and their right gcd
-    has norm n: trivial.  Sharing exactly one right class gives a right
-    gcd of norm p or q; sharing none gives a unit.  Summing squared
-    bucket sizes counts the ordered pairs agreeing on each subset of
-    the keys, and Moebius inversion over the subsets yields the pairs
-    agreeing on exactly each subset, from which all three conventions
-    read off.
+    The census runs no gcd.  n is squarefree, so every representation
+    is primitive and has exactly one right divisor of norm p and one of
+    norm q, up to left units (likewise on the left).  For odd p the
+    Hurwitz order mod p is M_2(F_p), a representation maps to a matrix
+    of rank 1, and its right divisor class of norm p is the line of the
+    matrix's rows, its left class the line of its columns: a point of
+    P^1(F_p).  Each representation is keyed by those four points.  Two
+    representations sharing both right classes lie in the left ideal of
+    the lcm of the two divisors, whose norm is n, so they are
+    left-associated and their right gcd has norm n: trivial.  Sharing
+    exactly one right class gives a right gcd of norm p or q; sharing
+    none gives a unit.  One histogram of the full keys, summed down to
+    each subset of the four positions, counts by its squared bucket
+    sizes the ordered pairs agreeing on that subset, and Moebius
+    inversion over the subsets yields the pairs agreeing on exactly
+    each subset, from which all three conventions read off.
 
     With P(p), P(q) and P(both) the shares of pairs sharing the norm-p
     class, the norm-q class and both, the one-sided fraction is
@@ -636,28 +673,32 @@ def semiprime_pair_fraction(
         )
     _check_odd_semiprime_pair(p, q)
     n = p * q
+    _check_bound(n, bound)
+    reps = _kernel.norm_representations(n, False)
+    right_p, left_p = _line_keys(reps, p)
+    right_q, left_q = _line_keys(reps, q)
     # Key positions 0, 1 hold the right classes of norm p and q; 2, 3
-    # the left ones.  Bit i of a subset mask stands for position i.
-    classes: dict = {}
-    keys = [
-        (
-            _divisor_class(a, p, True, classes),
-            _divisor_class(a, q, True, classes),
-            _divisor_class(a, p, False, classes),
-            _divisor_class(a, q, False, classes),
-        )
-        for a in representations(n, hurwitz=False, bound=bound)
+    # the left ones, each in a field of w bits of one int.  Bit i of a
+    # subset mask s stands for position i, and hist[s] counts the
+    # representations by their keys at the positions of s.  Each
+    # subset's histogram sums down from the one with its lowest missing
+    # position added, so only the full histogram walks all k keys.
+    w = max(p, q).bit_length()
+    field = (1 << w) - 1
+    full = [
+        a | b << w | c << 2 * w | d << 3 * w
+        for a, b, c, d in zip(right_p, right_q, left_p, left_q)
     ]
+    hist = {15: Counter(full)}
+    for s in range(14, -1, -1):
+        mask = sum(field << i * w for i in range(4) if s >> i & 1)
+        down: dict = {}
+        for key, m in hist[s | (~s & (s + 1))].items():
+            key &= mask
+            down[key] = down.get(key, 0) + m
+        hist[s] = down
     # agree[s]: ordered pairs whose keys match at every bit of s.
-    agree = [
-        sum(
-            c * c
-            for c in Counter(
-                tuple(key[i] for i in range(4) if s >> i & 1) for key in keys
-            ).values()
-        )
-        for s in range(16)
-    ]
+    agree = [sum(m * m for m in hist[s].values()) for s in range(16)]
     # exact[t]: ordered pairs whose keys match at the bits of t and
     # nowhere else.
     exact = [
@@ -677,7 +718,7 @@ def semiprime_pair_fraction(
         "either": [r or l for r, l in zip(right, left)],
     }[convention]
     count = sum(e for e, hit in zip(exact, nontrivial) if hit)
-    total = len(keys) ** 2
+    total = len(reps) ** 2
     return PairFractionReport(
         p,
         q,

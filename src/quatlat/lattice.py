@@ -220,10 +220,7 @@ def representations(
     if n < 1:
         raise PreconditionViolated(f"norm must be positive, got {n}")
     _check_bound(n, bound)
-    return [
-        HurwitzQuaternion._raw(d)
-        for d in _kernel.norm_representations(n, hurwitz)
-    ]
+    return HurwitzQuaternion._raw_many(_kernel.norm_representations(n, hurwitz))
 
 
 def representation_count(n: int, bound: int | None = None) -> int:

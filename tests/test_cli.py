@@ -129,6 +129,23 @@ def test_dispatch_rejects_bad_flag_value(capsys):
     assert "invalid choice: 'up'" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["norm", "--verbose"], ["norm", "--verbose", "1+i"], ["norm", "1+i", "--verbose"]],
+)
+def test_dispatch_reports_unknown_options_as_usage_errors(argv, capsys):
+    result = dispatch(argv)
+    assert result.exit_code == 2
+    assert result.payload == ""
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+    result = dispatch([*argv, "--json"])
+    assert result.exit_code == 2
+    doc = json.loads(result.payload)
+    assert doc["kind"] == "error"
+    assert doc["error"] == "UsageError"
+    assert doc["message"] == "unrecognized arguments: --verbose"
+
+
 def test_dispatch_parse_error_is_exit_two():
     result = dispatch(["mul", "1+q", "1"])
     assert result.exit_code == 2

@@ -5,19 +5,24 @@ Frozen fractions in the census tests come from exhaustive enumeration
 over all representation pairs; they are regression pins for the exact
 law the census measures, which differs from the predicted closed form
 (p+q+2)/((p+1)(q+1)) recorded in the reports.  The census buckets
-representations by divisor class; the pairwise gcd loop of the pure
-kernel is the reference it must match count for count.
+representations by divisor class, read as points of P^1(F_p) off the
+matrix of each representation mod p.  Two references hold it: the
+pairwise gcd loop of the pure kernel, count for count, and the Euclid
+divisor classes (one-sided gcd with p, canonicalized), class for class.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatlat import (
     OMEGA,
     BadResidueClass,
+    BoundExceeded,
     EvenNorm,
     HurwitzQuaternion,
     I,
@@ -46,6 +51,8 @@ from quatlat import (
     unit_migration_equal,
 )
 from quatlat._kernel import pure
+from quatlat.core import canonical_associate
+from quatlat.factor import _line_keys, _matrix_mod_p, _minus_one_as_two_squares
 
 
 def _is_prime_trial(n: int) -> bool:
@@ -419,6 +426,99 @@ def test_pair_fraction_matches_pairwise_reference(p, q):
         rep = semiprime_pair_fraction(p, q, convention)
         assert rep.nontrivial_pairs == expected
         assert rep.total_pairs == total
+
+
+def _euclid_classes(reps, m, right):
+    # The divisor class of norm m on one side, by Euclid: the one-sided
+    # gcd with m, canonicalized on its generating side.  That gcd
+    # generates the one-sided ideal of u and m, which depends on u mod m
+    # alone, so each residue runs Euclid once.
+    side = "left" if right else "right"
+    gcds = {}
+    canon = {}
+    out = []
+    for u in reps:
+        r = tuple(c % (2 * m) for c in u)
+        if r not in gcds:
+            gcds[r] = pure.qgcd(r, (2 * m, 0, 0, 0), right)
+        g = gcds[r]
+        if g not in canon:
+            canon[g] = canonical_associate(HurwitzQuaternion._raw(g), side)[0]
+        out.append(canon[g])
+    return out
+
+
+def _same_partition(keys, oracle):
+    return len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
+
+
+_ODD_PRIMES = [v for v in range(3, 400, 2) if _is_prime_trial(v)]
+_ORACLE_PAIRS = [
+    (p, q) for p in _ODD_PRIMES for q in _ODD_PRIMES if p < q and p * q <= 400
+] + [(31, 37)]
+
+
+def test_line_keys_split_like_euclid_classes():
+    # P^1 rows and columns against one-sided gcds with p and with q.
+    for p, q in _ORACLE_PAIRS:
+        reps = pure.norm_representations(p * q, False)
+        for m in (p, q):
+            right, left = _line_keys(reps, m)
+            assert len(set(right)) == len(set(left)) == m + 1
+            assert _same_partition(right, _euclid_classes(reps, m, True)), (p, q, m)
+            assert _same_partition(left, _euclid_classes(reps, m, False)), (p, q, m)
+
+
+def _matmul_mod(x, y, p):
+    return (
+        (x[0] * y[0] + x[1] * y[2]) % p,
+        (x[0] * y[1] + x[1] * y[3]) % p,
+        (x[2] * y[0] + x[3] * y[2]) % p,
+        (x[2] * y[1] + x[3] * y[3]) % p,
+    )
+
+
+_hurwitz_doubled = st.tuples(
+    st.lists(st.integers(-60, 60), min_size=4, max_size=4), st.booleans()
+).map(lambda t: tuple(2 * v + t[1] for v in t[0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    u=_hurwitz_doubled,
+    v=_hurwitz_doubled,
+    p=st.sampled_from([v for v in _ODD_PRIMES if v < 120]),
+)
+def test_matrix_map_is_multiplicative_mod_p(u, v, p):
+    x, y = _minus_one_as_two_squares(p)
+    assert (x * x + y * y + 1) % p == 0
+    mu, mv = _matrix_mod_p(u, p, x, y), _matrix_mod_p(v, p, x, y)
+    # Doubled coordinates: the tuple of u*v is half the product of the
+    # tuples, so its matrix is half the product of the matrices.
+    doubled_product = _matrix_mod_p(pure.qmul(u, v), p, x, y)
+    assert tuple(2 * e % p for e in doubled_product) == _matmul_mod(mu, mv, p)
+    # And the determinant is the norm (times 4, again for doubling).
+    assert (mu[0] * mu[3] - mu[1] * mu[2] - 4 * pure.qnorm(u)) % p == 0
+
+
+@pytest.mark.parametrize("p, q", [(3, 5), (5, 7), (7, 11), (31, 37)])
+def test_every_divisor_class_cell_holds_eight_representations(p, q):
+    # (p + 1)(q + 1) cells of right classes, and of left classes, each
+    # with 8 of the 8 * sigma(pq) representations.
+    reps = pure.norm_representations(p * q, False)
+    right_p, left_p = _line_keys(reps, p)
+    right_q, left_q = _line_keys(reps, q)
+    for cells in (Counter(zip(right_p, right_q)), Counter(zip(left_p, left_q))):
+        assert len(cells) == (p + 1) * (q + 1)
+        assert set(cells.values()) == {8}
+
+
+def test_pair_fraction_bound_guard():
+    with pytest.raises(BoundExceeded):
+        semiprime_pair_fraction(3, 5, bound=14)
+    with pytest.raises(BoundExceeded):
+        semiprime_pair_fraction(31, 37, bound=31 * 37 - 1)
+    assert semiprime_pair_fraction(3, 5, bound=15).total_pairs == 192**2
 
 
 def test_pair_fraction_input_validation():

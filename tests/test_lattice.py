@@ -420,6 +420,18 @@ def test_representation_count_rejects_even_norms():
         representation_count(6)
 
 
+@pytest.mark.parametrize("hurwitz", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 15, 50])
+def test_representations_wrap_the_sphere_like_the_constructor(n, hurwitz):
+    built = [HurwitzQuaternion(*d) for d in pure.norm_representations(n, hurwitz)]
+    wrapped = representations(n, hurwitz=hurwitz)
+    assert wrapped == built
+    assert all(type(u) is HurwitzQuaternion for u in wrapped)
+    assert [hash(u) for u in wrapped] == [hash(u) for u in built]
+    assert set(wrapped) == set(built)
+    assert len(wrapped) == len(set(wrapped))
+
+
 def test_representations_input_validation():
     with pytest.raises(PreconditionViolated):
         representations(0)
