@@ -39,6 +39,7 @@ from quatlat.cross import cross3
 from quatlat.errors import MixedParity, ParseError, QuatlatError
 from quatlat.euclid import divide, gcd
 from quatlat.factor import (
+    CONVENTIONS,
     factor_modelled,
     four_squares,
     igama_check,
@@ -59,11 +60,6 @@ class CommandResult:
 
 
 _NUM = re.compile(r"\d+")
-
-
-def format_quaternion(u: HurwitzQuaternion) -> str:
-    """Canonical literal for u; parse_quaternion inverts it exactly."""
-    return str(u)
 
 
 def _scan_terms(
@@ -449,199 +445,143 @@ class _ArgumentParser(argparse.ArgumentParser):
             raise UsageError(message) from None
 
 
+_JSON = ("--json", {"action": "store_true", "help": "emit a single JSON object"})
+_SIDE = ("--side", {"choices": ("left", "right"), "required": True})
+_INT = {"type": int}
+_SEED = ("--seed", _INT)
+
+# The CLI grammar, one row per subcommand: its words, its help, its
+# arguments in declaration order as (name, add_argument keywords), and its
+# handler.  A row with no handler is a group of the rows that extend its
+# words.  Every subcommand also takes --json.
+_COMMANDS = (
+    (("foursq",), "four-squares decomposition", (("n", _INT), _SEED), _run_foursq),
+    (("twosq",), "two squares for p = 1 mod 4", (("p", _INT),), _run_twosq),
+    (("mul",), "quaternion product", (("a", {}), ("b", {})), _run_mul),
+    (("norm",), "quaternion norm", (("a", {}),), _run_norm),
+    (("conj",), "quaternion conjugate", (("a", {}),), _run_conj),
+    (("dot",), "inner product", (("a", {}), ("b", {})), _run_dot),
+    (
+        ("cross",),
+        "generalized cross product",
+        (("a", {}), ("b", {}), ("c", {})),
+        _run_cross,
+    ),
+    (("gcd",), "one-sided gcd", (_SIDE, ("a", {}), ("b", {})), _run_gcd),
+    (("divmod",), "one-sided division", (_SIDE, ("a", {}), ("b", {})), _run_divmod),
+    (
+        ("orthobasis",),
+        "basis of the orthogonal lattice",
+        (("a", {}),),
+        _run_orthobasis,
+    ),
+    (
+        ("reps",),
+        "representations of a norm",
+        (("n", _INT), ("--hurwitz", {"action": "store_true"})),
+        _run_reps,
+    ),
+    (
+        ("pall",),
+        "right divisors of a prescribed odd norm",
+        (("a", {}), ("m", _INT)),
+        _run_pall,
+    ),
+    (
+        ("factor",),
+        "factor along a prime model",
+        (("a", {}), ("--model", {"required": True, "help": "comma-separated primes"})),
+        _run_factor,
+    ),
+    (
+        ("igama",),
+        "ideal vs coprimality for z + w j",
+        (("z", {}), ("w", {})),
+        _run_igama,
+    ),
+    (("experiment",), "semiprime experiments", (), None),
+    (
+        ("experiment", "fraction"),
+        "exact nontrivial-gcd pair census",
+        (
+            ("p", _INT),
+            ("q", _INT),
+            ("--convention", {"choices": CONVENTIONS, "default": "right"}),
+        ),
+        _run_fraction,
+    ),
+    (
+        ("experiment", "montecarlo"),
+        "random-pair factoring trials",
+        (("n", _INT), ("--trials", {"type": int, "required": True}), _SEED),
+        _run_montecarlo,
+    ),
+    (
+        ("check",),
+        "run verification suites",
+        (("suite", {"choices": ("all",) + SUITE_IDS}), ("--bound", _INT)),
+        _run_check,
+    ),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--json", action="store_true", help="emit a single JSON object"
-    )
     parser = _ArgumentParser(
         prog="quatlat",
         description="Exact arithmetic for Lipschitz and Hurwitz quaternions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("foursq", parents=[shared], help="four-squares decomposition")
-    p.add_argument("n", type=int)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_run_foursq)
-
-    p = sub.add_parser("twosq", parents=[shared], help="two squares for p = 1 mod 4")
-    p.add_argument("p", type=int)
-    p.set_defaults(handler=_run_twosq)
-
-    p = sub.add_parser("mul", parents=[shared], help="quaternion product")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_run_mul)
-
-    p = sub.add_parser("norm", parents=[shared], help="quaternion norm")
-    p.add_argument("a")
-    p.set_defaults(handler=_run_norm)
-
-    p = sub.add_parser("conj", parents=[shared], help="quaternion conjugate")
-    p.add_argument("a")
-    p.set_defaults(handler=_run_conj)
-
-    p = sub.add_parser("dot", parents=[shared], help="inner product")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_run_dot)
-
-    p = sub.add_parser("cross", parents=[shared], help="generalized cross product")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.set_defaults(handler=_run_cross)
-
-    p = sub.add_parser("gcd", parents=[shared], help="one-sided gcd")
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_run_gcd)
-
-    p = sub.add_parser("divmod", parents=[shared], help="one-sided division")
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_run_divmod)
-
-    p = sub.add_parser(
-        "orthobasis", parents=[shared], help="basis of the orthogonal lattice"
-    )
-    p.add_argument("a")
-    p.set_defaults(handler=_run_orthobasis)
-
-    p = sub.add_parser("reps", parents=[shared], help="representations of a norm")
-    p.add_argument("n", type=int)
-    p.add_argument("--hurwitz", action="store_true")
-    p.set_defaults(handler=_run_reps)
-
-    p = sub.add_parser(
-        "pall", parents=[shared], help="right divisors of a prescribed odd norm"
-    )
-    p.add_argument("a")
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_run_pall)
-
-    p = sub.add_parser("factor", parents=[shared], help="factor along a prime model")
-    p.add_argument("a")
-    p.add_argument("--model", required=True, help="comma-separated primes")
-    p.set_defaults(handler=_run_factor)
-
-    p = sub.add_parser(
-        "igama", parents=[shared], help="ideal vs coprimality for z + w j"
-    )
-    p.add_argument("z")
-    p.add_argument("w")
-    p.set_defaults(handler=_run_igama)
-
-    experiment = sub.add_parser("experiment", help="semiprime experiments")
-    esub = experiment.add_subparsers(dest="experiment_command", required=True)
-
-    p = esub.add_parser(
-        "fraction", parents=[shared], help="exact nontrivial-gcd pair census"
-    )
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument(
-        "--convention", choices=("right", "left", "either"), default="right"
-    )
-    p.set_defaults(handler=_run_fraction)
-
-    p = esub.add_parser(
-        "montecarlo", parents=[shared], help="random-pair factoring trials"
-    )
-    p.add_argument("n", type=int)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_run_montecarlo)
-
-    p = sub.add_parser("check", parents=[shared], help="run verification suites")
-    p.add_argument("suite", choices=("all",) + SUITE_IDS)
-    p.add_argument("--bound", type=int, default=None)
-    p.set_defaults(handler=_run_check)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, help_text, arguments, handler in _COMMANDS:
+        p = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        if handler is None:
+            groups[words] = p.add_subparsers(
+                dest=f"{words[-1]}_command", required=True
+            )
+            continue
+        for name, keywords in (_JSON, *arguments):
+            p.add_argument(name, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
 _PARSER = _build_parser()
-
-_TOP_COMMANDS = {
-    "foursq",
-    "twosq",
-    "mul",
-    "norm",
-    "conj",
-    "dot",
-    "cross",
-    "gcd",
-    "divmod",
-    "orthobasis",
-    "reps",
-    "pall",
-    "factor",
-    "igama",
-    "experiment",
-    "check",
-}
-_EXPERIMENT_COMMANDS = {"fraction", "montecarlo"}
-_VALUE_FLAGS = {
-    "--side",
-    "--seed",
-    "--trials",
-    "--convention",
-    "--model",
-    "--bound",
-}
-_BOOL_FLAGS = {"--json", "--hurwitz", "--help", "-h"}
+_WORDS = {words for words, *_ in _COMMANDS}
+# Every option with its add_argument keywords; argparse itself adds --help.
+_OPTIONS = dict(
+    [("--help", {"action": "help"}), _JSON]
+    + [arg for row in _COMMANDS for arg in row[2] if arg[0].startswith("--")]
+)
 
 
 def _preprocess(argv: list[str]) -> list[str]:
     """Reorder argv so literals with a leading '-' parse as positionals.
 
     Quaternion literals like "-1+3i+j-2k" would otherwise be taken for
-    options.  Flags are pulled in front (values of known ones joined
-    with '='), subcommand words stay first, and everything else goes
-    behind an explicit '--' separator.  Any other token that starts with
-    '--' counts as a flag too, so that a misspelt option reaches
-    argparse, not the literal parser.  An argv that already uses '--' is
-    respected.
+    options.  Every token that starts with '--', and '-h', is an option:
+    options are pulled in front, each known option that takes a value
+    joined to it with '='.  The leading command words stay first, and
+    everything else goes behind an explicit '--' separator.  So a
+    misspelt option reaches argparse, not the literal parser.  An argv
+    that already uses '--' is respected.
     """
-    flags: list[str] = []
+    options: list[str] = []
     tail: list[str] = []
-    idx = 0
-    positional_only = False
-    while idx < len(argv):
-        token = argv[idx]
-        if positional_only:
-            tail.append(token)
-        elif token == "--":
-            positional_only = True
-        elif token in _BOOL_FLAGS:
-            flags.append(token)
-        elif token in _VALUE_FLAGS:
-            if idx + 1 < len(argv):
-                flags.append(f"{token}={argv[idx + 1]}")
-                idx += 1
-            else:
-                flags.append(token)
-        elif token.startswith("--"):
-            flags.append(token)
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            tail.extend(tokens)
+        elif token == "-h" or token.startswith("--"):
+            if token in _OPTIONS and "action" not in _OPTIONS[token]:
+                value = next(tokens, None)
+                if value is not None:
+                    token = f"{token}={value}"
+            options.append(token)
         else:
             tail.append(token)
-        idx += 1
     heads: list[str] = []
-    if tail and tail[0] in _TOP_COMMANDS:
+    while tail and (*heads, tail[0]) in _WORDS:
         heads.append(tail.pop(0))
-        if heads[0] == "experiment" and tail and tail[0] in _EXPERIMENT_COMMANDS:
-            heads.append(tail.pop(0))
-        elif heads[0] == "check" and tail and tail[0] in ("all",) + SUITE_IDS:
-            heads.append(tail.pop(0))
-    out = heads + flags
-    if tail:
-        out.append("--")
-        out.extend(tail)
-    return out
+    return heads + options + (["--", *tail] if tail else [])
 
 
 def dispatch(argv) -> CommandResult:
@@ -652,8 +592,7 @@ def dispatch(argv) -> CommandResult:
     unknown = [
         token
         for token in argv[:cut]
-        if token.startswith("--")
-        and token.split("=", 1)[0] not in _VALUE_FLAGS | _BOOL_FLAGS
+        if token.startswith("--") and token.split("=", 1)[0] not in _OPTIONS
     ]
     try:
         if unknown:

@@ -18,7 +18,13 @@ from math import gcd
 from typing import Iterator
 
 from quatlat import _kernel
-from quatlat.errors import MixedParity, NotLipschitz, ZeroInput, PreconditionViolated
+from quatlat.errors import (
+    DivisionByZero,
+    MixedParity,
+    NotLipschitz,
+    PreconditionViolated,
+    ZeroInput,
+)
 
 __all__ = [
     "HurwitzQuaternion",
@@ -32,6 +38,7 @@ __all__ = [
     "UNITS",
     "units",
     "inner_product",
+    "cofactor",
     "is_associate",
     "associates",
     "canonical_associate",
@@ -233,15 +240,50 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def cofactor(
+    a: HurwitzQuaternion, d: HurwitzQuaternion, side: str
+) -> HurwitzQuaternion | None:
+    """The exact Hurwitz cofactor of d in a, or None.
+
+    side "left" asks for m with a == d * m, side "right" for m with
+    a == m * d.  Divisibility is decided without search: a = d*m forces
+    conjugate(d)*a = norm(d)*m, so every doubled coordinate of that
+    product must be divisible by norm(d) with consistent parity.
+
+    Raises:
+        DivisionByZero: when d is zero.
+    """
+    _check_side(side)
+    n = d.norm()
+    if n == 0:
+        raise DivisionByZero("divisibility by zero is undefined")
+    if side == "left":
+        prod = _kernel.qmul(_kernel.qconj(d.doubled), a.doubled)
+    else:
+        prod = _kernel.qmul(a.doubled, _kernel.qconj(d.doubled))
+    if any(x % n for x in prod):
+        return None
+    m = tuple(x // n for x in prod)
+    par = m[0] & 1
+    if (m[1] & 1) != par or (m[2] & 1) != par or (m[3] & 1) != par:
+        return None
+    return HurwitzQuaternion._raw(m)
+
+
 def is_associate(u: HurwitzQuaternion, v: HurwitzQuaternion, side: str) -> bool:
-    """Whether u equals a unit times v ("left") or v times a unit ("right")."""
+    """Whether u equals a unit times v ("left") or v times a unit ("right").
+
+    Decided by one exact division, not a search over the 24 units: with
+    equal norms the exact quotient of u by v has norm 1, so it is a unit
+    exactly when it is a Hurwitz integer, which `cofactor` decides.  Zero
+    is an associate of zero only.
+    """
     _check_side(side)
     if u.norm() != v.norm():
         return False
-    vd = v.doubled
-    if side == "left":
-        return any(_kernel.qmul(e.doubled, vd) == u.doubled for e in UNITS)
-    return any(_kernel.qmul(vd, e.doubled) == u.doubled for e in UNITS)
+    if v.is_zero:
+        return True
+    return cofactor(u, v, "right" if side == "left" else "left") is not None
 
 
 def associates(u: HurwitzQuaternion, side: str) -> Iterator[HurwitzQuaternion]:

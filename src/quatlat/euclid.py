@@ -27,6 +27,7 @@ from quatlat.core import (
     HurwitzQuaternion,
     _check_side,
     canonical_associate,
+    cofactor,
 )
 from quatlat.errors import BothZero, DivisionByZero
 
@@ -146,36 +147,6 @@ def gcd(
     else:
         y = cofactor(canon - x * a if right else canon - a * x, b, side)
     return GcdResult(canon, x, y, side)
-
-
-def cofactor(
-    a: HurwitzQuaternion, d: HurwitzQuaternion, side: str
-) -> HurwitzQuaternion | None:
-    """The exact Hurwitz cofactor of d in a, or None.
-
-    side "left" asks for m with a == d * m, side "right" for m with
-    a == m * d.  Divisibility is decided without search: a = d*m forces
-    conjugate(d)*a = norm(d)*m, so every doubled coordinate of that
-    product must be divisible by norm(d) with consistent parity.
-
-    Raises:
-        DivisionByZero: when d is zero.
-    """
-    _check_side(side)
-    n = d.norm()
-    if n == 0:
-        raise DivisionByZero("divisibility by zero is undefined")
-    if side == "left":
-        prod = _kernel.qmul(_kernel.qconj(d.doubled), a.doubled)
-    else:
-        prod = _kernel.qmul(a.doubled, _kernel.qconj(d.doubled))
-    if any(x % n for x in prod):
-        return None
-    m = tuple(x // n for x in prod)
-    par = m[0] & 1
-    if (m[1] & 1) != par or (m[2] & 1) != par or (m[3] & 1) != par:
-        return None
-    return HurwitzQuaternion._raw(m)
 
 
 def is_multiple(

@@ -4,7 +4,8 @@ quaternionic factoring experiments.
 Rational side: a Miller-Rabin test (proven below 3.3e24, with bases
 seeded by n beyond), Pollard-Brent factorization, and the classic
 randomized reductions writing a prime as two squares and any positive
-integer as four squares, seeded by their input unless a seed is given.
+integer as four squares, seeded by their input (four squares takes a
+seed too).
 
 Quaternion side: factorization of a primitive Hurwitz integer along a
 model (an ordered tuple of primes multiplying to its norm), the
@@ -142,11 +143,13 @@ def sqrt_minus_one_mod_p(p: int, seed: int | None = None) -> int:
 
     Raises:
         BadResidueClass: when p % 4 != 1.
+        PreconditionViolated: when p is not prime.
     """
     if p % 4 != 1:
         raise BadResidueClass(f"-1 is not a square modulo {p}")
-    u = _sqrt_minus_one(p, random.Random(p if seed is None else seed))
-    return u
+    if not miller_rabin(p):
+        raise PreconditionViolated(f"{p} is not prime")
+    return _sqrt_minus_one(p, random.Random(p if seed is None else seed))
 
 
 def _two_squares_prime(p: int, rng: random.Random) -> tuple[int, int]:
@@ -157,11 +160,12 @@ def _two_squares_prime(p: int, rng: random.Random) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def two_squares(p: int, seed: int | None = None) -> tuple[int, int]:
+def two_squares(p: int) -> tuple[int, int]:
     """Write a prime p as an ascending pair of squares, exactly.
 
-    Defined for p = 2 and for primes p with p % 4 == 1.  The randomized
-    search is seeded by p unless a seed is given.
+    Defined for p = 2 and for primes p with p % 4 == 1.  Such a prime has
+    exactly one representation p = a^2 + b^2 with 0 <= a <= b, so the
+    answer does not depend on the randomized search, seeded by p.
 
     Raises:
         NotRepresentable: for other residue classes or composite p.
@@ -170,7 +174,7 @@ def two_squares(p: int, seed: int | None = None) -> tuple[int, int]:
         return (1, 1)
     if p % 4 != 1 or not miller_rabin(p):
         raise NotRepresentable(f"{p} is not a sum of two squares")
-    return _two_squares_prime(p, random.Random(p if seed is None else seed))
+    return _two_squares_prime(p, random.Random(p))
 
 
 def _four_squares_brute(n: int) -> tuple[int, int, int, int]:

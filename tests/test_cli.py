@@ -7,6 +7,7 @@ codes follow the contract: 0 success, 1 domain error, 2 usage or
 parse error.
 """
 
+import argparse
 import json
 import os
 import random
@@ -18,7 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import quatlat
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
-from quatlat.cli import dispatch, format_quaternion, main, parse_gaussian, parse_quaternion
+from quatlat.checks import SUITE_IDS
+from quatlat.cli import _COMMANDS, _PARSER, dispatch, main, parse_gaussian, parse_quaternion
+from quatlat.factor import CONVENTIONS
 from conftest import random_hurwitz
 
 
@@ -26,7 +29,7 @@ def test_parse_round_trips_random_quaternions():
     rng = random.Random(8101)
     for _ in range(10_000):
         u = random_hurwitz(rng, 40)
-        assert parse_quaternion(format_quaternion(u)) == u
+        assert parse_quaternion(str(u)) == u
 
 
 # Doubled coordinates up to 2^70, either parity; 0 and +-1 are drawn
@@ -45,7 +48,7 @@ _quaternions = st.builds(
 @example(ZERO)
 @example(OMEGA)
 def test_parse_inverts_format(u):
-    assert parse_quaternion(format_quaternion(u)) == u
+    assert parse_quaternion(str(u)) == u
 
 
 def test_parse_literal_examples():
@@ -61,7 +64,7 @@ def test_parse_literal_examples():
 
 def test_format_is_parse_inverse_on_text():
     for text in ("-1+3i+j-2k", "0", "1/2+1/2i+1/2j+1/2k", "-k", "3-2j"):
-        assert format_quaternion(parse_quaternion(text)) == text
+        assert str(parse_quaternion(text)) == text
 
 
 def test_parse_rejects_malformed_input():
@@ -356,6 +359,82 @@ def test_montecarlo_threads_option_is_gone():
     doc = json.loads(dispatch([*argv, "--json"]).payload)
     assert doc["error"] == "UsageError"
     assert "--threads" in doc["message"]
+
+
+def _subcommands(parser):
+    (group,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return group.choices
+
+
+def _parser_for(words):
+    parser = _PARSER
+    for word in words:
+        parser = _subcommands(parser)[word]
+    return parser
+
+
+# Positionals for each subcommand, with a leading '-' where it takes a
+# literal, and a value for each of its value options.
+_SAMPLES = {
+    ("foursq",): (["12345"], {"--seed": "4"}),
+    ("twosq",): (["13"], {}),
+    ("mul",): (["-1+3i+j-2k", "1+i"], {}),
+    ("norm",): (["-1+3i+j-2k"], {}),
+    ("conj",): (["-1/2+3/2i-1/2j+1/2k"], {}),
+    ("dot",): (["-1+3i+j-2k", "1+i"], {}),
+    ("cross",): (["-1", "i", "j"], {}),
+    ("gcd",): (["-1+3i+j-2k", "15"], {"--side": "left"}),
+    ("divmod",): (["-7+2i-j", "1+i+j+k"], {"--side": "right"}),
+    ("orthobasis",): (["-1+3i+j-2k"], {}),
+    ("reps",): (["3"], {}),
+    ("pall",): (["-1+3i+j-2k", "3"], {}),
+    ("factor",): (["-1+3i+j-2k"], {"--model": "5,3"}),
+    ("igama",): (["-2+i", "1+3i"], {}),
+    ("experiment", "fraction"): (["3", "5"], {"--convention": "left"}),
+    ("experiment", "montecarlo"): (["15"], {"--trials": "20", "--seed": "3"}),
+    ("check",): (["thm-3-5"], {"--bound": "4"}),
+}
+
+
+@pytest.mark.parametrize("row", _COMMANDS, ids=lambda row: " ".join(row[0]))
+def test_parser_matches_command_table(row):
+    words, _, arguments, handler = row
+    parser = _parser_for(words)
+    if handler is None:
+        assert [(*words, word) for word in _subcommands(parser)] == [
+            other for other, *_ in _COMMANDS if other[:-1] == words
+        ]
+        return
+    options = {s for a in parser._actions for s in a.option_strings}
+    names = [name for name, _ in arguments]
+    assert options == {"-h", "--help", "--json", *(n for n in names if n.startswith("--"))}
+    assert [a.dest for a in parser._actions if not a.option_strings] == [
+        n for n in names if not n.startswith("--")
+    ]
+    positionals, values = _SAMPLES[words]
+    assert set(values) == {
+        name for name, keywords in arguments if name.startswith("--") and "action" not in keywords
+    }
+    spaced = [token for option in values.items() for token in option]
+    joined = [f"{name}={value}" for name, value in values.items()]
+    forms = [
+        [*words, *spaced, *positionals],
+        [*words, *joined, *positionals],
+        [*words, *positionals, *spaced],
+    ]
+    results = {dispatch([*argv, "--json"]) for argv in forms}
+    assert len(results) == 1
+    (result,) = results
+    assert result.exit_code == 0
+    assert json.loads(result.payload)["kind"] != "error"
+
+
+def test_choices_are_declared_by_the_library():
+    fraction = _parser_for(("experiment", "fraction"))
+    (convention,) = [a for a in fraction._actions if "--convention" in a.option_strings]
+    assert convention.choices == CONVENTIONS
+    (suite,) = [a for a in _parser_for(("check",))._actions if a.dest == "suite"]
+    assert suite.choices == ("all",) + SUITE_IDS
 
 
 def test_check_command_exit_codes():

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quatlat import (
     OMEGA,
@@ -201,6 +202,44 @@ def test_is_associate_directions():
         eps = UNITS[rng.randrange(24)]
         assert is_associate(eps * u, u, "left")
         assert is_associate(u * eps, u, "right")
+
+
+def _associate_by_search(u, v, side):
+    """The 24-unit search is_associate used to run, kept as its oracle."""
+    return any((e * v if side == "left" else v * e) == u for e in UNITS)
+
+
+_small_hurwitz = st.builds(
+    lambda coords, odd: HurwitzQuaternion(*(2 * c + odd for c in coords)),
+    st.tuples(*[st.integers(-6, 5)] * 4),
+    st.integers(0, 1),
+)
+
+
+# v is u times a unit on either side, u with its coordinates permuted or
+# conjugated (equal norm, often not an associate), or unrelated to u.
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    _small_hurwitz,
+    _small_hurwitz,
+    st.sampled_from(UNITS),
+    st.sampled_from(("left", "right", "permuted", "conjugate", "free")),
+)
+@example(ZERO, ZERO, ONE, "left")
+@example(ZERO, OMEGA, ONE, "free")
+@example(OMEGA, ZERO, ONE, "free")
+def test_is_associate_matches_unit_search(u, w, e, relation):
+    d0, d1, d2, d3 = u.doubled
+    v = {
+        "left": e * u,
+        "right": u * e,
+        "permuted": HurwitzQuaternion(d1, d3, d0, d2),
+        "conjugate": u.conjugate(),
+        "free": w,
+    }[relation]
+    for side in ("left", "right"):
+        assert is_associate(v, u, side) == _associate_by_search(v, u, side)
+        assert is_associate(u, v, side) == _associate_by_search(u, v, side)
 
 
 def test_orthogonal_conjugate_pair_is_one_sided_associate_only():

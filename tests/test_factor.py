@@ -99,16 +99,25 @@ def test_sqrt_minus_one_mod_p():
         sqrt_minus_one_mod_p(7)
 
 
+@pytest.mark.parametrize("n", [1, 9, 21, 25])
+def test_sqrt_minus_one_mod_p_rejects_non_primes(n):
+    # The Euler-criterion search never succeeds modulo a composite, and
+    # modulo 1 it has no residue to draw.
+    with pytest.raises(PreconditionViolated):
+        sqrt_minus_one_mod_p(n)
+
+
 def test_two_squares_on_splitting_primes():
     assert two_squares(2) == (1, 1)
-    assert two_squares(5) == (1, 2)
-    assert two_squares(13) == (2, 3)
-    for p in range(5, 1000, 4):
+    for p in range(5, 2000, 4):
         if not _is_prime_trial(p):
             continue
-        a, b = two_squares(p)
-        assert a * a + b * b == p
-        assert 0 <= a <= b
+        pairs = [
+            (a, isqrt(p - a * a))
+            for a in range(isqrt(p // 2) + 1)
+            if isqrt(p - a * a) ** 2 == p - a * a
+        ]
+        assert pairs == [two_squares(p)]
 
 
 def test_two_squares_rejects_other_inputs():
