@@ -88,8 +88,8 @@ from quatlat.factor import (
     unit_migration_equal,
 )
 from quatlat.lattice import (
+    DEFAULT_ENUM_BOUND,
     OrthogonalBasis,
-    enumeration_bound,
     in_orthogonal_lattice,
     orthogonal_basis,
     orthogonality_census,
@@ -150,7 +150,7 @@ __all__ = [
     "orthogonality_census",
     "representations",
     "representation_count",
-    "enumeration_bound",
+    "DEFAULT_ENUM_BOUND",
     # factor
     "miller_rabin",
     "sqrt_minus_one_mod_p",

@@ -96,7 +96,7 @@ def _random_primitive(rng: random.Random, span: int) -> HurwitzQuaternion:
             return q
 
 
-def _check_inner_product_scaling(bound):
+def _check_inner_product_scaling():
     """(uv).(uw) = N(u) (v.w) on both sides, and the divisibility it buys.
 
     When two quaternions with integer coordinates share a common
@@ -144,7 +144,7 @@ def _check_inner_product_scaling(bound):
     )
 
 
-def _check_unit_axis_orthogonality(bound):
+def _check_unit_axis_orthogonality():
     """alpha*eps is orthogonal to alpha*delta for distinct basis units."""
     rng = random.Random(7102)
     checked = 0
@@ -167,11 +167,11 @@ def _check_unit_axis_orthogonality(bound):
     return True, f"{checked} orthogonal unit-axis pairs verified"
 
 
-def _check_orthogonal_primes(bound):
+def _check_orthogonal_primes():
     """Orthogonal prime pairs of equal norm associate on at least one side."""
     lines = []
     for p in (3, 5, 7, 11, 13):
-        rep = orthogonal_primes_check(p, bound=bound)
+        rep = orthogonal_primes_check(p)
         lines.append(
             f"p={p}: {rep.orthogonal_pairs} orthogonal pairs "
             f"({rep.left_only_pairs} left-only, {rep.right_only_pairs} "
@@ -183,7 +183,7 @@ def _check_orthogonal_primes(bound):
     return True, "; ".join(lines)
 
 
-def _check_gaussian_ideal_coprimality(bound):
+def _check_gaussian_ideal_coprimality():
     """ideal_trivial and coprime agree for every small odd-norm pair."""
     checked = 0
     for rz in range(-4, 5):
@@ -205,7 +205,7 @@ def _check_gaussian_ideal_coprimality(bound):
     return True, f"{checked} odd-norm Gaussian pairs verified exhaustively"
 
 
-def _check_unique_factorization(bound):
+def _check_unique_factorization():
     """Modelled factorization works for every permutation of the norm.
 
     Each factorization multiplies back to alpha with the prescribed
@@ -219,7 +219,7 @@ def _check_unique_factorization(bound):
         count = rng.choice((2, 3))
         norms = rng.sample((3, 5, 7, 11, 13), count)
         pieces = [
-            rng.choice(representations(p, hurwitz=True, bound=bound))
+            rng.choice(representations(p, hurwitz=True))
             for p in norms
         ]
         alpha = pieces[0]
@@ -263,13 +263,13 @@ def _check_unique_factorization(bound):
     )
 
 
-def _check_eight_right_divisors(bound):
+def _check_eight_right_divisors():
     """Primitive-mod-m quaternions have 8 left-associated right divisors."""
     rng = random.Random(7104)
     fixed = HurwitzQuaternion.from_coords(-1, 3, 1, -2)
     reports = []
     for m in (1, 3, 5, 15):
-        reports.append(pall_right_divisors(fixed, m, bound=bound))
+        reports.append(pall_right_divisors(fixed, m))
     random_checked = 0
     attempts = 0
     while random_checked < 25 and attempts < 400:
@@ -281,7 +281,7 @@ def _check_eight_right_divisors(bound):
         m = rng.choice(odd_primes)
         if not is_primitive_mod(alpha, m):
             continue
-        reports.append(pall_right_divisors(alpha, m, bound=bound))
+        reports.append(pall_right_divisors(alpha, m))
         random_checked += 1
     for rep in reports:
         if rep.count != 8 or not rep.left_associated:
@@ -295,7 +295,7 @@ def _check_eight_right_divisors(bound):
     )
 
 
-def _check_orthogonal_basis(bound):
+def _check_orthogonal_basis():
     """The explicit basis spans exactly the orthogonal Lipschitz lattice.
 
     Every basis vector is orthogonal to alpha, the Gram determinant
@@ -340,7 +340,7 @@ def _check_orthogonal_basis(bound):
     )
 
 
-def _check_cross_of_perpendiculars(bound):
+def _check_cross_of_perpendiculars():
     """alpha x beta x gamma is a two-sided multiple for perpendicular beta, gamma."""
     rng = random.Random(7106)
     checked = 0
@@ -398,7 +398,7 @@ def _mu_coords(u: int, v: int, a: int, b: int, c: int, d: int):
     return table[(u, v)]
 
 
-def _check_cross_of_left_multiples(bound):
+def _check_cross_of_left_multiples():
     """cross3(alpha beta, alpha gamma, delta) lands in alpha L, not L alpha.
 
     The 48 closed-form identities for basis units are checked exactly,
@@ -453,13 +453,13 @@ def _check_cross_of_left_multiples(bound):
     )
 
 
-def _check_pair_fraction(bound):
+def _check_pair_fraction():
     """Measured nontrivial-gcd fractions against the predicted closed form."""
     lines = []
     passed = True
     for p, q in ((3, 5), (3, 7), (5, 7)):
         for convention in ("right", "left", "either"):
-            rep = semiprime_pair_fraction(p, q, convention, bound=bound)
+            rep = semiprime_pair_fraction(p, q, convention)
             ok = rep.matches_prediction
             passed = passed and ok
             lines.append(
@@ -526,7 +526,7 @@ SUITES = (
 SUITE_IDS = tuple(suite for suite, _, _ in SUITES)
 
 
-def run_check(suite: str, bound: int | None = None) -> CheckOutcome:
+def run_check(suite: str) -> CheckOutcome:
     """Run one named suite; exceptions become failures, not crashes."""
     for name, description, fn in SUITES:
         if name == suite:
@@ -534,12 +534,12 @@ def run_check(suite: str, bound: int | None = None) -> CheckOutcome:
     else:
         raise KeyError(f"unknown check suite {suite!r}")
     try:
-        passed, detail = fn(bound)
+        passed, detail = fn()
     except Exception as exc:
         return CheckOutcome(name, description, False, f"raised {type(exc).__name__}: {exc}")
     return CheckOutcome(name, description, passed, detail)
 
 
-def run_all(bound: int | None = None) -> list[CheckOutcome]:
+def run_all() -> list[CheckOutcome]:
     """Run every suite in declaration order."""
-    return [run_check(name, bound) for name in SUITE_IDS]
+    return [run_check(name) for name in SUITE_IDS]

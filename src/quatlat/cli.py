@@ -10,10 +10,10 @@ JSON output is a decimal string so consumers never face 64-bit
 overflow, and booleans stay native.
 
 Exit codes: 0 on success, 1 on a domain error (the error class name
-prefixes the message), 2 on parse or usage errors.  Under `--json`
-every error, a usage error included, prints an object of kind
-"error".  Identical argv plus seed always produce byte-identical
-output.
+prefixes the message) or when the reader closes stdout early, 2 on
+parse or usage errors.  Under `--json` every error, a usage error
+included, prints an object of kind "error".  Identical argv plus seed
+always produce byte-identical output.
 
 Quaternion literals are written as sign-separated terms in the order
 1, i, j, k, with integer coefficients or halves written n/2, e.g.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -401,10 +402,7 @@ def _run_montecarlo(args):
 
 
 def _run_check(args):
-    if args.suite == "all":
-        outcomes = run_all(bound=args.bound)
-    else:
-        outcomes = [run_check(args.suite, bound=args.bound)]
+    outcomes = run_all() if args.suite == "all" else [run_check(args.suite)]
     width = max(len(name) for name in SUITE_IDS)
     lines = []
     for outcome in outcomes:
@@ -416,7 +414,8 @@ def _run_check(args):
     lines.append(f"{passed} of {len(outcomes)} checks passed")
     doc = {
         "kind": "check_report",
-        "bound": _opt_str(args.bound),
+        # Always None: perfbench/reference.json digests it (ROADMAP item 1).
+        "bound": None,
         "passed": passed == len(outcomes),
         "suites": [
             {
@@ -519,7 +518,7 @@ _COMMANDS = (
     (
         ("check",),
         "run verification suites",
-        (("suite", {"choices": ("all",) + SUITE_IDS}), ("--bound", _INT)),
+        (("suite", {"choices": ("all",) + SUITE_IDS}),),
         _run_check,
     ),
 )
@@ -623,7 +622,15 @@ def _error_payload(exc: Exception, as_json: bool) -> str:
 def main(argv=None) -> int:
     result = dispatch(sys.argv[1:] if argv is None else argv)
     if result.payload:
-        print(result.payload)
+        try:
+            print(result.payload, flush=True)
+        except BrokenPipeError:
+            # The reader closed the pipe.  As the signal module docs advise,
+            # stdout goes to devnull so the flush at exit cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return result.exit_code
 
 

@@ -45,7 +45,7 @@ from quatlat.errors import (
     PreconditionViolated,
 )
 from quatlat.euclid import cofactor, gaussian_gcd, gcd as quaternion_gcd, is_multiple
-from quatlat.lattice import _check_bound, enumeration_bound, representations
+from quatlat.lattice import DEFAULT_ENUM_BOUND, _check_bound, representations
 
 __all__ = [
     "miller_rabin",
@@ -454,7 +454,7 @@ class PallReport:
 
 
 def pall_right_divisors(
-    alpha: HurwitzQuaternion, m: int, bound: int | None = None
+    alpha: HurwitzQuaternion, m: int, bound: int = DEFAULT_ENUM_BOUND
 ) -> PallReport:
     """All delta in L with norm m and alpha = lambda * delta, lambda in L.
 
@@ -510,10 +510,10 @@ def igama_check(z: GaussianInteger, w: GaussianInteger) -> IgamaResult:
     n = z.norm() + w.norm()
     if n % 2 == 0:
         raise EvenNorm(f"gamma must have odd norm, got {n}")
-    gamma = embed_gaussian_pair(z, w)
-    g = quaternion_gcd(I * gamma, gamma, "left").gcd
-    coprime = gaussian_gcd(z, w).is_unit
-    return IgamaResult(g.norm() == 1, coprime, g.norm())
+    # Associates share a norm, so the uncanonicalized kernel gcd will do.
+    gamma = embed_gaussian_pair(z, w).doubled
+    g_norm = _kernel.qnorm(_kernel.qgcd(_kernel.qmul(I.doubled, gamma), gamma, False))
+    return IgamaResult(g_norm == 1, gaussian_gcd(z, w).is_unit, g_norm)
 
 
 class OuterFactorRecovery(NamedTuple):
@@ -608,33 +608,23 @@ def _matrix_mod_p(u: tuple, p: int, x: int, y: int) -> tuple[int, int, int, int]
 def _line_keys(reps: list, p: int) -> tuple[list[int], list[int]]:
     # The right and left divisor classes of norm p of each primitive
     # doubled tuple whose norm p divides, as points of P^1(F_p).  Its
-    # matrix has rank 1; the right divisor is read from the row line and
-    # the left one from the column line.  A line (u : v) is keyed v/u,
-    # or p when u = 0.
+    # matrix has rank 1; the right divisor is read from the row line (the
+    # first nonzero row) and the left one from the column line (the first
+    # nonzero column).  A line (u : v) is keyed v/u, or p when u = 0.
     x, y = _minus_one_as_two_squares(p)
     inv = [0] + [pow(u, -1, p) for u in range(1, p)]
     right: list[int] = []
     left: list[int] = []
     for m00, m01, m10, m11 in [_matrix_mod_p(u, p, x, y) for u in reps]:
-        if m00:
-            scale = inv[m00]
-            right.append(m01 * scale % p)
-            left.append(m10 * scale % p)
-        elif m01:
-            # Rank 1 forces m10 = 0: the first column vanishes.
-            right.append(p)
-            left.append(m11 * inv[m01] % p)
-        elif m10:
-            right.append(m11 * inv[m10] % p)
-            left.append(p)
-        else:
-            right.append(p)
-            left.append(p)
+        u, v = (m00, m01) if m00 or m01 else (m10, m11)
+        right.append(v * inv[u] % p if u else p)
+        u, v = (m00, m10) if m00 or m10 else (m01, m11)
+        left.append(v * inv[u] % p if u else p)
     return right, left
 
 
 def semiprime_pair_fraction(
-    p: int, q: int, convention: str = "right", bound: int | None = None
+    p: int, q: int, convention: str = "right", bound: int = DEFAULT_ENUM_BOUND
 ) -> PairFractionReport:
     """Exact census of nontrivial one-sided gcds over representation pairs.
 
@@ -669,7 +659,7 @@ def semiprime_pair_fraction(
 
     Raises:
         PreconditionViolated: unless p and q are distinct odd primes.
-        BoundExceeded: when p*q exceeds the enumeration bound.
+        BoundExceeded: when p*q exceeds bound.
     """
     if convention not in CONVENTIONS:
         raise ValueError(
@@ -765,14 +755,14 @@ def semiprime_factor_attempt(
     n: int,
     trials: int,
     seed: int | None = None,
-    bound: int | None = None,
+    bound: int = DEFAULT_ENUM_BOUND,
 ) -> FactorAttemptReport:
     """Monte-carlo version of the pair census: can random pairs factor n?
 
     Each trial draws two quaternions of norm n, takes both one-sided
     gcds, and scores a success when a gcd norm is neither 1 nor n; the
-    gcd norm then reveals a prime factor.  Within the enumeration bound
-    the draws are uniform over all Lipschitz representations (the same
+    gcd norm then reveals a prime factor.  For n up to bound the draws
+    are uniform over all Lipschitz representations (the same
     distribution the exact census integrates over); beyond it each draw
     is a randomized four-squares quadruple under a random signed
     permutation, which no longer covers every representation evenly.
@@ -794,8 +784,7 @@ def semiprime_factor_attempt(
         raise PreconditionViolated(f"{n} is not a product of two primes")
     p, q = primes
     rng = random.Random(n if seed is None else seed)
-    limit = enumeration_bound() if bound is None else bound
-    if n <= limit:
+    if n <= bound:
         sampler = "enumeration"
         pool = _kernel.norm_representations(n, False)
 
@@ -869,7 +858,9 @@ class OrthogonalPrimesReport:
         return self.passed
 
 
-def orthogonal_primes_check(p: int, bound: int | None = None) -> OrthogonalPrimesReport:
+def orthogonal_primes_check(
+    p: int, bound: int = DEFAULT_ENUM_BOUND
+) -> OrthogonalPrimesReport:
     """Check that orthogonal norm-p Hurwitz primes are mutual associates.
 
     Enumerates every Hurwitz quaternion of prime norm p (half-odd ones
@@ -883,7 +874,7 @@ def orthogonal_primes_check(p: int, bound: int | None = None) -> OrthogonalPrime
 
     Raises:
         PreconditionViolated: for composite p.
-        BoundExceeded: when p exceeds the enumeration bound.
+        BoundExceeded: when p exceeds bound.
     """
     if not miller_rabin(p):
         raise PreconditionViolated(f"{p} is not prime")

@@ -20,7 +20,6 @@ rather than be papered over.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd
 
@@ -42,37 +41,15 @@ __all__ = [
     "orthogonality_census",
     "representations",
     "representation_count",
-    "enumeration_bound",
     "DEFAULT_ENUM_BOUND",
 ]
 
-DEFAULT_ENUM_BOUND = 10_000
-
-_ENV_BOUND = "QUATLAT_ENUM_BOUND"
+DEFAULT_ENUM_BOUND = 10_000  # the largest norm a sphere walk touches by default
 
 
-def enumeration_bound() -> int:
-    """The largest norm enumeration-backed operations will touch.
-
-    Defaults to 10000; the QUATLAT_ENUM_BOUND environment variable
-    overrides it.
-    """
-    raw = os.environ.get(_ENV_BOUND)
-    if raw is None:
-        return DEFAULT_ENUM_BOUND
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise PreconditionViolated(f"{_ENV_BOUND} must be an integer") from exc
-    if value < 1:
-        raise PreconditionViolated(f"{_ENV_BOUND} must be positive")
-    return value
-
-
-def _check_bound(n: int, bound: int | None) -> None:
-    limit = enumeration_bound() if bound is None else bound
-    if n > limit:
-        raise BoundExceeded(f"norm {n} exceeds the enumeration bound {limit}")
+def _check_bound(n: int, bound: int) -> None:
+    if n > bound:
+        raise BoundExceeded(f"norm {n} exceeds the enumeration bound {bound}")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -206,7 +183,7 @@ def orthogonality_census(
 
 
 def representations(
-    n: int, hurwitz: bool = False, bound: int | None = None
+    n: int, hurwitz: bool = False, bound: int = DEFAULT_ENUM_BOUND
 ) -> list[HurwitzQuaternion]:
     """All Hurwitz quaternions of norm n, lexicographically ordered.
 
@@ -215,7 +192,7 @@ def representations(
 
     Raises:
         PreconditionViolated: for n < 1.
-        BoundExceeded: when n exceeds the enumeration bound.
+        BoundExceeded: when n exceeds bound.
     """
     if n < 1:
         raise PreconditionViolated(f"norm must be positive, got {n}")
@@ -223,7 +200,7 @@ def representations(
     return HurwitzQuaternion._raw_many(_kernel.norm_representations(n, hurwitz))
 
 
-def representation_count(n: int, bound: int | None = None) -> int:
+def representation_count(n: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
     """Number of Lipschitz representations of an odd norm n.
 
     Restricting to odd n keeps the classical divisor-sum count in

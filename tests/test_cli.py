@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import quatlat
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
-from quatlat.checks import SUITE_IDS
+from quatlat.checks import SUITE_IDS, run_check
 from quatlat.cli import _COMMANDS, _PARSER, dispatch, main, parse_gaussian, parse_quaternion
 from quatlat.factor import CONVENTIONS
 from conftest import random_hurwitz
@@ -134,19 +134,26 @@ def test_dispatch_rejects_bad_flag_value(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["norm", "--verbose"], ["norm", "--verbose", "1+i"], ["norm", "1+i", "--verbose"]],
+    [
+        ["norm", "--verbose"],
+        ["norm", "--verbose", "1+i"],
+        ["norm", "1+i", "--verbose"],
+        # check takes no --bound: the enumeration bound is fixed.
+        ["check", "thm-3-5", "--bound", "4"],
+    ],
 )
 def test_dispatch_reports_unknown_options_as_usage_errors(argv, capsys):
+    (option,) = [token for token in argv if token.startswith("--")]
     result = dispatch(argv)
     assert result.exit_code == 2
     assert result.payload == ""
-    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     result = dispatch([*argv, "--json"])
     assert result.exit_code == 2
     doc = json.loads(result.payload)
     assert doc["kind"] == "error"
     assert doc["error"] == "UsageError"
-    assert doc["message"] == "unrecognized arguments: --verbose"
+    assert doc["message"] == f"unrecognized arguments: {option}"
 
 
 def test_dispatch_parse_error_is_exit_two():
@@ -287,24 +294,35 @@ def test_montecarlo_is_byte_identical_across_runs():
     assert dispatch(json_argv).payload == dispatch(json_argv).payload
 
 
+_CLI = [sys.executable, "-m", "quatlat.cli"]
+
+
+def _cli_env(**overrides):
+    """os.environ with quatlat importable, then overrides; None unsets."""
+    src = os.path.dirname(os.path.dirname(quatlat.__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _stdout_under_env(argv, **overrides):
+    """The CLI's stdout for argv in a process under _cli_env(**overrides)."""
+    proc = subprocess.run(
+        [*_CLI, *argv], capture_output=True, env=_cli_env(**overrides), check=True
+    )
+    return proc.stdout
+
+
 def _stdout_under_two_hash_seeds(argv):
     """The CLI's stdout for argv in two processes, PYTHONHASHSEED 1 and 2."""
-    src = os.path.dirname(os.path.dirname(quatlat.__file__))
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(
-            os.environ,
-            PYTHONHASHSEED=hash_seed,
-            PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "quatlat.cli", *argv],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    return outputs
+    return [_stdout_under_env(argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
 
 
 def test_foursq_without_seed_is_byte_identical_across_processes():
@@ -353,6 +371,31 @@ def test_every_subcommand_is_byte_identical_across_processes(argv):
     assert json.loads(outputs[0])["kind"] != "error"
 
 
+def test_output_does_not_depend_on_the_environment():
+    # QUATLAT_ENUM_BOUND, which once set the enumeration bound, changes nothing.
+    argv = ["experiment", "montecarlo", "15", "--trials", "40", "--seed", "1", "--json"]
+    outputs = {
+        _stdout_under_env(argv, QUATLAT_ENUM_BOUND=value) for value in (None, "10", "")
+    }
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["sampler"] == "enumeration"
+
+
+def test_closed_pipe_exits_one_without_traceback():
+    # About 1.2 MB of output: the process is still writing when the pipe closes.
+    proc = subprocess.Popen(
+        [*_CLI, "reps", "9973"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(),
+    )
+    assert proc.stdout.readline() == b"-99-10i-6j-6k\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait() == 1
+
+
 def test_montecarlo_threads_option_is_gone():
     argv = ["experiment", "montecarlo", "15", "--trials", "20", "--threads", "2"]
     assert dispatch(argv).exit_code == 2
@@ -392,7 +435,7 @@ _SAMPLES = {
     ("igama",): (["-2+i", "1+3i"], {}),
     ("experiment", "fraction"): (["3", "5"], {"--convention": "left"}),
     ("experiment", "montecarlo"): (["15"], {"--trials": "20", "--seed": "3"}),
-    ("check",): (["thm-3-5"], {"--bound": "4"}),
+    ("check",): (["thm-3-5"], {}),
 }
 
 
@@ -452,6 +495,55 @@ def test_check_json_document():
     assert doc["kind"] == "check_report"
     assert doc["suites"][0]["passed"] is True
     assert _no_bare_numbers(doc)
+
+
+# Each suite's verdict and detail text, frozen.  The suites draw from fixed
+# seeds, so any change in what one of them checks shows here.
+_SUITE_REPORTS = {
+    "thm-3-2": (True, "400 scaling triples and 400 divisibility pairs verified"),
+    "cor-3-3": (True, "1800 orthogonal unit-axis pairs verified"),
+    "thm-3-4": (
+        True,
+        "p=3: 576 orthogonal pairs (288 left-only, 288 right-only, 0 both), 0 unassociated;"
+        " p=5: 720 orthogonal pairs (288 left-only, 288 right-only, 144 both), 0 unassociated;"
+        " p=7: 1152 orthogonal pairs (576 left-only, 576 right-only, 0 both), 0 unassociated;"
+        " p=11: 1728 orthogonal pairs (864 left-only, 864 right-only, 0 both), 0 unassociated;"
+        " p=13: 1872 orthogonal pairs (864 left-only, 864 right-only, 144 both), 0 unassociated",
+    ),
+    "thm-3-5": (True, "3280 odd-norm Gaussian pairs verified exhaustively"),
+    "thm-2-1": (True, "144 permutation models factored, 40 migration twins recognized"),
+    "thm-2-2": (True, "29 (alpha, m) pairs each produced 8 left-associated right divisors"),
+    "lemma-4-2": (
+        True,
+        "206 bases verified; census matched 15156 orthogonal vectors over 18 boxes",
+    ),
+    "thm-4-3": (True, "300 perpendicular triples gave two-sided multiples"),
+    "thm-4-4": (
+        True,
+        "2400 closed-form identities and 400 random left memberships verified;"
+        " -8j+4k witnesses the one-sidedness",
+    ),
+    # Deliberately failing: the measured fractions are not the predicted
+    # closed form (see test_criterion_08_pair_fraction_prediction).
+    "frac-1": (
+        False,
+        "n=15 right: measured 1/3, predicted 5/12 (MISMATCH);"
+        " n=15 left: measured 1/3, predicted 5/12 (MISMATCH);"
+        " n=15 either: measured 9/16, predicted 5/12 (MISMATCH);"
+        " n=21 right: measured 5/16, predicted 3/8 (MISMATCH);"
+        " n=21 left: measured 5/16, predicted 3/8 (MISMATCH);"
+        " n=21 either: measured 131/256, predicted 3/8 (MISMATCH);"
+        " n=35 right: measured 1/4, predicted 7/24 (MISMATCH);"
+        " n=35 left: measured 1/4, predicted 7/24 (MISMATCH);"
+        " n=35 either: measured 29/64, predicted 7/24 (MISMATCH)",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_every_suite_reports_its_frozen_detail(suite):
+    outcome = run_check(suite)
+    assert (outcome.passed, outcome.detail) == _SUITE_REPORTS[suite]
 
 
 def test_json_flag_position_is_flexible():

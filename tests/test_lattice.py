@@ -31,7 +31,6 @@ from quatlat import (
     PreconditionViolated,
     ZeroInput,
     ZERO,
-    enumeration_bound,
     gram_norm,
     in_orthogonal_lattice,
     inner_product,
@@ -438,26 +437,3 @@ def test_representations_input_validation():
     with pytest.raises(BoundExceeded):
         representations(50, bound=49)
     assert len(representations(50, bound=50)) > 0
-
-
-def test_enumeration_bound_environment_override(monkeypatch):
-    monkeypatch.delenv("QUATLAT_ENUM_BOUND", raising=False)
-    assert enumeration_bound() == 10000
-    monkeypatch.setenv("QUATLAT_ENUM_BOUND", "64")
-    assert enumeration_bound() == 64
-    with pytest.raises(BoundExceeded):
-        representations(65)
-    assert len(representations(64)) > 0
-    monkeypatch.setenv("QUATLAT_ENUM_BOUND", "abc")
-    with pytest.raises(PreconditionViolated):
-        enumeration_bound()
-    monkeypatch.setenv("QUATLAT_ENUM_BOUND", "0")
-    with pytest.raises(PreconditionViolated):
-        enumeration_bound()
-
-
-def test_explicit_bound_beats_environment(monkeypatch):
-    monkeypatch.setenv("QUATLAT_ENUM_BOUND", "10")
-    assert len(representations(30, bound=30)) > 0
-    with pytest.raises(BoundExceeded):
-        representations(30)
