@@ -135,11 +135,11 @@ def _sqrt_minus_one(p: int, rng: random.Random) -> int:
             return pow(z, e // 2, p)
 
 
-def sqrt_minus_one_mod_p(p: int, seed: int | None = None) -> int:
+def sqrt_minus_one_mod_p(p: int) -> int:
     """A square root of -1 modulo a prime p with p % 4 == 1.
 
-    The search is seeded by p unless a seed is given, so the same
-    arguments always pick the same one of the two roots.
+    The search is seeded by p, so the same p always picks the same one
+    of the two roots.
 
     Raises:
         BadResidueClass: when p % 4 != 1.
@@ -149,7 +149,7 @@ def sqrt_minus_one_mod_p(p: int, seed: int | None = None) -> int:
         raise BadResidueClass(f"-1 is not a square modulo {p}")
     if not miller_rabin(p):
         raise PreconditionViolated(f"{p} is not prime")
-    return _sqrt_minus_one(p, random.Random(p if seed is None else seed))
+    return _sqrt_minus_one(p, random.Random(p))
 
 
 def _two_squares_prime(p: int, rng: random.Random) -> tuple[int, int]:
@@ -623,6 +623,11 @@ def _line_keys(reps: list, p: int) -> tuple[list[int], list[int]]:
     return right, left
 
 
+def _shared(*lists: list[int]) -> int:
+    # Ordered pairs of representations in the same class on every list.
+    return sum(m * m for m in Counter(zip(*lists)).values())
+
+
 def semiprime_pair_fraction(
     p: int, q: int, convention: str = "right", bound: int = DEFAULT_ENUM_BOUND
 ) -> PairFractionReport:
@@ -645,11 +650,12 @@ def semiprime_pair_fraction(
     the lcm of the two divisors, whose norm is n, so they are
     left-associated and their right gcd has norm n: trivial.  Sharing
     exactly one right class gives a right gcd of norm p or q; sharing
-    none gives a unit.  One histogram of the full keys, summed down to
-    each subset of the four positions, counts by its squared bucket
-    sizes the ordered pairs agreeing on that subset, and Moebius
-    inversion over the subsets yields the pairs agreeing on exactly
-    each subset, from which all three conventions read off.
+    none gives a unit.  So with t_a the indicator that a pair shares
+    its class on list a, a side's gcd is nontrivial with indicator
+    t_p + t_q - 2*t_p*t_q, and "either" is right + left - right*left.
+    Every product of indicators is the indicator of sharing the classes
+    on the union of the lists, and the ordered pairs sharing a set of
+    lists are the squared bucket sizes of their joint keys.
 
     With P(p), P(q) and P(both) the shares of pairs sharing the norm-p
     class, the norm-q class and both, the one-sided fraction is
@@ -671,47 +677,17 @@ def semiprime_pair_fraction(
     reps = _kernel.norm_representations(n, False)
     right_p, left_p = _line_keys(reps, p)
     right_q, left_q = _line_keys(reps, q)
-    # Key positions 0, 1 hold the right classes of norm p and q; 2, 3
-    # the left ones, each in a field of w bits of one int.  Bit i of a
-    # subset mask s stands for position i, and hist[s] counts the
-    # representations by their keys at the positions of s.  Each
-    # subset's histogram sums down from the one with its lowest missing
-    # position added, so only the full histogram walks all k keys.
-    w = max(p, q).bit_length()
-    field = (1 << w) - 1
-    full = [
-        a | b << w | c << 2 * w | d << 3 * w
-        for a, b, c, d in zip(right_p, right_q, left_p, left_q)
-    ]
-    hist = {15: Counter(full)}
-    for s in range(14, -1, -1):
-        mask = sum(field << i * w for i in range(4) if s >> i & 1)
-        down: dict = {}
-        for key, m in hist[s | (~s & (s + 1))].items():
-            key &= mask
-            down[key] = down.get(key, 0) + m
-        hist[s] = down
-    # agree[s]: ordered pairs whose keys match at every bit of s.
-    agree = [sum(m * m for m in hist[s].values()) for s in range(16)]
-    # exact[t]: ordered pairs whose keys match at the bits of t and
-    # nowhere else.
-    exact = [
-        sum(
-            (-1) ** bin(s ^ t).count("1") * agree[s]
-            for s in range(16)
-            if s & t == t
-        )
-        for t in range(16)
-    ]
-    # A side's gcd is nontrivial when exactly one of its classes agrees.
-    right = [(t & 1) != (t >> 1 & 1) for t in range(16)]
-    left = [(t >> 2 & 1) != (t >> 3 & 1) for t in range(16)]
-    nontrivial = {
+    # (coefficient, class lists) terms of t_p + t_q - 2*t_p*t_q per side.
+    right = ((1, (right_p,)), (1, (right_q,)), (-2, (right_p, right_q)))
+    left = ((1, (left_p,)), (1, (left_q,)), (-2, (left_p, left_q)))
+    terms = {
         "right": right,
         "left": left,
-        "either": [r or l for r, l in zip(right, left)],
+        "either": right
+        + left
+        + tuple((-a * b, r + l) for a, r in right for b, l in left),
     }[convention]
-    count = sum(e for e, hit in zip(exact, nontrivial) if hit)
+    count = sum(c * _shared(*lists) for c, lists in terms)
     total = len(reps) ** 2
     return PairFractionReport(
         p,

@@ -73,19 +73,12 @@ class OrthogonalBasis:
 
     permutation records which construction produced it: "ab-cd" for the
     generic two-pair formula, "a=b=0" or "c=d=0" for the degenerate
-    substitutes.  The Bezout data for a vanished pair is stored as
-    zeros.
+    substitutes.
     """
 
     beta1: HurwitzQuaternion
     beta2: HurwitzQuaternion
     beta3: HurwitzQuaternion
-    g1: int
-    g2: int
-    x0: int
-    y0: int
-    z0: int
-    t0: int
     permutation: str
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -106,31 +99,17 @@ def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
     if not is_primitive(alpha):
         raise NotPrimitive(f"{alpha} has content > 1")
     if a == 0 and b == 0:
-        g2, z0, t0 = _xgcd(c, d)
         return OrthogonalBasis(
             HurwitzQuaternion.from_coords(1, 0, 0, 0),
             HurwitzQuaternion.from_coords(0, 1, 0, 0),
             HurwitzQuaternion.from_coords(0, 0, d, -c),
-            0,
-            g2,
-            0,
-            0,
-            z0,
-            t0,
             "a=b=0",
         )
     if c == 0 and d == 0:
-        g1, x0, y0 = _xgcd(a, b)
         return OrthogonalBasis(
             HurwitzQuaternion.from_coords(b, -a, 0, 0),
             HurwitzQuaternion.from_coords(0, 0, 1, 0),
             HurwitzQuaternion.from_coords(0, 0, 0, 1),
-            g1,
-            0,
-            x0,
-            y0,
-            0,
-            0,
             "c=d=0",
         )
     g1, x0, y0 = _xgcd(a, b)
@@ -140,9 +119,7 @@ def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
     )
     beta2 = HurwitzQuaternion.from_coords(b // g1, -(a // g1), 0, 0)
     beta3 = HurwitzQuaternion.from_coords(0, 0, d // g2, -(c // g2))
-    return OrthogonalBasis(
-        beta1, beta2, beta3, g1, g2, x0, y0, z0, t0, "ab-cd"
-    )
+    return OrthogonalBasis(beta1, beta2, beta3, "ab-cd")
 
 
 def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> bool:

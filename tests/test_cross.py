@@ -33,6 +33,7 @@ from quatlat import (
     is_multiple,
     triple_scalar,
 )
+from quatlat.checks import _mu_coords
 from conftest import random_half_odd, random_hurwitz, random_lipschitz
 
 BASIS = (ONE, I, J, K)
@@ -172,31 +173,18 @@ def test_cross_commutes_with_right_unit_translation():
 
 def test_left_multiple_closed_form_on_basis_pairs():
     # cross3(alpha e, alpha u e, v e) = alpha mu(u, v) e for imaginary
-    # basis u, basis v, any unit e; the mu coefficients depend linearly
-    # on alpha = a + bi + cj + dk.
-    table = {
-        (1, 0): lambda a, b, c, d: (0, 0, d, -c),
-        (1, 1): lambda a, b, c, d: (0, 0, -c, -d),
-        (1, 2): lambda a, b, c, d: (0, 0, b, a),
-        (1, 3): lambda a, b, c, d: (0, 0, -a, b),
-        (2, 0): lambda a, b, c, d: (0, -d, 0, b),
-        (2, 1): lambda a, b, c, d: (0, c, 0, -a),
-        (2, 2): lambda a, b, c, d: (0, -b, 0, -d),
-        (2, 3): lambda a, b, c, d: (0, a, 0, c),
-        (3, 0): lambda a, b, c, d: (0, c, -b, 0),
-        (3, 1): lambda a, b, c, d: (0, d, a, 0),
-        (3, 2): lambda a, b, c, d: (0, -a, d, 0),
-        (3, 3): lambda a, b, c, d: (0, -b, -c, 0),
-    }
+    # basis u, basis v, any of the 24 units e, with mu read from the
+    # table that `check thm-4-4` ships (it tries the 4 basis units).
     rng = random.Random(3109)
     for _ in range(25):
         coords = tuple(rng.randint(-9, 9) for _ in range(4))
         alpha = HurwitzQuaternion.from_coords(*coords)
-        for (u_axis, v_axis), row in table.items():
-            mu = HurwitzQuaternion.from_coords(*row(*coords))
-            for eps in UNITS:
-                lhs = cross3(alpha * eps, alpha * (BASIS[u_axis] * eps), BASIS[v_axis] * eps)
-                assert lhs == alpha * mu * eps
+        for u_axis in (1, 2, 3):
+            for v_axis in range(4):
+                mu = HurwitzQuaternion.from_coords(*_mu_coords(u_axis, v_axis, *coords))
+                for eps in UNITS:
+                    lhs = cross3(alpha * eps, alpha * (BASIS[u_axis] * eps), BASIS[v_axis] * eps)
+                    assert lhs == alpha * mu * eps
 
 
 def test_cross_of_left_multiples_lands_in_left_ideal():

