@@ -36,6 +36,7 @@ from quatlat.core import (
 from quatlat.cross import cross3, gram_norm
 from quatlat.euclid import is_multiple
 from quatlat.factor import (
+    CONVENTIONS,
     ModelledFactorization,
     factor_modelled,
     igama_check,
@@ -458,7 +459,7 @@ def _check_pair_fraction():
     lines = []
     passed = True
     for p, q in ((3, 5), (3, 7), (5, 7)):
-        for convention in ("right", "left", "either"):
+        for convention in CONVENTIONS:
             rep = semiprime_pair_fraction(p, q, convention)
             ok = rep.matches_prediction
             passed = passed and ok

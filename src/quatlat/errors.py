@@ -5,6 +5,24 @@ catch the whole family at once.  ParseError additionally carries the input
 position at which scanning a quaternion literal failed.
 """
 
+__all__ = [
+    "QuatlatError",
+    "MixedParity",
+    "ZeroInput",
+    "NotLipschitz",
+    "DivisionByZero",
+    "BothZero",
+    "NotPrimitive",
+    "BoundExceeded",
+    "BadResidueClass",
+    "NotRepresentable",
+    "ModelMismatch",
+    "PreconditionViolated",
+    "EvenNorm",
+    "DimensionMismatch",
+    "ParseError",
+]
+
 
 class QuatlatError(Exception):
     """Base class for all errors raised by quatlat."""

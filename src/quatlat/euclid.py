@@ -37,7 +37,6 @@ __all__ = [
     "divide",
     "gcd",
     "is_multiple",
-    "cofactor",
     "gaussian_gcd",
 ]
 

@@ -31,6 +31,7 @@ from quatlat.core import (
     HurwitzQuaternion,
     I,
     ONE,
+    cofactor,
     embed_gaussian_pair,
     is_associate,
     is_primitive,
@@ -44,7 +45,7 @@ from quatlat.errors import (
     NotRepresentable,
     PreconditionViolated,
 )
-from quatlat.euclid import cofactor, gaussian_gcd, gcd as quaternion_gcd, is_multiple
+from quatlat.euclid import gaussian_gcd, gcd as quaternion_gcd, is_multiple
 from quatlat.lattice import DEFAULT_ENUM_BOUND, _check_bound, representations
 
 __all__ = [
@@ -72,13 +73,13 @@ __all__ = [
     "CONVENTIONS",
 ]
 
-# Below this limit the fixed witness set is a proven primality certificate.
-_DETERMINISTIC_LIMIT = 341_550_071_728_321
-_FIXED_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
-# Below this limit the first 13 primes are one too (Sorenson & Webster,
-# Math. Comp. 2017).
+# Below this limit the first 13 primes are a proven primality certificate
+# (Sorenson & Webster, Math. Comp. 2017).
 _PRIME_BASES_LIMIT = 3_317_044_064_679_887_385_961_981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Below this limit the first seven of them are one too.
+_DETERMINISTIC_LIMIT = 341_550_071_728_321
+_FIXED_WITNESSES = _PRIME_BASES[:7]
 
 _BRUTE_FORCE_LIMIT = 1000
 
@@ -95,7 +96,7 @@ def miller_rabin(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n == p:
             return True
         if n % p == 0:

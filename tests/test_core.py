@@ -331,3 +331,22 @@ def test_lipschitz_conjugate_negates_imaginary_parts():
         u = random_lipschitz(rng, 30)
         d = u.doubled
         assert u.conjugate().doubled == (d[0], -d[1], -d[2], -d[3])
+
+
+def test_package_exports_each_module_all_once():
+    import quatlat
+    from quatlat import core, cross, errors, euclid, factor, lattice
+
+    exported = quatlat.__all__
+    assert len(exported) == len(set(exported))
+    modules = (core, cross, errors, euclid, factor, lattice)
+    assert set(exported) == {"__version__", "kernel_backend"}.union(
+        *(module.__all__ for module in modules)
+    )
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(quatlat, name) is getattr(module, name), name
+    namespace = {}
+    exec("from quatlat import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(exported)
