@@ -371,49 +371,26 @@ def _check_cross_of_perpendiculars():
     return True, f"{checked} perpendicular triples gave two-sided multiples"
 
 
-def _mu_coords(u: int, v: int, a: int, b: int, c: int, d: int):
-    """Middle factor of the closed form for cross3(alpha e, alpha u e, v e).
-
-    Row (u, v) gives mu with
-    cross3(alpha*e, alpha*(u*e), v*e) = alpha * mu * e
-    for every basis unit e, where alpha = a + b i + c j + d k.  The e
-    factor, and not e cubed, is forced: right multiplication by a unit
-    is a rotation of the coordinate space, and the determinant-defined
-    cross product commutes with rotations, so the e = 1 column
-    propagates to the others with a single right factor of e.
-    """
-    table = {
-        (1, 0): (0, 0, d, -c),
-        (1, 1): (0, 0, -c, -d),
-        (1, 2): (0, 0, b, a),
-        (1, 3): (0, 0, -a, b),
-        (2, 0): (0, -d, 0, b),
-        (2, 1): (0, c, 0, -a),
-        (2, 2): (0, -b, 0, -d),
-        (2, 3): (0, a, 0, c),
-        (3, 0): (0, c, -b, 0),
-        (3, 1): (0, d, a, 0),
-        (3, 2): (0, -a, d, 0),
-        (3, 3): (0, -b, -c, 0),
-    }
-    return table[(u, v)]
-
-
 def _check_cross_of_left_multiples():
     """cross3(alpha beta, alpha gamma, delta) lands in alpha L, not L alpha.
 
-    The 48 closed-form identities for basis units are checked exactly,
-    random quadruples confirm left membership, and a fixed quadruple
-    witnesses that right membership genuinely fails.
+    By the identity in cross3, cross3(alpha e, alpha u e, v e) = alpha mu e
+    with mu = -Im(conj(u) conj(alpha) v) - (alpha.v) u for imaginary basis
+    u, basis v and unit e.  These 48 closed forms per alpha are checked
+    exactly, random quadruples confirm left membership, and a fixed
+    quadruple witnesses that right membership genuinely fails.
     """
     rng = random.Random(7107)
     identities = 0
     for _ in range(50):
         alpha = _random_nonzero(rng, 20)
-        a, b, c, d = alpha.coords
+        coords = alpha.coords
         for u in (1, 2, 3):
+            alpha_u_bar = (alpha * BASIS[u]).conjugate()
             for v in range(4):
-                mu = HurwitzQuaternion.from_coords(*_mu_coords(u, v, a, b, c, d))
+                # -Im(conj(alpha u) v) in doubled coordinates; alpha.v = coords[v].
+                _, w1, w2, w3 = (alpha_u_bar * BASIS[v]).doubled
+                mu = HurwitzQuaternion(0, -w1, -w2, -w3) - coords[v] * BASIS[u]
                 for eps in BASIS:
                     lhs = cross3(alpha * eps, alpha * (BASIS[u] * eps), BASIS[v] * eps)
                     rhs = alpha * mu * eps

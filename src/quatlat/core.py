@@ -240,6 +240,21 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _exact_quotient(d, k: int) -> HurwitzQuaternion | None:
+    """The Hurwitz integer with doubled coordinates d/k, or None.
+
+    d/k is one exactly when k divides all four entries of d and the
+    four quotients share one parity.
+    """
+    d0, d1, d2, d3 = d
+    if d0 % k or d1 % k or d2 % k or d3 % k:
+        return None
+    q0, q1, q2, q3 = d0 // k, d1 // k, d2 // k, d3 // k
+    if (q0 ^ q1) & 1 or (q0 ^ q2) & 1 or (q0 ^ q3) & 1:
+        return None
+    return HurwitzQuaternion._raw((q0, q1, q2, q3))
+
+
 def cofactor(
     a: HurwitzQuaternion, d: HurwitzQuaternion, side: str
 ) -> HurwitzQuaternion | None:
@@ -261,13 +276,7 @@ def cofactor(
         prod = _kernel.qmul(_kernel.qconj(d.doubled), a.doubled)
     else:
         prod = _kernel.qmul(a.doubled, _kernel.qconj(d.doubled))
-    if any(x % n for x in prod):
-        return None
-    m = tuple(x // n for x in prod)
-    par = m[0] & 1
-    if (m[1] & 1) != par or (m[2] & 1) != par or (m[3] & 1) != par:
-        return None
-    return HurwitzQuaternion._raw(m)
+    return _exact_quotient(prod, n)
 
 
 def is_associate(u: HurwitzQuaternion, v: HurwitzQuaternion, side: str) -> bool:
@@ -340,15 +349,9 @@ def content(u: HurwitzQuaternion) -> int:
     if u.is_zero:
         raise ZeroInput("the zero quaternion has no content")
     d = u.doubled
-    g = gcd(gcd(abs(d[0]), abs(d[1])), gcd(abs(d[2]), abs(d[3])))
-    if g % 2:
-        return g
-    # Dividing by g must keep the quadruple same-parity; otherwise g/2
-    # works because each d[i]/(g/2) is even.
-    quot = [x // g for x in d]
-    if all(x % 2 == quot[0] % 2 for x in quot):
-        return g
-    return g // 2
+    g = gcd(*d)
+    # If d/g mixes parities, g is even and d/(g/2) = 2*(d/g) is all even.
+    return g if _exact_quotient(d, g) is not None else g // 2
 
 
 def is_primitive(u: HurwitzQuaternion) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from quatlat import _kernel
-from quatlat.core import HurwitzQuaternion
+from quatlat.core import HurwitzQuaternion, _exact_quotient
 from quatlat.errors import DimensionMismatch, NotLipschitz
 
 __all__ = [
@@ -119,18 +119,19 @@ class RationalQuaternion:
     numerators: tuple[int, int, int, int]
     denominator: int
 
+    def _hurwitz(self) -> HurwitzQuaternion | None:
+        n0, n1, n2, n3 = self.numerators
+        return _exact_quotient((2 * n0, 2 * n1, 2 * n2, 2 * n3), self.denominator)
+
     @property
     def is_hurwitz(self) -> bool:
-        if self.denominator == 1:
-            return True
-        return self.denominator == 2 and all(n % 2 for n in self.numerators)
+        return self._hurwitz() is not None
 
     def to_hurwitz(self) -> HurwitzQuaternion:
-        if not self.is_hurwitz:
+        h = self._hurwitz()
+        if h is None:
             raise NotLipschitz(f"{self} is not a Hurwitz integer")
-        if self.denominator == 1:
-            return HurwitzQuaternion(*(2 * x for x in self.numerators))
-        return HurwitzQuaternion(*self.numerators)
+        return h
 
     def __str__(self) -> str:
         body = "+".join(
@@ -148,14 +149,23 @@ def cross3(
     Lipschitz inputs always yield a Lipschitz HurwitzQuaternion; a
     half-odd triple whose exact product is not a Hurwitz integer comes
     back as a RationalQuaternion instead.
+
+    For all quaternions it is the triple cross product on H (Brown and
+    Gray, "Vector cross products", 1967):
+    cross3(a, b, c) = (a.b)c + (b.c)a - (a.c)b - a*conj(b)*c.  Both sides
+    are trilinear over Z, so the 4^3 = 64 basis triples prove it.  So for
+    beta, gamma perpendicular to alpha (Theorem 4.3), cross3(alpha, beta,
+    gamma) = -alpha*Im(conj(beta)*gamma) = Im(gamma*conj(beta))*alpha, and
+    (Theorem 4.4) cross3(alpha*beta, alpha*gamma, delta) =
+    N(alpha)(beta.gamma)delta + ((alpha*gamma).delta)alpha*beta
+    - ((alpha*beta).delta)alpha*gamma - alpha*beta*conj(gamma)*conj(alpha)*delta,
+    every term alpha times a Lipschitz integer for Lipschitz arguments.
     """
     c = _kernel.cross4(u.doubled, v.doubled, w.doubled)
-    if all(x % 4 == 0 for x in c):
-        d = tuple(x // 4 for x in c)
-        par = d[0] & 1
-        if (d[1] & 1) == par and (d[2] & 1) == par and (d[3] & 1) == par:
-            return HurwitzQuaternion._raw(d)
-    g = gcd(gcd(abs(c[0]), abs(c[1])), gcd(abs(c[2]), abs(c[3])), 8)
+    h = _exact_quotient(c, 4)
+    if h is not None:
+        return h
+    g = gcd(*c, 8)
     return RationalQuaternion(tuple(x // g for x in c), 8 // g)
 
 

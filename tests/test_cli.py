@@ -8,11 +8,15 @@ parse error.
 """
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -544,6 +548,23 @@ _SUITE_REPORTS = {
 def test_every_suite_reports_its_frozen_detail(suite):
     outcome = run_check(suite)
     assert (outcome.passed, outcome.detail) == _SUITE_REPORTS[suite]
+
+
+def test_cli_replays_the_benchmark_reference_outputs():
+    # Each recorded argv must still give the recorded exit code and
+    # stdout digest, as the benchmark's `cli` workload checks them.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    recorded = json.loads(path.read_text())["cli"]
+    assert recorded
+    mismatches = []
+    for key, expected in recorded.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(key.split(" "))
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+        if [code, digest] != expected:
+            mismatches.append(key)
+    assert mismatches == []
 
 
 def test_json_flag_position_is_flexible():

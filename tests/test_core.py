@@ -5,6 +5,7 @@ checks; algebraic laws run as seeded random sweeps over both parity
 classes.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -274,6 +275,23 @@ def test_content_and_primitivity():
     assert is_primitive(HurwitzQuaternion.from_coords(1, 2, 3, 4))
     assert not is_primitive(HurwitzQuaternion.from_coords(2, 2, 2, 2))
     assert is_primitive(OMEGA)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_small_hurwitz, st.integers(1, 12))
+def test_content_is_the_largest_exact_integer_divisor(u, scale):
+    # The largest m dividing the gcd g of the doubled coordinates such
+    # that u/m is Hurwitz: the doubled u/m, d/m, must share one parity.
+    u = u * scale
+    if u.is_zero:
+        return
+    d = u.doubled
+    g = math.gcd(*d)
+    best = max(
+        m for m in range(1, g + 1)
+        if g % m == 0 and len({(x // m) % 2 for x in d}) == 1
+    )
+    assert content(u) == best
 
 
 def test_primitivity_mod_an_odd_modulus():

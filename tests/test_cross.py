@@ -1,5 +1,5 @@
 """Generalized cross products: defining determinant, norm identities,
-translation equivariance, and the left-multiple closed form.
+translation equivariance, and the triple product identity.
 
 The independent oracle for cross3 is cross_general run on doubled
 coordinates: scaling all three arguments by 2 scales the trilinear
@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import quatlat._kernel
 from quatlat import (
     OMEGA,
     ONE,
@@ -33,7 +35,7 @@ from quatlat import (
     is_multiple,
     triple_scalar,
 )
-from quatlat.checks import _mu_coords
+from quatlat.checks import run_check
 from conftest import random_half_odd, random_hurwitz, random_lipschitz
 
 BASIS = (ONE, I, J, K)
@@ -143,6 +145,21 @@ def test_half_odd_triples_can_leave_the_order():
     assert str(r).endswith(f"/{r.denominator}")
 
 
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.tuples(*[st.integers(-12, 12)] * 4), st.integers(1, 8))
+def test_rational_is_hurwitz_matches_its_fractions(numerators, denominator):
+    r = RationalQuaternion(numerators, denominator)
+    x = [Fraction(n, denominator) for n in numerators]
+    lipschitz = all(c.denominator == 1 for c in x)
+    half_odd = all((c - Fraction(1, 2)).denominator == 1 for c in x)
+    assert r.is_hurwitz == (lipschitz or half_odd)
+    if r.is_hurwitz:
+        assert _as_fractions(r.to_hurwitz()) == tuple(x)
+    else:
+        with pytest.raises(NotLipschitz):
+            r.to_hurwitz()
+
+
 def test_rational_result_matches_defining_determinant():
     rng = random.Random(3107)
     rational_seen = 0
@@ -171,20 +188,37 @@ def test_cross_commutes_with_right_unit_translation():
             assert cross3(u * eps, v * eps, w * eps) == c * eps
 
 
-def test_left_multiple_closed_form_on_basis_pairs():
-    # cross3(alpha e, alpha u e, v e) = alpha mu(u, v) e for imaginary
-    # basis u, basis v, any of the 24 units e, with mu read from the
-    # table that `check thm-4-4` ships (it tries the 4 basis units).
-    rng = random.Random(3109)
-    for _ in range(25):
-        coords = tuple(rng.randint(-9, 9) for _ in range(4))
-        alpha = HurwitzQuaternion.from_coords(*coords)
-        for u_axis in (1, 2, 3):
-            for v_axis in range(4):
-                mu = HurwitzQuaternion.from_coords(*_mu_coords(u_axis, v_axis, *coords))
-                for eps in UNITS:
-                    lhs = cross3(alpha * eps, alpha * (BASIS[u_axis] * eps), BASIS[v_axis] * eps)
-                    assert lhs == alpha * mu * eps
+def _dot(a, b) -> int:
+    return int(inner_product(a, b))
+
+
+def test_triple_product_identity_on_basis_triples():
+    # cross3(a, b, c) = (a.b)c + (b.c)a - (a.c)b - a conj(b) c.  Both sides
+    # are trilinear over Z, so the 64 basis triples prove it everywhere.
+    for a in BASIS:
+        for b in BASIS:
+            for c in BASIS:
+                rhs = (
+                    _dot(a, b) * c
+                    + _dot(b, c) * a
+                    - _dot(a, c) * b
+                    - a * b.conjugate() * c
+                )
+                assert cross3(a, b, c) == rhs
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_cross_suites_fail_on_a_sign_flipped_cross_product(monkeypatch, axis):
+    cross4 = quatlat._kernel.cross4
+
+    def flipped(u, v, w):
+        c = list(cross4(u, v, w))
+        c[axis] = -c[axis]
+        return tuple(c)
+
+    monkeypatch.setattr(quatlat._kernel, "cross4", flipped)
+    assert not run_check("thm-4-3").passed
+    assert not run_check("thm-4-4").passed
 
 
 def test_cross_of_left_multiples_lands_in_left_ideal():
