@@ -177,13 +177,13 @@ def gaussian_gcd(z: GaussianInteger, w: GaussianInteger) -> GaussianInteger:
     """
     if z.is_zero and w.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    while not w.is_zero:
-        n = w.norm()
-        num = z * w.conjugate()
-        q = GaussianInteger(
-            (2 * num.re + n) // (2 * n), (2 * num.im + n) // (2 * n)
-        )
-        z, w = w, z - q * w
-    while not (z.re > 0 and z.im >= 0):
-        z = GaussianInteger(-z.im, z.re)
-    return z
+    # z = a + bi, w = c + di on plain ints; q rounds z*conj(w)/N(w).
+    a, b, c, d = z.re, z.im, w.re, w.im
+    while c or d:
+        n = c * c + d * d
+        qr = (2 * (a * c + b * d) + n) // (2 * n)
+        qi = (2 * (b * c - a * d) + n) // (2 * n)
+        a, b, c, d = c, d, a - qr * c + qi * d, b - qr * d - qi * c
+    while not (a > 0 and b >= 0):
+        a, b = -b, a
+    return GaussianInteger(a, b)

@@ -31,6 +31,7 @@ from quatlat.core import (
     HurwitzQuaternion,
     I,
     ONE,
+    _UNIT_DOUBLED,
     cofactor,
     embed_gaussian_pair,
     is_associate,
@@ -91,8 +92,10 @@ def miller_rabin(n: int) -> bool:
 
     A proof below 3.3e24: the prime bases up to 17 suffice below 3.4e14
     and the first 13 primes below 3.3e24.  Beyond that it tests those 13
-    bases plus 27 drawn from random.Random(n), so the same n always gets
-    the same answer.
+    bases first, and only when all of them pass does it seed
+    random.Random(n) and draw 27 more bases, one at a time until one is
+    a witness.  The same n always gets the same bases and the same
+    answer, and a composite caught by a fixed base costs no seeding.
     """
     if n < 2:
         return False
@@ -118,13 +121,13 @@ def miller_rabin(n: int) -> bool:
         return True
 
     if n < _DETERMINISTIC_LIMIT:
-        bases = _FIXED_WITNESSES
-    elif n < _PRIME_BASES_LIMIT:
-        bases = _PRIME_BASES
-    else:
-        rng = random.Random(n)
-        bases = _PRIME_BASES + tuple(rng.randrange(2, n - 1) for _ in range(27))
-    return not any(witnesses_composite(a) for a in bases)
+        return not any(witnesses_composite(a) for a in _FIXED_WITNESSES)
+    if any(witnesses_composite(a) for a in _PRIME_BASES):
+        return False
+    if n < _PRIME_BASES_LIMIT:
+        return True
+    rng = random.Random(n)
+    return not any(witnesses_composite(rng.randrange(2, n - 1)) for _ in range(27))
 
 
 def _sqrt_minus_one(p: int, rng: random.Random) -> int:
@@ -849,6 +852,19 @@ def orthogonal_primes_check(
     The report tallies the split between left-only, right-only, and
     two-sided pairs.
 
+    Every pair is checked, one left-unit orbit at a time.  Left
+    multiplication by a unit e keeps the inner product, (ea).(eb) = a.b,
+    and both associate relations: b = ua exactly when eb = (eue^-1)(ea),
+    and b = au exactly when eb = (ea)u.  The 24 units act freely, so
+    each orbit of ordered pairs holds exactly one pair whose first
+    element is its orbit's representative (the first element of the
+    orbit in sphere order).  Scanning the k/24 representatives against
+    the whole sphere therefore visits every ordered pair's class once,
+    and each tally is 24/2 = 12 times the scanned count.  A failing
+    scanned pair is mapped through the 24 units, and the images (a, b)
+    with a before b in the sphere, sorted by position, are the failing
+    unordered pairs in the order a pairwise walk would find them.
+
     Raises:
         PreconditionViolated: for composite p.
         BoundExceeded: when p exceeds bound.
@@ -856,15 +872,19 @@ def orthogonal_primes_check(
     if not miller_rabin(p):
         raise PreconditionViolated(f"{p} is not prime")
     elements = representations(p, hurwitz=True, bound=bound)
-    failures = []
-    orthogonal = 0
+    doubled = [a.doubled for a in elements]
+    index = {ad: i for i, ad in enumerate(doubled)}
+    in_orbit = set()
+    failing = []
     left_only = right_only = both_sides = 0
-    for i, a in enumerate(elements):
-        ad = a.doubled
-        for b in elements[i + 1 :]:
-            if _kernel.qdot4(ad, b.doubled):
+    for i, ad in enumerate(doubled):
+        if i in in_orbit:
+            continue
+        in_orbit.update(index[_kernel.qmul(e, ad)] for e in _UNIT_DOUBLED)
+        a = elements[i]
+        for b, bd in zip(elements, doubled):
+            if _kernel.qdot4(ad, bd):
                 continue
-            orthogonal += 1
             left = is_associate(a, b, "left")
             right = is_associate(a, b, "right")
             if left and right:
@@ -874,8 +894,19 @@ def orthogonal_primes_check(
             elif right:
                 right_only += 1
             else:
-                failures.append((a, b))
+                failing.append((ad, bd))
+    positions = sorted(
+        (index[_kernel.qmul(e, ad)], index[_kernel.qmul(e, bd)])
+        for ad, bd in failing
+        for e in _UNIT_DOUBLED
+    )
+    failures = tuple((elements[i], elements[j]) for i, j in positions if i < j)
     return OrthogonalPrimesReport(
-        p, len(elements), orthogonal, left_only, right_only, both_sides,
-        tuple(failures)
+        p,
+        len(elements),
+        12 * (left_only + right_only + both_sides + len(failing)),
+        12 * left_only,
+        12 * right_only,
+        12 * both_sides,
+        failures,
     )

@@ -261,6 +261,35 @@ def test_gaussian_gcd_divides_and_is_canonical():
         assert scaled == g
 
 
+def _gaussian_gcd_reference(z: GaussianInteger, w: GaussianInteger) -> GaussianInteger:
+    # The Euclid loop on GaussianInteger objects that gaussian_gcd runs
+    # on plain ints: same rounding, same quadrant rotation.
+    while not w.is_zero:
+        n = w.norm()
+        num = z * w.conjugate()
+        q = GaussianInteger((2 * num.re + n) // (2 * n), (2 * num.im + n) // (2 * n))
+        z, w = w, z - q * w
+    while not (z.re > 0 and z.im >= 0):
+        z = GaussianInteger(-z.im, z.re)
+    return z
+
+
+_gaussian_coord = st.one_of(st.integers(-50, 50), st.integers(-(2**100), 2**100))
+_gaussian = st.builds(GaussianInteger, _gaussian_coord, _gaussian_coord)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gaussian, _gaussian)
+def test_gaussian_gcd_matches_object_loop(z, w):
+    zero = GaussianInteger(0, 0)
+    for a, b in ((z, w), (w, z), (z, zero), (zero, w)):
+        if a.is_zero and b.is_zero:
+            with pytest.raises(BothZero):
+                gaussian_gcd(a, b)
+        else:
+            assert gaussian_gcd(a, b) == _gaussian_gcd_reference(a, b)
+
+
 def test_division_handles_basis_vectors():
     res = divide(HurwitzQuaternion.from_coords(7, 2, -1, 0), HurwitzQuaternion.from_coords(1, 1, 1, 1), "right")
     b = HurwitzQuaternion.from_coords(1, 1, 1, 1)

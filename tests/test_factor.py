@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,7 @@ from quatlat import (
     two_squares,
     unit_migration_equal,
 )
+import quatlat.factor as factor_module
 from quatlat._kernel import pure
 from quatlat.core import canonical_associate
 from quatlat.factor import _line_keys, _matrix_mod_p, _minus_one_as_two_squares
@@ -86,6 +88,64 @@ def test_miller_rabin_known_large_cases():
     assert not miller_rabin((2**61 - 1) * (2**89 - 1))
     assert miller_rabin(2**89 - 1)
     assert miller_rabin(2**127 - 1)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BASES_LIMIT = 3317044064679887385961981
+
+
+def _miller_rabin_eager(n: int) -> bool:
+    # Reference for n at or above 3.3e24: all 40 bases, the 13 fixed
+    # primes and 27 drawn from random.Random(n), built up front.
+    if any(n % p == 0 for p in _SMALL_PRIMES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def composite(a: int) -> bool:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            return False
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                return False
+        return True
+
+    rng = random.Random(n)
+    bases = _SMALL_PRIMES + tuple(rng.randrange(2, n - 1) for _ in range(27))
+    return not any(composite(a) for a in bases)
+
+
+def test_miller_rabin_seeds_only_when_the_fixed_bases_pass(monkeypatch):
+    seeds = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(factor_module, "random", SimpleNamespace(Random=CountingRandom))
+    # A fixed base witnesses this composite, so no generator is seeded.
+    assert not miller_rabin((2**61 - 1) * (2**89 - 1))
+    assert seeds == []
+    # A strong pseudoprime to all 13 fixed bases: one seeded generator,
+    # whose draws still find a witness.
+    assert not miller_rabin(_PRIME_BASES_LIMIT)
+    assert seeds == [_PRIME_BASES_LIMIT]
+    assert miller_rabin(2**89 - 1)
+    assert seeds == [_PRIME_BASES_LIMIT, 2**89 - 1]
+
+
+def test_miller_rabin_matches_eager_bases_above_the_proven_limit():
+    rng = random.Random(2141)
+    samples = [_PRIME_BASES_LIMIT, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+    samples += [rng.randrange(_PRIME_BASES_LIMIT, 2**140) | 1 for _ in range(3000)]
+    verdicts = [miller_rabin(n) for n in samples]
+    assert verdicts == [_miller_rabin_eager(n) for n in samples]
+    assert 20 < sum(verdicts) < len(samples) - 20
 
 
 def test_sqrt_minus_one_mod_p():
@@ -373,22 +433,92 @@ def test_outer_factor_recovery_preconditions():
         outer_factor_recovery(HurwitzQuaternion.from_integer(3), pi)
 
 
+def _orthogonal_primes_reference(p: int) -> tuple:
+    # The pairwise walk: every unordered pair of the norm-p sphere, in
+    # sphere order, one qdot4 each.  Reads is_associate off the factor
+    # module, so a patched predicate reaches both implementations.
+    elements = representations(p, hurwitz=True)
+    failures = []
+    left_only = right_only = both_sides = orthogonal = 0
+    for i, a in enumerate(elements):
+        for b in elements[i + 1 :]:
+            if pure.qdot4(a.doubled, b.doubled):
+                continue
+            orthogonal += 1
+            left = factor_module.is_associate(a, b, "left")
+            right = factor_module.is_associate(a, b, "right")
+            if left and right:
+                both_sides += 1
+            elif left:
+                left_only += 1
+            elif right:
+                right_only += 1
+            else:
+                failures.append((a, b))
+    return (
+        p, len(elements), orthogonal, left_only, right_only, both_sides,
+        tuple(failures),
+    )
+
+
+def _report_fields(rep) -> tuple:
+    return (
+        rep.p, rep.elements, rep.orthogonal_pairs, rep.left_only_pairs,
+        rep.right_only_pairs, rep.both_sides_pairs, rep.failures,
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_orthogonal_primes_orbit_scan_matches_pair_walk(p):
+    assert _report_fields(orthogonal_primes_check(p)) == _orthogonal_primes_reference(p)
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_orthogonal_primes_failures_match_pair_walk(monkeypatch, p):
+    # Reject the two-sided class, which left unit multiplication keeps,
+    # so every two-sided pair becomes a failure in both walks.
+    two_sided = orthogonal_primes_check(p).both_sides_pairs
+    real = is_associate
+
+    def one_sided_only(a, b, side):
+        return real(a, b, side) and not (
+            real(a, b, "left") and real(a, b, "right")
+        )
+
+    monkeypatch.setattr(factor_module, "is_associate", one_sided_only)
+    rep = orthogonal_primes_check(p)
+    expected = _orthogonal_primes_reference(p)
+    assert two_sided > 0
+    assert rep.both_sides_pairs == 0
+    assert len(rep.failures) == two_sided
+    assert _report_fields(rep) == expected
+
+
 def test_orthogonal_prime_tallies():
+    """Measured tallies for every prime from 3 to 41.
+
+    The orthogonal pair counts follow 144(p+1) for p = 3 (mod 4) and
+    144p for p = 1 (mod 4), the closed form ROADMAP item 3 proposes.
+    These are regression pins of measured counts, not a proof of it.
+    """
     expected = {
         3: (96, 576, 288, 288, 0),
         5: (144, 720, 288, 288, 144),
         7: (192, 1152, 576, 576, 0),
     }
-    for p, (elements, pairs, left_only, right_only, both) in expected.items():
+    for p in range(3, 42):
+        if not _is_prime_trial(p):
+            continue
         rep = orthogonal_primes_check(p)
         assert rep.passed and bool(rep)
         assert rep.failures == ()
-        assert rep.elements == elements
-        assert rep.orthogonal_pairs == pairs
-        assert rep.left_only_pairs == left_only
-        assert rep.right_only_pairs == right_only
-        assert rep.both_sides_pairs == both
-        assert left_only + right_only + both == pairs
+        assert rep.elements == 24 * (p + 1)
+        assert rep.orthogonal_pairs == (144 * (p + 1) if p % 4 == 3 else 144 * p)
+        assert rep.left_only_pairs + rep.right_only_pairs + rep.both_sides_pairs == (
+            rep.orthogonal_pairs
+        )
+        if p in expected:
+            assert _report_fields(rep)[1:6] == expected[p]
 
 
 def test_orthogonal_primes_check_rejects_composites():
