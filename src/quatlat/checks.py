@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from quatlat.core import (
     GaussianInteger,
@@ -185,24 +185,40 @@ def _check_orthogonal_primes():
 
 
 def _check_gaussian_ideal_coprimality():
-    """ideal_trivial and coprime agree for every small odd-norm pair."""
+    """ideal_trivial and coprime agree for every small odd-norm pair.
+
+    A Gaussian unit u maps (z, w) to (uz, uw), so gamma = z + wj to
+    u*gamma, and i*gamma to u*(i*gamma) since u commutes with i.  The
+    left gcd of the pair is then u times the old one, with the same
+    norm, and coprimality in Z[i] does not change either.  The four
+    units act freely on the box's odd-norm pairs, so igama_check runs
+    once per orbit (keyed by its least coordinate tuple) and the other
+    members reuse its result.  The walk still visits every pair in
+    order, so the count and the first failure are a full walk's.
+    """
     checked = 0
-    for rz in range(-4, 5):
-        for iz in range(-4, 5):
-            for rw in range(-4, 5):
-                for iw in range(-4, 5):
-                    z = GaussianInteger(rz, iz)
-                    w = GaussianInteger(rw, iw)
-                    if (z.norm() + w.norm()) % 2 == 0:
-                        continue
-                    res = igama_check(z, w)
-                    if res.ideal_trivial != res.coprime:
-                        return False, (
-                            f"z={z}, w={w}: ideal_trivial="
-                            f"{res.ideal_trivial}, coprime={res.coprime}, "
-                            f"gcld norm {res.gcld_norm}"
-                        )
-                    checked += 1
+    results = {}
+    for rz, iz, rw, iw in product(range(-4, 5), repeat=4):
+        if (rz * rz + iz * iz + rw * rw + iw * iw) % 2 == 0:
+            continue
+        orbit = min(
+            (rz, iz, rw, iw),
+            (-iz, rz, -iw, rw),
+            (-rz, -iz, -rw, -iw),
+            (iz, -rz, iw, -rw),
+        )
+        res = results.get(orbit)
+        if res is None:
+            res = results[orbit] = igama_check(
+                GaussianInteger(rz, iz), GaussianInteger(rw, iw)
+            )
+        if res.ideal_trivial != res.coprime:
+            return False, (
+                f"z={GaussianInteger(rz, iz)}, w={GaussianInteger(rw, iw)}: "
+                f"ideal_trivial={res.ideal_trivial}, coprime={res.coprime}, "
+                f"gcld norm {res.gcld_norm}"
+            )
+        checked += 1
     return True, f"{checked} odd-norm Gaussian pairs verified exhaustively"
 
 

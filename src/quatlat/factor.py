@@ -586,15 +586,18 @@ def _check_odd_semiprime_pair(p: int, q: int) -> None:
 
 
 def _minus_one_as_two_squares(p: int) -> tuple[int, int]:
-    # (x, y) with x^2 + y^2 = -1 mod the odd prime p: the first x for
-    # which -1 - x^2 is a square.  Both x^2 and -1 - y^2 take (p + 1)/2
-    # values, so some pair meets within one pass over the table.
-    roots = {s * s % p: s for s in range(p)}
-    for x in range(p):
-        y = roots.get((-1 - x * x) % p)
-        if y is not None:
-            return x, y
-    raise AssertionError(f"unreachable: -1 is a sum of two squares mod {p}")
+    # (x, y) with x^2 + y^2 = -1 mod the odd prime p, in O(log p) steps.
+    # For p % 4 == 1, -1 is itself a square.  Otherwise take the first x
+    # for which t = -1 - x^2 is a square (about every other x is), whose
+    # root t^((p+1)/4) is exact because p % 4 == 3.  The pair only has
+    # to exist: line keys are compared with each other, never with keys
+    # from another (x, y).
+    if p % 4 == 1:
+        return sqrt_minus_one_mod_p(p), 0
+    x = 1
+    while pow(-1 - x * x, (p - 1) // 2, p) != 1:
+        x += 1
+    return x, pow(-1 - x * x, (p + 1) // 4, p)
 
 
 def _matrix_mod_p(u: tuple, p: int, x: int, y: int) -> tuple[int, int, int, int]:
@@ -609,22 +612,36 @@ def _matrix_mod_p(u: tuple, p: int, x: int, y: int) -> tuple[int, int, int, int]
     return (a + s) % p, (t - b) % p, (t + b) % p, (a - s) % p
 
 
-def _line_keys(reps: list, p: int) -> tuple[list[int], list[int]]:
-    # The right and left divisor classes of norm p of each primitive
-    # doubled tuple whose norm p divides, as points of P^1(F_p).  Its
-    # matrix has rank 1; the right divisor is read from the row line (the
-    # first nonzero row) and the left one from the column line (the first
+def _line_keyer(p: int):
+    # The right and left divisor classes of norm p of primitive doubled
+    # tuples whose norm p divides, as points of P^1(F_p).  Each matrix
+    # has rank 1; the right divisor is read from the row line (the first
+    # nonzero row) and the left one from the column line (the first
     # nonzero column).  A line (u : v) is keyed v/u, or p when u = 0.
+    # The returned function keys a batch of tuples; it shares (x, y) and
+    # the inverses mod p, each computed on first use, across batches.
     x, y = _minus_one_as_two_squares(p)
-    inv = [0] + [pow(u, -1, p) for u in range(1, p)]
-    right: list[int] = []
-    left: list[int] = []
-    for m00, m01, m10, m11 in [_matrix_mod_p(u, p, x, y) for u in reps]:
-        u, v = (m00, m01) if m00 or m01 else (m10, m11)
-        right.append(v * inv[u] % p if u else p)
-        u, v = (m00, m10) if m00 or m10 else (m01, m11)
-        left.append(v * inv[u] % p if u else p)
-    return right, left
+    inv: dict[int, int] = {}
+
+    def line_keys(elements) -> tuple[list[int], list[int]]:
+        right: list[int] = []
+        left: list[int] = []
+        for m00, m01, m10, m11 in [_matrix_mod_p(t, p, x, y) for t in elements]:
+            u, v = (m00, m01) if m00 or m01 else (m10, m11)
+            right.append(
+                v * (inv.get(u) or inv.setdefault(u, pow(u, -1, p))) % p if u else p
+            )
+            u, v = (m00, m10) if m00 or m10 else (m01, m11)
+            left.append(
+                v * (inv.get(u) or inv.setdefault(u, pow(u, -1, p))) % p if u else p
+            )
+        return right, left
+
+    return line_keys
+
+
+def _line_keys(reps: list, p: int) -> tuple[list[int], list[int]]:
+    return _line_keyer(p)(reps)
 
 
 def _shared(*lists: list[int]) -> int:
@@ -739,9 +756,16 @@ def semiprime_factor_attempt(
 ) -> FactorAttemptReport:
     """Monte-carlo version of the pair census: can random pairs factor n?
 
-    Each trial draws two quaternions of norm n, takes both one-sided
-    gcds, and scores a success when a gcd norm is neither 1 nor n; the
-    gcd norm then reveals a prime factor.  For n up to bound the draws
+    Each trial draws two quaternions of norm n and scores a success on
+    a side when their one-sided gcd norm is neither 1 nor n; that norm
+    then reveals a prime factor.  For p != q no gcd runs: as in the
+    census (see semiprime_pair_fraction), a side's gcd is nontrivial
+    exactly when the pair shares one of its two divisor classes on that
+    side, the row or column lines of its matrices mod p and mod q, and
+    its norm is the prime whose class is shared.  Each drawn element is
+    keyed once, when first drawn.  For p = q an element may be p times
+    a unit, whose matrix mod p is zero, so the degenerate case keeps
+    Euclid's one-sided gcds.  For n up to bound the draws
     are uniform over all Lipschitz representations (the same
     distribution the exact census integrates over); beyond it each draw
     is a randomized four-squares quadruple under a random signed
@@ -782,22 +806,46 @@ def semiprime_factor_attempt(
                 2 * (v if rng.randint(0, 1) else -v) for v in coords
             )
 
+    if p == q:
+
+        def factors(a, b):
+            # The prime each side's gcd reveals, or 0 when it is trivial.
+            norms = (_kernel.qnorm(_kernel.qgcd(a, b, side)) for side in (True, False))
+            return [0 if g in (1, n) else gcd(g, n) for g in norms]
+
+    else:
+        lines_p, lines_q = _line_keyer(p), _line_keyer(q)
+        keys: dict[tuple, tuple[int, int, int, int]] = {}
+
+        def classes(u):
+            # (right p, left p, right q, left q) line keys of u.
+            k = keys.get(u)
+            if k is None:
+                (rp,), (lp,) = lines_p([u])
+                (rq,), (lq,) = lines_q([u])
+                k = keys[u] = rp, lp, rq, lq
+            return k
+
+        def factors(a, b):
+            rp, lp, rq, lq = (s == t for s, t in zip(classes(a), classes(b)))
+            return (
+                (p if rp else q) if rp != rq else 0,
+                (p if lp else q) if lp != lq else 0,
+            )
+
     successes_right = successes_left = successes_either = 0
-    found: Counter[int] = Counter()
+    found: set[int] = set()
     for _ in range(trials):
         a = draw()
         b = draw()
-        nr = _kernel.qnorm(_kernel.qgcd(a, b, True))
-        nl = _kernel.qnorm(_kernel.qgcd(a, b, False))
-        r_nt = nr != 1 and nr != n
-        l_nt = nl != 1 and nl != n
-        if r_nt:
+        f_right, f_left = factors(a, b)
+        if f_right:
             successes_right += 1
-            found[gcd(nr, n)] += 1
-        if l_nt:
+            found.add(f_right)
+        if f_left:
             successes_left += 1
-            found[gcd(nl, n)] += 1
-        if r_nt or l_nt:
+            found.add(f_left)
+        if f_right or f_left:
             successes_either += 1
     return FactorAttemptReport(
         n,

@@ -9,19 +9,23 @@ representations by divisor class, read as points of P^1(F_p) off the
 matrix of each representation mod p.  Two references hold it: the
 pairwise gcd loop of the pure kernel, count for count, and the Euclid
 divisor classes (one-sided gcd with p, canonicalized), class for class.
+The monte-carlo attempt reads each trial off the same classes; its
+reference is the per-trial Euclid loop on the same seeded draws.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import gcd, isqrt
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quatlat import (
     OMEGA,
+    DEFAULT_ENUM_BOUND,
     BadResidueClass,
     BoundExceeded,
     EvenNorm,
@@ -51,6 +55,7 @@ from quatlat import (
     two_squares,
     unit_migration_equal,
 )
+import quatlat.checks as checks_module
 import quatlat.factor as factor_module
 from quatlat._kernel import pure
 from quatlat.core import canonical_associate
@@ -400,6 +405,71 @@ def test_igama_booleans_coincide_on_a_box():
                     assert res.ideal_trivial == res.coprime, (z, w)
 
 
+_GAUSSIAN_UNITS = [GaussianInteger(*u) for u in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+_small_gaussian = st.builds(GaussianInteger, st.integers(-50, 50), st.integers(-50, 50))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(z=_small_gaussian, w=_small_gaussian)
+def test_igama_is_invariant_under_gaussian_units(z, w):
+    # gamma -> u*gamma multiplies the left gcd of (i*gamma, gamma) by u.
+    assume((z.norm() + w.norm()) % 2)
+    res = igama_check(z, w)
+    for u in _GAUSSIAN_UNITS:
+        assert igama_check(u * z, u * w) == res
+
+
+def _igama_full_walk():
+    # The pairwise walk of check thm-3-5: (passed, detail).
+    checked = 0
+    for rz, iz, rw, iw in product(range(-4, 5), repeat=4):
+        z, w = GaussianInteger(rz, iz), GaussianInteger(rw, iw)
+        if (z.norm() + w.norm()) % 2 == 0:
+            continue
+        res = checks_module.igama_check(z, w)
+        if res.ideal_trivial != res.coprime:
+            return False, (
+                f"z={z}, w={w}: ideal_trivial={res.ideal_trivial}, "
+                f"coprime={res.coprime}, gcld norm {res.gcld_norm}"
+            )
+        checked += 1
+    return True, f"{checked} odd-norm Gaussian pairs verified exhaustively"
+
+
+def test_gaussian_ideal_suite_runs_igama_once_per_orbit(monkeypatch):
+    calls = []
+
+    def counted(z, w):
+        calls.append((z, w))
+        return igama_check(z, w)
+
+    monkeypatch.setattr(checks_module, "igama_check", counted)
+    outcome = checks_module.run_check("thm-3-5")
+    assert outcome.detail == "3280 odd-norm Gaussian pairs verified exhaustively"
+    assert len(calls) == 3280 // 4
+
+
+@pytest.mark.parametrize("bad", [(1, 2, 3, -1), (-4, 0, 0, 1), (0, 0, 4, -3)])
+def test_gaussian_ideal_suite_fails_where_the_full_walk_does(monkeypatch, bad):
+    # A fault planted on one unit orbit surfaces at the pair where the
+    # full walk first meets that orbit, with the same text.
+    rz, iz, rw, iw = bad
+    orbit = {
+        (rz, iz, rw, iw), (-iz, rz, -iw, rw), (-rz, -iz, -rw, -iw), (iz, -rz, iw, -rw)
+    }
+
+    def planted(z, w):
+        res = igama_check(z, w)
+        if (z.re, z.im, w.re, w.im) in orbit:
+            return res._replace(ideal_trivial=not res.ideal_trivial)
+        return res
+
+    monkeypatch.setattr(checks_module, "igama_check", planted)
+    outcome = checks_module.run_check("thm-3-5")
+    assert not outcome.passed
+    assert (outcome.passed, outcome.detail) == _igama_full_walk()
+
+
 def test_outer_factor_recovery_positive_pairs():
     pi = HurwitzQuaternion.from_coords(1, 1, 1, 0)
     for rho in (
@@ -640,6 +710,15 @@ def test_matrix_map_is_multiplicative_mod_p(u, v, p):
     assert (mu[0] * mu[3] - mu[1] * mu[2] - 4 * pure.qnorm(u)) % p == 0
 
 
+@pytest.mark.parametrize(
+    "p", [3, 5, 10007, 10009, 1000003, 4949985150044549866357, 2**61 - 1]
+)
+def test_minus_one_as_two_squares_at_scale(p):
+    # Both residues mod 4, and primes far beyond any table of size p.
+    x, y = _minus_one_as_two_squares(p)
+    assert (x * x + y * y + 1) % p == 0
+
+
 @pytest.mark.parametrize("p, q", [(3, 5), (5, 7), (7, 11), (31, 37)])
 def test_every_divisor_class_cell_holds_eight_representations(p, q):
     # (p + 1)(q + 1) cells of right classes, and of left classes, each
@@ -721,6 +800,89 @@ def test_factor_attempt_degenerate_and_large():
     big = semiprime_factor_attempt(10403, trials=50, seed=2, bound=100)
     assert big.sampler == "four-squares"
     assert big.p == 101 and big.q == 103
+
+
+def _euclid_factor_attempt(n, trials, seed=None, bound=DEFAULT_ENUM_BOUND):
+    # semiprime_factor_attempt with both one-sided gcds run by Euclid on
+    # every trial, drawing from the same seeded samplers in the same order.
+    p, q = rational_factorize(n)
+    rng = random.Random(n if seed is None else seed)
+    if n <= bound:
+        sampler = "enumeration"
+        pool = pure.norm_representations(n, False)
+
+        def draw():
+            return pool[rng.randrange(len(pool))]
+
+    else:
+        sampler = "four-squares"
+
+        def draw():
+            coords = list(factor_module._four_squares(n, rng))
+            rng.shuffle(coords)
+            return tuple(2 * (v if rng.randint(0, 1) else -v) for v in coords)
+
+    right = left = either = 0
+    found = set()
+    for _ in range(trials):
+        a = draw()
+        b = draw()
+        nr = pure.qnorm(pure.qgcd(a, b, True))
+        nl = pure.qnorm(pure.qgcd(a, b, False))
+        r_nt = nr not in (1, n)
+        l_nt = nl not in (1, n)
+        if r_nt:
+            right += 1
+            found.add(gcd(nr, n))
+        if l_nt:
+            left += 1
+            found.add(gcd(nl, n))
+        either += r_nt or l_nt
+    return factor_module.FactorAttemptReport(
+        n, p, q, p == q, trials, sampler, right, left, either, tuple(sorted(found))
+    )
+
+
+@pytest.mark.parametrize(
+    "n, trials, seeds, bound",
+    [
+        (15, 2000, range(4), DEFAULT_ENUM_BOUND),
+        (10007 * 10009, 200, range(4), DEFAULT_ENUM_BOUND),
+        (1000003 * 4949985150044549866357, 20, range(4), DEFAULT_ENUM_BOUND),
+        (21, 300, [None, 1], DEFAULT_ENUM_BOUND),
+        (35, 300, [None, 1], DEFAULT_ENUM_BOUND),
+        (1147, 300, [None, 1], DEFAULT_ENUM_BOUND),
+        (10403, 50, [None, 2], 100),
+        (9, 300, [None, 1], DEFAULT_ENUM_BOUND),
+        (25, 300, [None, 1], DEFAULT_ENUM_BOUND),
+        # One trial per report: factors_found names the prime each side
+        # revealed, which longer runs blur once both primes turn up.
+        (35, 1, range(60), DEFAULT_ENUM_BOUND),
+        (1147, 1, range(60), DEFAULT_ENUM_BOUND),
+        (10403, 1, range(200), 100),
+    ],
+)
+def test_factor_attempt_matches_euclid_per_trial(n, trials, seeds, bound):
+    for seed in seeds:
+        expected = _euclid_factor_attempt(n, trials, seed, bound)
+        assert semiprime_factor_attempt(n, trials, seed, bound) == expected, seed
+
+
+def test_factor_attempt_keys_each_drawn_element_once(monkeypatch):
+    # 9991 = 97 * 103 has a pool of 81,536 representations; only the
+    # 2 * trials drawn elements get matrices, one per prime.
+    calls = []
+    real = factor_module._matrix_mod_p
+
+    def counted(u, p, x, y):
+        calls.append(u)
+        return real(u, p, x, y)
+
+    monkeypatch.setattr(factor_module, "_matrix_mod_p", counted)
+    report = semiprime_factor_attempt(9991, trials=10, seed=5)
+    assert report == _euclid_factor_attempt(9991, 10, 5)
+    assert 0 < len(calls) <= 2 * 2 * 10
+    assert all(m == 2 for m in Counter(calls).values())
 
 
 def test_factor_attempt_preconditions():
