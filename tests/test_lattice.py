@@ -4,8 +4,10 @@ enumeration.
 The census oracle is a plain four-deep loop over the coordinate box
 computing dot products directly, so the lattice kernel is checked
 against an implementation that shares none of its code.  The census's
-Gram-determinant certificate and its meet-in-the-middle count are held
-to the point walk, as Hypothesis properties over small alphas and boxes.
+Gram-determinant certificate and its count (one Kronecker-packed
+product for sum(|alpha_i|) <= 48, the meet-in-the-middle tally beyond)
+are held to the point walk, as Hypothesis properties over alphas in
+[-60, 60]^4, zero coordinates included, so both sides of that rule run.
 The sphere walk is held to the triple loop it replaced, kept here as
 the oracle, and to Jacobi's four-square counts.
 """
@@ -166,10 +168,10 @@ def test_census_counts_failures_of_broken_bases():
 
 
 _census_settings = settings(derandomize=True, deadline=None)
-_primitive_coords = st.tuples(*[st.integers(-8, 8)] * 4).filter(
-    lambda c: any(c) and is_primitive(HurwitzQuaternion.from_coords(*c))
-)
-_small_boxes = st.integers(0, 5)
+_primitive_coords = st.tuples(
+    *[st.one_of(st.just(0), st.integers(-60, 60))] * 4
+).filter(lambda c: any(c) and is_primitive(HurwitzQuaternion.from_coords(*c)))
+_small_boxes = st.integers(0, 6)
 
 
 def _true_rows(alpha):
@@ -253,6 +255,47 @@ def test_broken_bases_fall_back_to_the_walk(alpha, q_bound, row, factor, kind):
     assert not pure._spans_orthogonal_lattice(alpha, rows)
     got = pure.count_orthogonality_failures(alpha, rows, q_bound)
     assert got == pure._walk_orthogonality_failures(alpha, rows, q_bound)
+
+
+# Primitive alphas with sum(|alpha_i|) at 48, the last the integer
+# product counts, and at 49, the first the tally counts.
+_SELECTION_EDGE = (
+    (4, 7, 13, 24), (4, -7, 13, 25),
+    (0, 11, -17, 20), (0, 11, -17, 21),
+    (0, 0, 23, -25), (0, 0, 23, -26),
+)
+
+
+@pytest.mark.parametrize("q_bound", (0, 1, 6, 12))
+@pytest.mark.parametrize("alpha", _SELECTION_EDGE)
+def test_count_on_both_sides_of_the_selection_rule(alpha, q_bound):
+    rows = _true_rows(alpha)
+    assert pure._spans_orthogonal_lattice(alpha, rows)
+    walked = pure._walk_orthogonality_failures(alpha, rows, q_bound)
+    assert count_orthogonality_failures(alpha, rows, q_bound) == walked
+    if q_bound <= 1:
+        h = HurwitzQuaternion.from_coords(*alpha)
+        assert walked[0] == _brute_orthogonal_count(h, q_bound)
+
+
+@pytest.mark.parametrize("q_bound", (12, 30))
+@pytest.mark.parametrize("alpha", ((0, 0, 0, 1), (0, 0, 1, -1), (1, 0, -1, 0)))
+def test_count_at_the_slot_width_edge(alpha, q_bound):
+    # The packed coefficients reach their bound here: 1 for one nonzero
+    # coordinate, 2B + 1 at the middle for two equal weights.
+    n = 2 * q_bound + 1
+    assert orthogonality_census(HurwitzQuaternion.from_coords(*alpha), q_bound) == (n**3, 0)
+
+
+@pytest.mark.parametrize("coords", ((1, 2, 3, 4), (4, 7, 13, 25), (0, 0, 0, 1)))
+@pytest.mark.parametrize("q_bound", (-1, -2))
+def test_negative_bound_is_an_empty_box(coords, q_bound):
+    alpha = HurwitzQuaternion.from_coords(*coords)
+    assert orthogonality_census(alpha, q_bound) == (0, 0)
+    rows = orthogonal_basis(alpha).rows()
+    broken = rows[:2] + (tuple(2 * x for x in rows[2]),)
+    assert not pure._spans_orthogonal_lattice(coords, broken)
+    assert count_orthogonality_failures(coords, broken, q_bound) == (0, 0)
 
 
 def test_membership_reports_a_broken_basis(monkeypatch):
