@@ -13,10 +13,8 @@ Two entries carry most of the library's enumeration:
 - The box census `count_orthogonality_failures` first tries a
   Gram-determinant certificate that the basis spans the whole
   orthogonal lattice; when it holds, the orthogonal points of the box
-  are only counted, and none can fail.  For alphas with
-  sum(|alpha_i|) <= 48 the count is one coefficient of a
-  Kronecker-packed integer product; for wider alphas it is a
-  meet-in-the-middle tally (`_count_orthogonal`).  Without the
+  are only counted, as one coefficient of a Kronecker-packed integer
+  product (`_count_orthogonal`), and none can fail.  Without the
   certificate it walks the box and solves for each point with
   `combination_solver`, which `lattice.in_orthogonal_lattice` shares.
 - The sphere walk `norm_representations` files the pairs (c, d) by
@@ -24,7 +22,6 @@ Two entries carry most of the library's enumeration:
   rather than the O(n^1.5) of a triple loop that solves for d.
 """
 
-from collections import Counter
 from math import gcd, isqrt
 
 _ZERO = (0, 0, 0, 0)
@@ -328,26 +325,11 @@ def _count_orthogonal(alpha, q_bound):
     [0, 2B]^m on one hyperplane, and a coordinate with nonzero weight
     is fixed by the other m - 1, so every coefficient is at most
     n^(m - 1) < 2^k for k the bit length of n^(m - 1).
-
-    The packed product has about 2 * k * B * sum|alpha_i| bits, so it
-    grows with alpha while the meet-in-the-middle tally below costs
-    2n^2 dict operations whatever alpha is.  Timed on the pure kernel,
-    the tally is the faster one once sum|alpha_i| exceeds about 50 for
-    every B from 4 to 45, and later for smaller B; the product is taken
-    up to a sum of 48, the tally beyond it.
     """
-    if q_bound < 0:  # an empty box, as for the tally and the walk
+    if q_bound < 0:  # an empty box, as for the walk
         return 0
     weights = [abs(a) for a in alpha if a]
     total = sum(weights)
-    if total > 48:
-        # Meet in the middle: tally alpha_0*x + alpha_1*y over the box's
-        # (x, y) pairs, then look up -(alpha_2*z + alpha_3*w) per (z, w).
-        span = range(-q_bound, q_bound + 1)
-        xs, ys, zs, ws = ([a * t for t in span] for a in alpha)
-        tally = Counter(u + v for u in xs for v in ys)
-        get = tally.get
-        return sum(get(-(u + v), 0) for u in zs for v in ws)
     n = 2 * q_bound + 1
     k = (n ** (len(weights) - 1)).bit_length()
     packed = 1
@@ -365,9 +347,8 @@ def count_orthogonality_failures(alpha, basis, q_bound):
     many of those are not integer combinations of the basis rows.
 
     When `_spans_orthogonal_lattice` holds, no q can fail, and only the
-    count is computed, exactly, by `_count_orthogonal`: one integer
-    product for sum(|alpha_i|) <= 48, an O(q_bound^2) tally beyond.
-    The argument that none can fail:
+    count is computed, exactly, by `_count_orthogonal` as one integer
+    product.  The argument that none can fail:
     M = {q in Z^4 : q . alpha = 0} is a primitive rank-3 sublattice of
     the unimodular Z^4, and for alpha of integer content 1 its
     orthogonal complement there is Z*alpha.  Complementary primitive

@@ -4,10 +4,10 @@ enumeration.
 The census oracle is a plain four-deep loop over the coordinate box
 computing dot products directly, so the lattice kernel is checked
 against an implementation that shares none of its code.  The census's
-Gram-determinant certificate and its count (one Kronecker-packed
-product for sum(|alpha_i|) <= 48, the meet-in-the-middle tally beyond)
-are held to the point walk, as Hypothesis properties over alphas in
-[-60, 60]^4, zero coordinates included, so both sides of that rule run.
+Gram-determinant certificate and its count, one coefficient of a
+Kronecker-packed integer product, are held to the point walk, as
+Hypothesis properties over dense alphas in [-8, 8]^4 and wide ones in
+[-60, 60]^4 with zero coordinates.
 The sphere walk is held to the triple loop it replaced, kept here as
 the oracle, and to Jacobi's four-square counts.
 """
@@ -168,8 +168,9 @@ def test_census_counts_failures_of_broken_bases():
 
 
 _census_settings = settings(derandomize=True, deadline=None)
-_primitive_coords = st.tuples(
-    *[st.one_of(st.just(0), st.integers(-60, 60))] * 4
+_primitive_coords = st.one_of(
+    st.tuples(*[st.integers(-8, 8)] * 4),
+    st.tuples(*[st.one_of(st.just(0), st.integers(-60, 60))] * 4),
 ).filter(lambda c: any(c) and is_primitive(HurwitzQuaternion.from_coords(*c)))
 _small_boxes = st.integers(0, 6)
 
@@ -257,9 +258,9 @@ def test_broken_bases_fall_back_to_the_walk(alpha, q_bound, row, factor, kind):
     assert got == pure._walk_orthogonality_failures(alpha, rows, q_bound)
 
 
-# Primitive alphas with sum(|alpha_i|) at 48, the last the integer
-# product counts, and at 49, the first the tally counts.
-_SELECTION_EDGE = (
+# Primitive alphas with sum(|alpha_i|) at 48 and 49, wider than any
+# criterion-10 alpha, with 0, 1 and 2 zero coordinates.
+_WIDE_ALPHAS = (
     (4, 7, 13, 24), (4, -7, 13, 25),
     (0, 11, -17, 20), (0, 11, -17, 21),
     (0, 0, 23, -25), (0, 0, 23, -26),
@@ -267,8 +268,8 @@ _SELECTION_EDGE = (
 
 
 @pytest.mark.parametrize("q_bound", (0, 1, 6, 12))
-@pytest.mark.parametrize("alpha", _SELECTION_EDGE)
-def test_count_on_both_sides_of_the_selection_rule(alpha, q_bound):
+@pytest.mark.parametrize("alpha", _WIDE_ALPHAS)
+def test_count_of_wide_alphas_matches_the_walk(alpha, q_bound):
     rows = _true_rows(alpha)
     assert pure._spans_orthogonal_lattice(alpha, rows)
     walked = pure._walk_orthogonality_failures(alpha, rows, q_bound)
