@@ -7,7 +7,8 @@ gcd, divmod), the lattice views (orthobasis, reps), factorization
 verification suites (check).  `--json` on any subcommand switches the
 payload to a single JSON object with a "kind" field; every number in
 JSON output is a decimal string so consumers never face 64-bit
-overflow, and booleans stay native.
+overflow, and booleans stay native.  Handlers put raw values in their
+documents and `dispatch` applies that rule once, in `_json_value`.
 
 Exit codes: 0 on success, 1 on a domain error (the error class name
 prefixes the message) or when the reader closes stdout early, 2 on
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import re
 import sys
@@ -60,7 +62,7 @@ class CommandResult:
     payload: str
 
 
-_NUM = re.compile(r"\d+")
+_NUM = re.compile(r"[0-9]+")
 
 
 def _scan_terms(
@@ -153,69 +155,33 @@ def parse_gaussian(text: str) -> GaussianInteger:
     return GaussianInteger(*_scan_terms(text, "i", False, "Gaussian", "'i'"))
 
 
-def _opt_str(value) -> str | None:
-    return None if value is None else str(value)
-
-
 def _run_foursq(args):
     parts = four_squares(args.n, seed=args.seed)
     text = f"{args.n} = " + " + ".join(f"{x}^2" for x in parts)
-    doc = {
-        "kind": "four_squares",
-        "n": str(args.n),
-        "seed": _opt_str(args.seed),
-        "parts": [str(x) for x in parts],
-    }
+    doc = {"kind": "four_squares", "n": args.n, "seed": args.seed, "parts": parts}
     return doc, text, 0
 
 
 def _run_twosq(args):
     a, b = two_squares(args.p)
-    doc = {
-        "kind": "two_squares",
-        "p": str(args.p),
-        "parts": [str(a), str(b)],
-    }
+    doc = {"kind": "two_squares", "p": args.p, "parts": (a, b)}
     return doc, f"{args.p} = {a}^2 + {b}^2", 0
 
 
-def _run_mul(args):
-    a = parse_quaternion(args.a)
-    b = parse_quaternion(args.b)
-    result = a * b
-    doc = {
-        "kind": "product",
-        "a": str(a),
-        "b": str(b),
-        "result": str(result),
-    }
-    return doc, str(result), 0
+def _literal_row(word, help_text, kind, function, names):
+    """The _COMMANDS row of a subcommand that applies function to literals.
 
+    Each name is a positional quaternion literal; the handler parses them
+    in order, prints function's result, and echoes the parsed literals
+    and the result in its JSON document of the given kind.
+    """
 
-def _run_norm(args):
-    a = parse_quaternion(args.a)
-    doc = {"kind": "norm", "a": str(a), "result": str(a.norm())}
-    return doc, str(a.norm()), 0
+    def run(args):
+        literals = {name: parse_quaternion(getattr(args, name)) for name in names}
+        result = function(*literals.values())
+        return {"kind": kind, **literals, "result": result}, str(result), 0
 
-
-def _run_conj(args):
-    a = parse_quaternion(args.a)
-    result = a.conjugate()
-    doc = {"kind": "conjugate", "a": str(a), "result": str(result)}
-    return doc, str(result), 0
-
-
-def _run_dot(args):
-    a = parse_quaternion(args.a)
-    b = parse_quaternion(args.b)
-    result = inner_product(a, b)
-    doc = {
-        "kind": "inner_product",
-        "a": str(a),
-        "b": str(b),
-        "result": str(result),
-    }
-    return doc, str(result), 0
+    return (word,), help_text, tuple((name, {}) for name in names), run
 
 
 def _run_cross(args):
@@ -225,10 +191,10 @@ def _run_cross(args):
     result = cross3(a, b, c)
     doc = {
         "kind": "cross_product",
-        "a": str(a),
-        "b": str(b),
-        "c": str(c),
-        "result": str(result),
+        "a": a,
+        "b": b,
+        "c": c,
+        "result": result,
         "hurwitz": isinstance(result, HurwitzQuaternion),
     }
     return doc, str(result), 0
@@ -241,11 +207,11 @@ def _run_gcd(args):
     doc = {
         "kind": "gcd",
         "side": args.side,
-        "a": str(a),
-        "b": str(b),
-        "gcd": str(res.gcd),
-        "x": str(res.x),
-        "y": str(res.y),
+        "a": a,
+        "b": b,
+        "gcd": res.gcd,
+        "x": res.x,
+        "y": res.y,
     }
     return doc, str(res.gcd), 0
 
@@ -257,10 +223,10 @@ def _run_divmod(args):
     doc = {
         "kind": "division",
         "side": args.side,
-        "a": str(a),
-        "b": str(b),
-        "quotient": str(res.quotient),
-        "remainder": str(res.remainder),
+        "a": a,
+        "b": b,
+        "quotient": res.quotient,
+        "remainder": res.remainder,
     }
     text = f"quotient = {res.quotient}\nremainder = {res.remainder}"
     return doc, text, 0
@@ -272,8 +238,8 @@ def _run_orthobasis(args):
     betas = (basis.beta1, basis.beta2, basis.beta3)
     doc = {
         "kind": "orthogonal_basis",
-        "alpha": str(alpha),
-        "basis": [str(beta) for beta in betas],
+        "alpha": alpha,
+        "basis": betas,
         "permutation": basis.permutation,
     }
     return doc, "\n".join(str(beta) for beta in betas), 0
@@ -283,10 +249,10 @@ def _run_reps(args):
     reps = representations(args.n, hurwitz=args.hurwitz)
     doc = {
         "kind": "representations",
-        "n": str(args.n),
-        "hurwitz": bool(args.hurwitz),
-        "count": str(len(reps)),
-        "representations": [str(r) for r in reps],
+        "n": args.n,
+        "hurwitz": args.hurwitz,
+        "count": len(reps),
+        "representations": reps,
     }
     return doc, "\n".join(str(r) for r in reps), 0
 
@@ -296,10 +262,10 @@ def _run_pall(args):
     rep = pall_right_divisors(alpha, args.m)
     doc = {
         "kind": "pall_divisors",
-        "alpha": str(alpha),
-        "m": str(args.m),
-        "count": str(rep.count),
-        "divisors": [str(d) for d in rep.divisors],
+        "alpha": alpha,
+        "m": args.m,
+        "count": rep.count,
+        "divisors": rep.divisors,
         "left_associated": rep.left_associated,
     }
     return doc, "\n".join(str(d) for d in rep.divisors), 0
@@ -318,9 +284,9 @@ def _run_factor(args):
     fac = factor_modelled(alpha, model)
     doc = {
         "kind": "factorization",
-        "alpha": str(alpha),
-        "model": [str(p) for p in model],
-        "factors": [str(f) for f in fac.factors],
+        "alpha": alpha,
+        "model": model,
+        "factors": fac.factors,
     }
     return doc, "\n".join(str(f) for f in fac.factors), 0
 
@@ -331,11 +297,11 @@ def _run_igama(args):
     res = igama_check(z, w)
     doc = {
         "kind": "igama",
-        "z": str(z),
-        "w": str(w),
+        "z": z,
+        "w": w,
         "ideal_trivial": res.ideal_trivial,
         "coprime": res.coprime,
-        "gcld_norm": str(res.gcld_norm),
+        "gcld_norm": res.gcld_norm,
     }
     text = (
         f"ideal_trivial={'true' if res.ideal_trivial else 'false'} "
@@ -349,14 +315,14 @@ def _run_fraction(args):
     rep = semiprime_pair_fraction(args.p, args.q, args.convention)
     doc = {
         "kind": "pair_fraction",
-        "p": str(rep.p),
-        "q": str(rep.q),
-        "n": str(rep.n),
+        "p": rep.p,
+        "q": rep.q,
+        "n": rep.n,
         "convention": rep.convention,
-        "total_pairs": str(rep.total_pairs),
-        "nontrivial_pairs": str(rep.nontrivial_pairs),
-        "fraction": str(rep.fraction),
-        "predicted_fraction": str(rep.predicted_fraction),
+        "total_pairs": rep.total_pairs,
+        "nontrivial_pairs": rep.nontrivial_pairs,
+        "fraction": rep.fraction,
+        "predicted_fraction": rep.predicted_fraction,
         "matches_prediction": rep.matches_prediction,
     }
     text = (
@@ -372,22 +338,22 @@ def _run_montecarlo(args):
     rep = semiprime_factor_attempt(args.n, args.trials, seed=args.seed)
     doc = {
         "kind": "factor_montecarlo",
-        "n": str(rep.n),
-        "p": str(rep.p),
-        "q": str(rep.q),
+        "n": rep.n,
+        "p": rep.p,
+        "q": rep.q,
         "degenerate": rep.degenerate,
-        "trials": str(rep.trials),
-        "seed": _opt_str(args.seed),
-        # Always "1": perfbench/reference.json digests it (ROADMAP item 1).
-        "threads": "1",
+        "trials": rep.trials,
+        "seed": args.seed,
+        # Always 1: perfbench/reference.json digests it (ROADMAP item 1).
+        "threads": 1,
         "sampler": rep.sampler,
-        "successes_right": str(rep.successes_right),
-        "successes_left": str(rep.successes_left),
-        "successes_either": str(rep.successes_either),
-        "rate_right": str(rep.rate("right")),
-        "rate_left": str(rep.rate("left")),
-        "rate_either": str(rep.rate("either")),
-        "factors_found": [str(f) for f in rep.factors_found],
+        "successes_right": rep.successes_right,
+        "successes_left": rep.successes_left,
+        "successes_either": rep.successes_either,
+        "rate_right": rep.rate("right"),
+        "rate_left": rep.rate("left"),
+        "rate_either": rep.rate("either"),
+        "factors_found": rep.factors_found,
     }
     lines = [
         f"n = {rep.n} = {rep.p} * {rep.q}",
@@ -452,14 +418,17 @@ _SEED = ("--seed", _INT)
 # The CLI grammar, one row per subcommand: its words, its help, its
 # arguments in declaration order as (name, add_argument keywords), and its
 # handler.  A row with no handler is a group of the rows that extend its
-# words.  Every subcommand also takes --json.
+# words; _literal_row builds the rows that apply one function to literals.
+# Every subcommand also takes --json.
 _COMMANDS = (
     (("foursq",), "four-squares decomposition", (("n", _INT), _SEED), _run_foursq),
     (("twosq",), "two squares for p = 1 mod 4", (("p", _INT),), _run_twosq),
-    (("mul",), "quaternion product", (("a", {}), ("b", {})), _run_mul),
-    (("norm",), "quaternion norm", (("a", {}),), _run_norm),
-    (("conj",), "quaternion conjugate", (("a", {}),), _run_conj),
-    (("dot",), "inner product", (("a", {}), ("b", {})), _run_dot),
+    _literal_row("mul", "quaternion product", "product", operator.mul, ("a", "b")),
+    _literal_row("norm", "quaternion norm", "norm", HurwitzQuaternion.norm, ("a",)),
+    _literal_row(
+        "conj", "quaternion conjugate", "conjugate", HurwitzQuaternion.conjugate, ("a",)
+    ),
+    _literal_row("dot", "inner product", "inner_product", inner_product, ("a", "b")),
     (
         ("cross",),
         "generalized cross product",
@@ -609,13 +578,31 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(2, _error_payload(exc, as_json))
     except QuatlatError as exc:
         return CommandResult(1, _error_payload(exc, as_json))
-    return CommandResult(code, json.dumps(doc) if as_json else text)
+    return CommandResult(code, json.dumps(_json_value(doc)) if as_json else text)
+
+
+def _json_value(value):
+    """value with every number, quaternion and Fraction in it as a string.
+
+    Booleans, None and strings stay as they are; lists, tuples and dicts
+    are converted item by item; anything else becomes its str(), so a
+    quaternion reads in the literal syntax and no JSON reader meets an
+    integer it cannot hold.
+    """
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return str(value)
 
 
 def _error_payload(exc: Exception, as_json: bool) -> str:
     name = type(exc).__name__
     if as_json:
-        return json.dumps({"kind": "error", "error": name, "message": str(exc)})
+        doc = {"kind": "error", "error": name, "message": exc}
+        return json.dumps(_json_value(doc))
     return f"{name}: {exc}"
 
 

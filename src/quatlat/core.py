@@ -429,15 +429,7 @@ class GaussianInteger:
         return f"GaussianInteger({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            body = {1: "i", -1: "-i"}.get(self.im)
-            return body if body else f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        itext = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{itext}"
+        return str(HurwitzQuaternion.from_coords(self.re, self.im, 0, 0))
 
 
 def embed_gaussian_pair(z: GaussianInteger, w: GaussianInteger) -> HurwitzQuaternion:

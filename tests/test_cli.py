@@ -55,6 +55,13 @@ def test_parse_inverts_format(u):
     assert parse_quaternion(str(u)) == u
 
 
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.builds(GaussianInteger, _coord, _coord))
+@example(GaussianInteger(0, 0))
+def test_parse_gaussian_inverts_format(z):
+    assert parse_gaussian(str(z)) == z
+
+
 def test_parse_literal_examples():
     assert parse_quaternion("-1+3i+j-2k") == HurwitzQuaternion.from_coords(-1, 3, 1, -2)
     assert parse_quaternion("1/2+1/2i+1/2j+1/2k") == OMEGA
@@ -93,7 +100,15 @@ def test_parse_gaussian():
     assert parse_gaussian("-3i") == GaussianInteger(0, -3)
     assert parse_gaussian("4") == GaussianInteger(4, 0)
     assert parse_gaussian("1-2i") == GaussianInteger(1, -2)
-    for bad, position in (("1+j", 2), ("1/2+i", 1), ("", 0), ("i+", 2), ("2i3", 2)):
+    for bad, position in (
+        ("1+j", 2),
+        ("1/2+i", 1),
+        ("", 0),
+        ("i+", 2),
+        ("2i3", 2),
+        ("\u0663+i", 0),
+        ("1+\uff11i", 2),
+    ):
         with pytest.raises(ParseError) as info:
             parse_gaussian(bad)
         assert info.value.position == position
@@ -577,24 +592,8 @@ def test_json_flag_position_is_flexible():
 
 
 def test_json_documents_always_have_kind_and_string_numbers():
-    cases = [
-        ["foursq", "--json", "90"],
-        ["twosq", "--json", "13"],
-        ["mul", "--json", "1+i", "1+j"],
-        ["norm", "--json", "-1+3i+j-2k"],
-        ["conj", "--json", "1+i"],
-        ["dot", "--json", "1+i", "1+j"],
-        ["cross", "--json", "1", "i", "j"],
-        ["gcd", "--json", "--side", "left", "1+i", "1+j"],
-        ["divmod", "--json", "--side", "right", "7+2i-j", "1+i+j+k"],
-        ["orthobasis", "--json", "1+2i+3j+4k"],
-        ["reps", "--json", "5"],
-        ["pall", "--json", "-1+3i+j-2k", "5"],
-        ["factor", "--json", "--model", "3,5", "-1+3i+j-2k"],
-        ["igama", "--json", "2+i", "1+3i"],
-    ]
-    for argv in cases:
-        result = dispatch(argv)
+    for argv in _EVERY_SUBCOMMAND:
+        result = dispatch([*argv, "--json"])
         assert result.exit_code == 0, argv
         doc = json.loads(result.payload)
         assert "kind" in doc, argv
