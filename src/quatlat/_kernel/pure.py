@@ -117,6 +117,21 @@ def qdivmod(a, b, right_quotient, lipschitz_only=False):
     return q, qsub(a, qmul(b, q) if right_quotient else qmul(q, b))
 
 
+def xgcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, by Euclid's loop."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def qgcd(a, b, right):
     """One-sided gcd by the Euclidean loop; not canonicalized.
 

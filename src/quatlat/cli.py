@@ -63,6 +63,7 @@ class CommandResult:
 
 
 _NUM = re.compile(r"[0-9]+")
+_BLANK = " \t\n\r\x0b\x0c"  # ASCII whitespace, the only padding a literal may carry
 
 
 def _scan_terms(
@@ -75,22 +76,24 @@ def _scan_terms(
     duplicate axes accumulate.  Returns len(axes) + 1 totals, the
     scalar first; with halves they are doubled so n/2 stays exact.
     literal and axis_word name the literal and its axes in messages.
+    Leading and trailing ASCII whitespace is skipped, and positions
+    count in text as given.
 
     Raises:
         ParseError: on any grammar violation, with the position.
     """
-    s = text.strip()
-    if not s:
+    end = len(text.rstrip(_BLANK))
+    pos = len(text) - len(text.lstrip(_BLANK))
+    if pos >= end:
         raise ParseError(f"empty {literal} literal", 0)
     totals = [0] * (len(axes) + 1)
     whole = 2 if halves else 1
-    pos = 0
     first = True
-    while pos < len(s):
+    while pos < end:
         sign = 1
-        if s[pos] == "+":
+        if text[pos] == "+":
             pos += 1
-        elif s[pos] == "-":
+        elif text[pos] == "-":
             sign = -1
             pos += 1
         elif not first:
@@ -98,15 +101,15 @@ def _scan_terms(
                 f"expected '+' or '-' at position {pos} of {text!r}", pos
             )
         first = False
-        m = _NUM.match(s, pos)
+        m = _NUM.match(text, pos, end)
         coefficient = None
         scale = whole
         if m:
             coefficient = int(m.group())
             pos = m.end()
-            if halves and pos < len(s) and s[pos] == "/":
+            if halves and pos < end and text[pos] == "/":
                 pos += 1
-                dm = _NUM.match(s, pos)
+                dm = _NUM.match(text, pos, end)
                 if not dm or dm.group() != "2":
                     raise ParseError(
                         f"only the denominator 2 is allowed, at position"
@@ -116,8 +119,8 @@ def _scan_terms(
                 scale = 1
                 pos = dm.end()
         axis = 0
-        if pos < len(s) and s[pos] in axes:
-            axis = axes.index(s[pos]) + 1
+        if pos < end and text[pos] in axes:
+            axis = axes.index(text[pos]) + 1
             pos += 1
         if coefficient is None and axis == 0:
             raise ParseError(

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quatlat import _kernel
+from quatlat._kernel.pure import xgcd
 from quatlat.core import (
     ZERO,
     GaussianInteger,
@@ -98,6 +99,16 @@ def divide(
     )
 
 
+# Public gcds reduce modulo the gcd of the norms only from this norm up:
+# below it the reduction buys nothing, and small arguments keep the
+# plain loop's witnesses, which perfbench/reference.json digests for the
+# CLI's gcd and factor literals.
+_REDUCE_FROM = 1 << 32
+
+_ONE = (2, 0, 0, 0)
+_ZERO = (0, 0, 0, 0)
+
+
 def gcd(
     a: HurwitzQuaternion, b: HurwitzQuaternion, side: str = "right"
 ) -> GcdResult:
@@ -106,12 +117,27 @@ def gcd(
     gcd(a, 0) is the canonical associate of a.  A unit gcd means the
     pair generates the whole order on that side.
 
-    The loop tracks only the witness x.  Once g is canonicalized, y is
-    recovered by one exact division (`cofactor`): y*b = g - x*a for a
-    right gcd, so y = (g - x*a) * conj(b) / N(b), and b*y = g - a*x for
-    a left gcd, so y = conj(b) * (g - a*x) / N(b).  A nonzero b is
-    invertible, so this is the y the loop would have carried; for
-    b = 0, y = 0.
+    When min(N(a), N(b)) >= 2**32 the loop runs on reduced
+    generators of the same ideal.  For a right gcd, the generator of
+    the left ideal Ha + Hb: N(a) = conj(a)*a lies in Ha and N(b) in
+    Hb, so with s*N(a) + t*N(b) = m = gcd(N(a), N(b)) the integer
+    m = (s*conj(a))*a + (t*conj(b))*b lies in Ha + Hb.  m is central,
+    so a = c_a*m + a' with c_a Lipschitz and every doubled entry of a'
+    in [-m, m) keeps the parity of a, and Ha + Hb = Ha' + Hm + Hb'.
+    The loop runs on (a', m), then on that gcd and b'.  The left gcd is
+    the mirror image: aH + bH, m = a*(s*conj(a)) + b*(t*conj(b)),
+    a = m*c_a + a'.
+
+    The loop tracks only the witness x, starting on the reduced path
+    from the coefficients of a in m and in a - m*c_a.  There x is then
+    reduced modulo N(b1)*H, N(b1) = N(b)/N(g), keeping its parity:
+    with a = a1*g and b = b1*g, N(b1)*a = (a1*conj(b1))*b, so adding
+    N(b1)*H to x moves only y (for a left gcd, a = g*a1, b = g*b1 and
+    a*N(b1) = b*(conj(b1)*a1)).  Every doubled entry of x is then at
+    most N(b)/N(g) in size.  Once g is canonicalized, y is recovered by
+    one exact division (`cofactor`): y*b = g - x*a for a right gcd, so
+    y = (g - x*a) * conj(b) / N(b), and b*y = g - a*x for a left gcd,
+    so y = conj(b) * (g - a*x) / N(b).  For b = 0, y = 0.
 
     Raises:
         BothZero: when both arguments are zero.
@@ -119,13 +145,47 @@ def gcd(
     _check_side(side)
     if a.is_zero and b.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
+    return _gcd(a, b, side, min(a.norm(), b.norm()) >= _REDUCE_FROM)
+
+
+def _gcd(
+    a: HurwitzQuaternion, b: HurwitzQuaternion, side: str, reduce: bool
+) -> GcdResult:
+    """`gcd` on the reduced path or the plain loop, as reduce says."""
     right = side == "right"
+    if reduce:
+        r, x = _reduced_euclid(a.doubled, b.doubled, right)
+    else:
+        r, x = _euclid(a.doubled, _ONE, b.doubled, _ZERO, right)
+    g = HurwitzQuaternion._raw(r)
+    # Canonicalize on the generating side: unit*g generates the same
+    # left ideal, g*unit the same right ideal.
+    canon, unit = canonical_associate(g, "left" if right else "right")
+    if right:
+        x = _kernel.qmul(unit.doubled, x)
+    else:
+        x = _kernel.qmul(x, unit.doubled)
+    if reduce and not b.is_zero:
+        x = _split(x, b.norm() // canon.norm())[1]
+    x = HurwitzQuaternion._raw(x)
+    if b.is_zero:
+        y = ZERO
+    else:
+        y = cofactor(canon - x * a if right else canon - a * x, b, side)
+    return GcdResult(canon, x, y, side)
+
+
+def _euclid(r0, x0, r1, x1, right):
+    """Euclid's loop on doubled r0, r1 whose witnesses are x0, x1.
+
+    A witness is the coefficient of the gcd's first argument: x*a on
+    the left of it for a right gcd, a*x for a left one.  Returns the
+    last nonzero remainder and its witness.
+    """
     # Remainders r = a - q*b keep common right divisors, r = a - b*q
     # common left divisors.
     quotient_right = not right
-    r0, r1 = a.doubled, b.doubled
-    x0, x1 = (2, 0, 0, 0), (0, 0, 0, 0)
-    while r1 != (0, 0, 0, 0):
+    while r1 != _ZERO:
         q, r2 = _kernel.qdivmod(r0, r1, quotient_right)
         if right:
             x2 = _kernel.qsub(x0, _kernel.qmul(q, x1))
@@ -133,19 +193,39 @@ def gcd(
             x2 = _kernel.qsub(x0, _kernel.qmul(x1, q))
         r0, x0 = r1, x1
         r1, x1 = r2, x2
-    g = HurwitzQuaternion._raw(r0)
-    # Canonicalize on the generating side: unit*g generates the same
-    # left ideal, g*unit the same right ideal.
-    canon, unit = canonical_associate(g, "left" if right else "right")
+    return r0, x0
+
+
+def _reduced_euclid(a, b, right):
+    """Euclid's loop on a and b reduced modulo gcd(N(a), N(b)); see `gcd`."""
+    m, s, _ = xgcd(_kernel.qnorm(a), _kernel.qnorm(b))
+    w = tuple(s * c for c in _kernel.qconj(a))  # s*conj(a), the witness of m
+    if m == 1:  # a unit gcd: m itself generates the ideal
+        return _ONE, w
+    ca, a_m = _split(a, m)
+    cb, b_m = _split(b, m)
+    # The witnesses of a' = a - c_a*m and b' = b - c_b*m (a - m*c_a and
+    # b - m*c_b on the left).
     if right:
-        x = HurwitzQuaternion._raw(_kernel.qmul(unit.doubled, x0))
+        x_a, x_b = _kernel.qmul(ca, w), _kernel.qmul(cb, w)
     else:
-        x = HurwitzQuaternion._raw(_kernel.qmul(x0, unit.doubled))
-    if b.is_zero:
-        y = ZERO
-    else:
-        y = cofactor(canon - x * a if right else canon - a * x, b, side)
-    return GcdResult(canon, x, y, side)
+        x_a, x_b = _kernel.qmul(w, ca), _kernel.qmul(w, cb)
+    x_a, x_b = _kernel.qsub(_ONE, x_a), _kernel.qneg(x_b)
+    r, x = _euclid(a_m, x_a, (2 * m, 0, 0, 0), w, right)
+    return _euclid(r, x, b_m, x_b, right)
+
+
+def _split(u, n):
+    """(c, u') with u = n*c + u', c Lipschitz, u' entries in [-n, n).
+
+    Both are doubled tuples; u' keeps the parity of u.
+    """
+    two_n = 2 * n
+    c = tuple((e + n) // two_n for e in u)
+    return (
+        tuple(2 * k for k in c),
+        tuple(e - two_n * k for e, k in zip(u, c)),
+    )
 
 
 def is_multiple(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from quatlat import _kernel
-from quatlat._kernel.pure import combination_solver
+from quatlat._kernel.pure import combination_solver, xgcd
 from quatlat.core import HurwitzQuaternion, is_primitive
 from quatlat.errors import (
     BoundExceeded,
@@ -50,21 +50,6 @@ DEFAULT_ENUM_BOUND = 10_000  # the largest norm a sphere walk touches by default
 def _check_bound(n: int, bound: int) -> None:
     if n > bound:
         raise BoundExceeded(f"norm {n} exceeds the enumeration bound {bound}")
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True)
@@ -112,8 +97,8 @@ def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
             HurwitzQuaternion.from_coords(0, 0, 0, 1),
             "c=d=0",
         )
-    g1, x0, y0 = _xgcd(a, b)
-    g2, z0, t0 = _xgcd(c, d)
+    g1, x0, y0 = xgcd(a, b)
+    g2, z0, t0 = xgcd(c, d)
     beta1 = HurwitzQuaternion.from_coords(
         g2 * x0, g2 * y0, -g1 * z0, -g1 * t0
     )

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quatlat
+from quatlat import euclid
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
 from quatlat.checks import SUITE_IDS, run_check
 from quatlat.cli import _COMMANDS, _PARSER, dispatch, main, parse_gaussian, parse_quaternion
@@ -108,11 +109,26 @@ def test_parse_gaussian():
         ("2i3", 2),
         ("\u0663+i", 0),
         ("1+\uff11i", 2),
+        # Only ASCII whitespace pads a literal, and positions count in
+        # the text as given, padding included.
+        ("\u30001+i", 0),
+        ("1+i\u3000", 3),
+        ("  1+j", 4),
+        ("\t1+i/2", 4),
     ):
         with pytest.raises(ParseError) as info:
             parse_gaussian(bad)
         assert info.value.position == position
         assert bad == "" or f"position {position} of {bad!r}" in str(info.value)
+
+
+def test_literals_may_carry_ascii_padding():
+    assert parse_gaussian(" 2+i\t") == GaussianInteger(2, 1)
+    assert parse_quaternion("\n1/2+1/2i+1/2j+1/2k  ") == OMEGA
+    for blank in ("  ", "\u3000"):
+        with pytest.raises(ParseError) as info:
+            parse_quaternion(blank)
+        assert info.value.position == 0
 
 
 def _no_bare_numbers(value) -> bool:
@@ -213,6 +229,20 @@ def test_gcd_json_carries_valid_bezout_witnesses():
     b = parse_quaternion(doc["b"])
     assert x * a + y * b == g
     assert _no_bare_numbers(doc)
+
+
+def test_gcd_json_above_the_crossover_carries_reduced_witnesses():
+    # Norms near 2^79 and 2^81 take the path that reduces modulo the gcd
+    # of the norms; its witnesses differ from Euclid's but must still
+    # satisfy Bezout, with x reduced modulo N(b)/N(g).
+    literals = ("123456789012-98765432109i+55555555555j-7k", "1/2-987654321099/2i+3/2j-5/2k")
+    for side in ("right", "left"):
+        doc = json.loads(dispatch(["gcd", "--json", "--side", side, *literals]).payload)
+        a, b, g, x, y = (parse_quaternion(doc[key]) for key in ("a", "b", "gcd", "x", "y"))
+        assert min(a.norm(), b.norm()) >= euclid._REDUCE_FROM
+        assert (x * a + y * b if side == "right" else a * x + b * y) == g
+        assert g == euclid.gcd(a, b, side).gcd
+        assert all(abs(e) <= b.norm() // g.norm() for e in x.doubled)
 
 
 def test_divmod_json_satisfies_division_identity():
@@ -565,11 +595,13 @@ def test_every_suite_reports_its_frozen_detail(suite):
     assert (outcome.passed, outcome.detail) == _SUITE_REPORTS[suite]
 
 
+_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
 def test_cli_replays_the_benchmark_reference_outputs():
     # Each recorded argv must still give the recorded exit code and
     # stdout digest, as the benchmark's `cli` workload checks them.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    recorded = json.loads(path.read_text())["cli"]
+    recorded = json.loads(_REFERENCE.read_text())["cli"]
     assert recorded
     mismatches = []
     for key, expected in recorded.items():
@@ -580,6 +612,22 @@ def test_cli_replays_the_benchmark_reference_outputs():
         if [code, digest] != expected:
             mismatches.append(key)
     assert mismatches == []
+
+
+def test_gcd_crossover_lies_above_every_replayed_literal():
+    # The replay pins the Bezout witnesses of the plain Euclid loop; a gcd
+    # or factor literal at or above the crossover would print reduced ones.
+    # factor's gcds take its alpha and a rational prime, so the smaller
+    # norm is at most N(alpha).
+    norms = {"gcd": [], "factor": []}
+    for key in json.loads(_REFERENCE.read_text())["cli"]:
+        words = key.split(" ")
+        if words[0] == "gcd":  # gcd --side SIDE A B --json
+            norms["gcd"] += [parse_quaternion(w).norm() for w in words[3:5]]
+        elif words[0] == "factor":  # factor ALPHA --model ... --json
+            norms["factor"].append(parse_quaternion(words[1]).norm())
+    assert all(norms.values())
+    assert max(max(found) for found in norms.values()) < euclid._REDUCE_FROM
 
 
 def test_json_flag_position_is_flexible():

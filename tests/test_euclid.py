@@ -13,6 +13,7 @@ bit; Hypothesis properties hold the contracts at doubled coordinates up
 to 2^40.
 """
 
+import math
 import random
 
 import pytest
@@ -37,7 +38,7 @@ from quatlat import (
     is_associate,
     is_multiple,
 )
-from quatlat import _kernel
+from quatlat import _kernel, euclid
 from quatlat._kernel import pure
 from conftest import random_hurwitz, random_lipschitz, random_nonzero
 
@@ -431,14 +432,37 @@ def test_division_ties_follow_the_reference():
     assert winners == {True, False}
 
 
+def _assert_reduced_witnesses(a, b, res):
+    """Bezout holds and every doubled entry of x is at most N(b)/N(g)."""
+    if res.side == "right":
+        assert res.x * a + res.y * b == res.gcd
+    else:
+        assert a * res.x + b * res.y == res.gcd
+    if not b.is_zero:
+        bound = b.norm() // res.gcd.norm()
+        assert all(abs(e) <= bound for e in res.x.doubled), (res.x, bound)
+
+
 @pytest.mark.parametrize("span", _BANDS)
 def test_gcd_matches_the_two_witness_reference(span):
+    # Below the crossover (and with a zero argument) the plain loop runs,
+    # so the witnesses are Euclid's byte for byte.  Above it the pair is
+    # reduced modulo gcd(N(a), N(b)) first: the gcd is still the
+    # reference's, the witnesses are other valid ones.
     rng = random.Random(2116 + span.bit_length())
     for a, b in _seeded_pairs(rng, span, 60):
+        ha, hb = HurwitzQuaternion(*a), HurwitzQuaternion(*b)
+        reduced = min(ha.norm(), hb.norm()) >= euclid._REDUCE_FROM
+        assert reduced == (span > 40 and _Z4 not in (a, b))
         for side in ("right", "left"):
-            res = gcd(HurwitzQuaternion(*a), HurwitzQuaternion(*b), side)
-            got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
-            assert got == _ref_gcd(a, b, side), (a, b, side)
+            res = gcd(ha, hb, side)
+            want = _ref_gcd(a, b, side)
+            if reduced:
+                assert res.gcd.doubled == want[0], (a, b, side)
+                _assert_reduced_witnesses(ha, hb, res)
+            else:
+                got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
+                assert got == want, (a, b, side)
 
 
 def test_canonical_associate_is_the_brute_force_minimum():
@@ -490,6 +514,46 @@ def test_bezout_identity_property(a, b, side):
         assert res.x * a + res.y * b == res.gcd
     else:
         assert a * res.x + b * res.y == res.gcd
+
+
+# Pairs for the reduced path, one shape per case it must get right.
+_small = st.builds(
+    lambda coords, odd: HurwitzQuaternion(*(2 * c + odd for c in coords)),
+    st.tuples(*[st.integers(-2**12, 2**12 - 1)] * 4),
+    st.integers(0, 1),
+)
+_small_nonzero = _small.filter(lambda u: not u.is_zero)
+_unit = st.sampled_from(UNITS)
+_ONE_PLUS_I = HurwitzQuaternion.from_coords(1, 1, 0, 0)
+_reduced_pairs = st.one_of(
+    # Either parity on each side, so mixed pairs too.
+    st.tuples(_hurwitz, _nonzero),
+    # A zero argument.
+    st.tuples(_nonzero, st.just(ZERO)),
+    st.tuples(st.just(ZERO), _nonzero),
+    # Equal norms: associates on either side, and a conjugate.
+    st.builds(lambda u, e: (u, e * u), _nonzero, _unit),
+    st.builds(lambda u, e: (u, u * e), _nonzero, _unit),
+    st.builds(lambda u: (u, u.conjugate()), _nonzero),
+    # An even m: both norms are even.
+    st.builds(lambda u, v: (u * _ONE_PLUS_I, _ONE_PLUS_I * v), _nonzero, _nonzero),
+    # m = 1: coprime norms.
+    st.tuples(_hurwitz, _nonzero).filter(
+        lambda p: math.gcd(p[0].norm(), p[1].norm()) == 1
+    ),
+    # A shared nontrivial right factor, and a shared left one.
+    st.builds(lambda u, v, g: (u * g, v * g), _small, _small_nonzero, _small_nonzero),
+    st.builds(lambda u, v, g: (g * u, g * v), _small, _small_nonzero, _small_nonzero),
+)
+
+
+@_properties
+@given(_reduced_pairs, _sides)
+def test_reduced_gcd_matches_the_plain_loop_property(pair, side):
+    a, b = pair
+    res = euclid._gcd(a, b, side, True)
+    assert res.gcd == euclid._gcd(a, b, side, False).gcd
+    _assert_reduced_witnesses(a, b, res)
 
 
 @_properties
