@@ -360,7 +360,7 @@ def is_primitive(u: HurwitzQuaternion) -> bool:
 
 
 def is_primitive_mod(u: HurwitzQuaternion, m: int) -> bool:
-    """Whether the integer coordinates of u are coprime to m.
+    """Whether gcd(a, b, c, d, m) = 1 for the coordinates of u = a+bi+cj+dk.
 
     Raises:
         NotLipschitz: for half-odd u.

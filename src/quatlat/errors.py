@@ -53,7 +53,7 @@ class NotPrimitive(QuatlatError):
 
 
 class BoundExceeded(QuatlatError):
-    """An enumeration was requested past the configured norm bound."""
+    """An enumeration was requested past the fixed enumeration bound."""
 
 
 class BadResidueClass(QuatlatError):

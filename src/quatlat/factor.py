@@ -457,9 +457,7 @@ class PallReport:
         return len(self.divisors)
 
 
-def pall_right_divisors(
-    alpha: HurwitzQuaternion, m: int, bound: int = DEFAULT_ENUM_BOUND
-) -> PallReport:
+def pall_right_divisors(alpha: HurwitzQuaternion, m: int) -> PallReport:
     """All delta in L with norm m and alpha = lambda * delta, lambda in L.
 
     For odd m dividing norm(alpha) and alpha primitive mod m there are
@@ -472,6 +470,7 @@ def pall_right_divisors(
         BadResidueClass: for even m.
         PreconditionViolated: when m < 1 or m does not divide the norm.
         NotPrimitive: when alpha is not primitive mod m.
+        BoundExceeded: when m exceeds DEFAULT_ENUM_BOUND.
     """
     if m < 1:
         raise PreconditionViolated(f"m must be positive, got {m}")
@@ -483,7 +482,7 @@ def pall_right_divisors(
         raise NotPrimitive(f"{alpha} is not primitive modulo {m}")
     divisors = tuple(
         delta
-        for delta in representations(m, hurwitz=False, bound=bound)
+        for delta in representations(m)
         if is_multiple(alpha, delta, "right", lipschitz_cofactor=True)
     )
     left_associated = all(
@@ -640,17 +639,13 @@ def _line_keyer(p: int):
     return line_keys
 
 
-def _line_keys(reps: list, p: int) -> tuple[list[int], list[int]]:
-    return _line_keyer(p)(reps)
-
-
 def _shared(*lists: list[int]) -> int:
     # Ordered pairs of representations in the same class on every list.
     return sum(m * m for m in Counter(zip(*lists)).values())
 
 
 def semiprime_pair_fraction(
-    p: int, q: int, convention: str = "right", bound: int = DEFAULT_ENUM_BOUND
+    p: int, q: int, convention: str = "right"
 ) -> PairFractionReport:
     """Exact census of nontrivial one-sided gcds over representation pairs.
 
@@ -686,7 +681,7 @@ def semiprime_pair_fraction(
 
     Raises:
         PreconditionViolated: unless p and q are distinct odd primes.
-        BoundExceeded: when p*q exceeds bound.
+        BoundExceeded: when p*q exceeds DEFAULT_ENUM_BOUND.
     """
     if convention not in CONVENTIONS:
         raise ValueError(
@@ -694,10 +689,10 @@ def semiprime_pair_fraction(
         )
     _check_odd_semiprime_pair(p, q)
     n = p * q
-    _check_bound(n, bound)
+    _check_bound(n)
     reps = _kernel.norm_representations(n, False)
-    right_p, left_p = _line_keys(reps, p)
-    right_q, left_q = _line_keys(reps, q)
+    right_p, left_p = _line_keyer(p)(reps)
+    right_q, left_q = _line_keyer(q)(reps)
     # (coefficient, class lists) terms of t_p + t_q - 2*t_p*t_q per side.
     right = ((1, (right_p,)), (1, (right_q,)), (-2, (right_p, right_q)))
     left = ((1, (left_p,)), (1, (left_q,)), (-2, (left_p, left_q)))
@@ -749,10 +744,7 @@ class FactorAttemptReport:
 
 
 def semiprime_factor_attempt(
-    n: int,
-    trials: int,
-    seed: int | None = None,
-    bound: int = DEFAULT_ENUM_BOUND,
+    n: int, trials: int, seed: int | None = None
 ) -> FactorAttemptReport:
     """Monte-carlo version of the pair census: can random pairs factor n?
 
@@ -765,7 +757,7 @@ def semiprime_factor_attempt(
     its norm is the prime whose class is shared.  Each drawn element is
     keyed once, when first drawn.  For p = q an element may be p times
     a unit, whose matrix mod p is zero, so the degenerate case keeps
-    Euclid's one-sided gcds.  For n up to bound the draws
+    Euclid's one-sided gcds.  For n up to DEFAULT_ENUM_BOUND the draws
     are uniform over all Lipschitz representations (the same
     distribution the exact census integrates over); beyond it each draw
     is a randomized four-squares quadruple under a random signed
@@ -788,7 +780,7 @@ def semiprime_factor_attempt(
         raise PreconditionViolated(f"{n} is not a product of two primes")
     p, q = primes
     rng = random.Random(n if seed is None else seed)
-    if n <= bound:
+    if n <= DEFAULT_ENUM_BOUND:
         sampler = "enumeration"
         pool = _kernel.norm_representations(n, False)
 
@@ -886,9 +878,7 @@ class OrthogonalPrimesReport:
         return self.passed
 
 
-def orthogonal_primes_check(
-    p: int, bound: int = DEFAULT_ENUM_BOUND
-) -> OrthogonalPrimesReport:
+def orthogonal_primes_check(p: int) -> OrthogonalPrimesReport:
     """Check that orthogonal norm-p Hurwitz primes are mutual associates.
 
     Enumerates every Hurwitz quaternion of prime norm p (half-odd ones
@@ -915,11 +905,11 @@ def orthogonal_primes_check(
 
     Raises:
         PreconditionViolated: for composite p.
-        BoundExceeded: when p exceeds bound.
+        BoundExceeded: when p exceeds DEFAULT_ENUM_BOUND.
     """
     if not miller_rabin(p):
         raise PreconditionViolated(f"{p} is not prime")
-    elements = representations(p, hurwitz=True, bound=bound)
+    elements = representations(p, hurwitz=True)
     doubled = [a.doubled for a in elements]
     index = {ad: i for i, ad in enumerate(doubled)}
     in_orbit = set()

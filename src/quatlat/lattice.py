@@ -44,12 +44,14 @@ __all__ = [
     "DEFAULT_ENUM_BOUND",
 ]
 
-DEFAULT_ENUM_BOUND = 10_000  # the largest norm a sphere walk touches by default
+DEFAULT_ENUM_BOUND = 10_000  # the largest norm a sphere walk touches
 
 
-def _check_bound(n: int, bound: int) -> None:
-    if n > bound:
-        raise BoundExceeded(f"norm {n} exceeds the enumeration bound {bound}")
+def _check_bound(n: int) -> None:
+    if n > DEFAULT_ENUM_BOUND:
+        raise BoundExceeded(
+            f"norm {n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}"
+        )
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,7 @@ def orthogonality_census(
     )
 
 
-def representations(
-    n: int, hurwitz: bool = False, bound: int = DEFAULT_ENUM_BOUND
-) -> list[HurwitzQuaternion]:
+def representations(n: int, hurwitz: bool = False) -> list[HurwitzQuaternion]:
     """All Hurwitz quaternions of norm n, lexicographically ordered.
 
     Lipschitz elements only by default; hurwitz=True adds the half-odd
@@ -154,15 +154,15 @@ def representations(
 
     Raises:
         PreconditionViolated: for n < 1.
-        BoundExceeded: when n exceeds bound.
+        BoundExceeded: when n exceeds DEFAULT_ENUM_BOUND.
     """
     if n < 1:
         raise PreconditionViolated(f"norm must be positive, got {n}")
-    _check_bound(n, bound)
+    _check_bound(n)
     return HurwitzQuaternion._raw_many(_kernel.norm_representations(n, hurwitz))
 
 
-def representation_count(n: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
+def representation_count(n: int) -> int:
     """Number of Lipschitz representations of an odd norm n.
 
     Restricting to odd n keeps the classical divisor-sum count in
@@ -173,4 +173,4 @@ def representation_count(n: int, bound: int = DEFAULT_ENUM_BOUND) -> int:
     """
     if n % 2 == 0:
         raise EvenNorm(f"representation_count needs odd n, got {n}")
-    return len(representations(n, hurwitz=False, bound=bound))
+    return len(representations(n))

@@ -5,6 +5,7 @@ checks; algebraic laws run as seeded random sweeps over both parity
 classes.
 """
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -368,3 +369,90 @@ def test_package_exports_each_module_all_once():
     exec("from quatlat import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(exported)
+
+
+# The parameter names of every exported callable.  A new parameter, an
+# option to the public API, has to be added here in plain sight.
+_PUBLIC_PARAMETERS = {
+    "kernel_backend": (),
+    "HurwitzQuaternion": ("d0", "d1", "d2", "d3"),
+    "GaussianInteger": ("re", "im"),
+    "units": (),
+    "inner_product": ("u", "v"),
+    "cofactor": ("a", "d", "side"),
+    "is_associate": ("u", "v", "side"),
+    "associates": ("u", "side"),
+    "canonical_associate": ("u", "side"),
+    "content": ("u",),
+    "is_primitive": ("u",),
+    "is_primitive_mod": ("u", "m"),
+    "embed_gaussian_pair": ("z", "w"),
+    "RationalQuaternion": ("numerators", "denominator"),
+    "cross_general": ("vectors",),
+    "cross3": ("u", "v", "w"),
+    "triple_scalar": ("u1", "u2", "u3", "v"),
+    "gram_norm": ("u", "v", "w"),
+    "expanded_norm": ("u", "v", "w"),
+    "det_int": ("matrix",),
+    "ParseError": ("message", "position"),
+    "DivisionResult": ("quotient", "remainder", "side"),
+    "GcdResult": ("gcd", "x", "y", "side"),
+    "divide": ("dividend", "divisor", "side", "lipschitz_only"),
+    "gcd": ("a", "b", "side"),
+    "is_multiple": ("a", "d", "side", "lipschitz_cofactor"),
+    "gaussian_gcd": ("z", "w"),
+    "miller_rabin": ("n",),
+    "sqrt_minus_one_mod_p": ("p",),
+    "two_squares": ("p",),
+    "four_squares": ("n", "seed"),
+    "rational_factorize": ("n",),
+    "PrimeModel": ("primes",),
+    "ModelledFactorization": ("factors", "model"),
+    "factor_modelled": ("alpha", "model"),
+    "unit_migration_equal": ("f1", "f2"),
+    "PallReport": ("alpha", "m", "divisors", "left_associated"),
+    "pall_right_divisors": ("alpha", "m"),
+    "IgamaResult": ("ideal_trivial", "coprime", "gcld_norm"),
+    "igama_check": ("z", "w"),
+    "OuterFactorRecovery": (
+        "left_recovers", "right_recovers", "left_gcd", "right_gcd"
+    ),
+    "outer_factor_recovery": ("pi", "rho"),
+    "PairFractionReport": (
+        "p", "q", "n", "convention", "total_pairs", "nontrivial_pairs",
+        "fraction", "predicted_fraction",
+    ),
+    "semiprime_pair_fraction": ("p", "q", "convention"),
+    "FactorAttemptReport": (
+        "n", "p", "q", "degenerate", "trials", "sampler", "successes_right",
+        "successes_left", "successes_either", "factors_found",
+    ),
+    "semiprime_factor_attempt": ("n", "trials", "seed"),
+    "OrthogonalPrimesReport": (
+        "p", "elements", "orthogonal_pairs", "left_only_pairs",
+        "right_only_pairs", "both_sides_pairs", "failures",
+    ),
+    "orthogonal_primes_check": ("p",),
+    "OrthogonalBasis": ("beta1", "beta2", "beta3", "permutation"),
+    "orthogonal_basis": ("alpha",),
+    "in_orthogonal_lattice": ("alpha", "q"),
+    "orthogonality_census": ("alpha", "q_bound"),
+    "representations": ("n", "hurwitz"),
+    "representation_count": ("n",),
+}
+
+
+def test_exported_callables_take_the_pinned_parameters():
+    import quatlat
+
+    parameters = {}
+    for name in quatlat.__all__:
+        obj = getattr(quatlat, name)
+        if not callable(obj):
+            continue
+        try:
+            parameters[name] = tuple(inspect.signature(obj).parameters)
+        except ValueError:
+            # An exception class on the builtin constructor has none.
+            assert issubclass(obj, Exception), name
+    assert parameters == _PUBLIC_PARAMETERS

@@ -59,7 +59,7 @@ import quatlat.checks as checks_module
 import quatlat.factor as factor_module
 from quatlat._kernel import pure
 from quatlat.core import canonical_associate
-from quatlat.factor import _line_keys, _matrix_mod_p, _minus_one_as_two_squares
+from quatlat.factor import _line_keyer, _matrix_mod_p, _minus_one_as_two_squares
 
 
 def _is_prime_trial(n: int) -> bool:
@@ -380,6 +380,8 @@ def test_pall_input_validation():
         pall_right_divisors(HurwitzQuaternion.from_coords(0, 3, 0, 0), 3)
     with pytest.raises(Exception):
         pall_right_divisors(OMEGA, 1)
+    with pytest.raises(BoundExceeded):  # norm 10001, one past the bound
+        pall_right_divisors(HurwitzQuaternion.from_coords(100, 1, 0, 0), 10001)
 
 
 def test_igama_known_values():
@@ -596,6 +598,12 @@ def test_orthogonal_primes_check_rejects_composites():
         orthogonal_primes_check(9)
 
 
+def test_orthogonal_primes_check_bound_guard():
+    # 10007 is the least prime past the fixed enumeration bound.
+    with pytest.raises(BoundExceeded):
+        orthogonal_primes_check(10007)
+
+
 def test_pair_fraction_exact_census():
     # Measured law over all ordered representation pairs; both one-sided
     # conventions agree, "either" is strictly larger.
@@ -672,7 +680,7 @@ def test_line_keys_split_like_euclid_classes():
     for p, q in _ORACLE_PAIRS:
         reps = pure.norm_representations(p * q, False)
         for m in (p, q):
-            right, left = _line_keys(reps, m)
+            right, left = _line_keyer(m)(reps)
             assert len(set(right)) == len(set(left)) == m + 1
             assert _same_partition(right, _euclid_classes(reps, m, True)), (p, q, m)
             assert _same_partition(left, _euclid_classes(reps, m, False)), (p, q, m)
@@ -724,8 +732,8 @@ def test_every_divisor_class_cell_holds_eight_representations(p, q):
     # (p + 1)(q + 1) cells of right classes, and of left classes, each
     # with 8 of the 8 * sigma(pq) representations.
     reps = pure.norm_representations(p * q, False)
-    right_p, left_p = _line_keys(reps, p)
-    right_q, left_q = _line_keys(reps, q)
+    right_p, left_p = _line_keyer(p)(reps)
+    right_q, left_q = _line_keyer(q)(reps)
     for cells in (Counter(zip(right_p, right_q)), Counter(zip(left_p, left_q))):
         assert len(cells) == (p + 1) * (q + 1)
         assert set(cells.values()) == {8}
@@ -736,8 +744,8 @@ def test_pair_fraction_counts_match_pairwise_class_comparison(p, q):
     # Each ordered pair classified directly from its four divisor
     # classes: a side is nontrivial when exactly one class is shared.
     reps = pure.norm_representations(p * q, False)
-    right_p, left_p = _line_keys(reps, p)
-    right_q, left_q = _line_keys(reps, q)
+    right_p, left_p = _line_keyer(p)(reps)
+    right_q, left_q = _line_keyer(q)(reps)
     keys = list(zip(right_p, right_q, left_p, left_q))
     right = left = either = 0
     for a in keys:
@@ -752,11 +760,10 @@ def test_pair_fraction_counts_match_pairwise_class_comparison(p, q):
 
 
 def test_pair_fraction_bound_guard():
+    # 73 * 137 = 10001 is one past the fixed enumeration bound.
     with pytest.raises(BoundExceeded):
-        semiprime_pair_fraction(3, 5, bound=14)
-    with pytest.raises(BoundExceeded):
-        semiprime_pair_fraction(31, 37, bound=31 * 37 - 1)
-    assert semiprime_pair_fraction(3, 5, bound=15).total_pairs == 192**2
+        semiprime_pair_fraction(73, 137)
+    assert semiprime_pair_fraction(3, 5).total_pairs == 192**2
 
 
 def test_pair_fraction_input_validation():
@@ -797,17 +804,20 @@ def test_factor_attempt_degenerate_and_large():
     degenerate = semiprime_factor_attempt(9, trials=200, seed=1)
     assert degenerate.degenerate
     assert degenerate.p == degenerate.q == 3
-    big = semiprime_factor_attempt(10403, trials=50, seed=2, bound=100)
+    big = semiprime_factor_attempt(10403, trials=50, seed=2)
     assert big.sampler == "four-squares"
     assert big.p == 101 and big.q == 103
+    # The sampler switches at the fixed enumeration bound, 10000.
+    assert semiprime_factor_attempt(97 * 103, trials=1).sampler == "enumeration"
+    assert semiprime_factor_attempt(73 * 137, trials=1).sampler == "four-squares"
 
 
-def _euclid_factor_attempt(n, trials, seed=None, bound=DEFAULT_ENUM_BOUND):
+def _euclid_factor_attempt(n, trials, seed=None):
     # semiprime_factor_attempt with both one-sided gcds run by Euclid on
     # every trial, drawing from the same seeded samplers in the same order.
     p, q = rational_factorize(n)
     rng = random.Random(n if seed is None else seed)
-    if n <= bound:
+    if n <= DEFAULT_ENUM_BOUND:
         sampler = "enumeration"
         pool = pure.norm_representations(n, False)
 
@@ -844,28 +854,28 @@ def _euclid_factor_attempt(n, trials, seed=None, bound=DEFAULT_ENUM_BOUND):
 
 
 @pytest.mark.parametrize(
-    "n, trials, seeds, bound",
+    "n, trials, seeds",
     [
-        (15, 2000, range(4), DEFAULT_ENUM_BOUND),
-        (10007 * 10009, 200, range(4), DEFAULT_ENUM_BOUND),
-        (1000003 * 4949985150044549866357, 20, range(4), DEFAULT_ENUM_BOUND),
-        (21, 300, [None, 1], DEFAULT_ENUM_BOUND),
-        (35, 300, [None, 1], DEFAULT_ENUM_BOUND),
-        (1147, 300, [None, 1], DEFAULT_ENUM_BOUND),
-        (10403, 50, [None, 2], 100),
-        (9, 300, [None, 1], DEFAULT_ENUM_BOUND),
-        (25, 300, [None, 1], DEFAULT_ENUM_BOUND),
+        (15, 2000, range(4)),
+        (10007 * 10009, 200, range(4)),
+        (1000003 * 4949985150044549866357, 20, range(4)),
+        (21, 300, [None, 1]),
+        (35, 300, [None, 1]),
+        (1147, 300, [None, 1]),
+        (10403, 50, [None, 2]),
+        (9, 300, [None, 1]),
+        (25, 300, [None, 1]),
         # One trial per report: factors_found names the prime each side
         # revealed, which longer runs blur once both primes turn up.
-        (35, 1, range(60), DEFAULT_ENUM_BOUND),
-        (1147, 1, range(60), DEFAULT_ENUM_BOUND),
-        (10403, 1, range(200), 100),
+        (35, 1, range(60)),
+        (1147, 1, range(60)),
+        (10403, 1, range(200)),
     ],
 )
-def test_factor_attempt_matches_euclid_per_trial(n, trials, seeds, bound):
+def test_factor_attempt_matches_euclid_per_trial(n, trials, seeds):
     for seed in seeds:
-        expected = _euclid_factor_attempt(n, trials, seed, bound)
-        assert semiprime_factor_attempt(n, trials, seed, bound) == expected, seed
+        expected = _euclid_factor_attempt(n, trials, seed)
+        assert semiprime_factor_attempt(n, trials, seed) == expected, seed
 
 
 def test_factor_attempt_keys_each_drawn_element_once(monkeypatch):

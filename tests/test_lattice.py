@@ -470,6 +470,7 @@ def test_representations_wrap_the_sphere_like_the_constructor(n, hurwitz):
 def test_representations_input_validation():
     with pytest.raises(PreconditionViolated):
         representations(0)
+    # The fixed enumeration bound is 10000: r4(10000) = 24 * sigma(625).
     with pytest.raises(BoundExceeded):
-        representations(50, bound=49)
-    assert len(representations(50, bound=50)) > 0
+        representations(10001)
+    assert len(representations(10000)) == 18744
