@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd
 from typing import Iterator
 
@@ -315,29 +315,57 @@ def canonical_associate(
     "left" and canonical == u * unit for side "right".
 
     The first coordinate decides most of the minimum, and it needs no
-    product: Re(e*u) = Re(u*e), which in doubled coordinates is
-    (e0*u0 - e1*u1 - e2*u2 - e3*u3) / 2 on both sides.  So the 24 real
-    parts are found as dot products, and only the units that reach
-    their minimum are multiplied out.  For nonzero u the 24 associates
-    are distinct, so the smallest, and its unit, are unique.
+    search: Re(e*u) = Re(u*e), which in doubled coordinates is
+    -(e . w) / 2 with w = (-u0, u1, u2, u3) on both sides.  An axis unit
+    (doubled entry +-2) reaches at most 2*max|w_i|, a half-odd unit
+    (entries +-1) at most sum|w_i|.  So the smallest doubled real part
+    is -max(2*max|w_i|, sum|w_i|) / 2, and the units that reach it can be
+    written down: 2*sign(w_i) on each axis where |w_i| is largest, when
+    2*max >= sum, and the half-odd units with e_i = sign(w_i), either
+    sign where w_i = 0, when 2*max <= sum.  Only those are multiplied
+    out; for most u there is one.  For nonzero u the 24 associates are
+    distinct, so the smallest, and its unit, are unique.  Zero keeps
+    the first unit, UNITS[0].
     """
     _check_side(side)
-    ud = u.doubled
-    u0, u1, u2, u3 = ud
-    reals = [
-        e0 * u0 - e1 * u1 - e2 * u2 - e3 * u3
-        for e0, e1, e2, e3 in _UNIT_DOUBLED
-    ]
-    low = min(reals)
-    best = None
-    best_unit = None
-    for e, ed, real in zip(UNITS, _UNIT_DOUBLED, reals):
-        if real != low:
-            continue
-        cand = _kernel.qmul(ed, ud) if side == "left" else _kernel.qmul(ud, ed)
-        if best is None or cand < best:
-            best, best_unit = cand, e
-    return HurwitzQuaternion._raw(best), best_unit
+    canon, unit = _canonical(u.doubled, side == "left")
+    return HurwitzQuaternion._raw(canon), HurwitzQuaternion._raw(unit)
+
+
+# Doubled units by the sign of a coordinate of w: the half-odd entries
+# +-1, and per axis the unit -2 or +2 there.
+_HALF_SIGNS = {1: (1,), -1: (-1,), 0: (-1, 1)}
+_AXIS_UNITS = tuple(
+    tuple(tuple(s if j == i else 0 for j in range(4)) for s in (-2, 2))
+    for i in range(4)
+)
+
+
+def _canonical(u, left: bool):
+    """`canonical_associate` on a doubled tuple: (canonical, unit) tuples.
+
+    left=True picks unit*u, left=False u*unit.
+    """
+    u0, u1, u2, u3 = u
+    mags = (abs(u0), abs(u1), abs(u2), abs(u3))
+    top = max(mags)
+    if not top:
+        return u, _UNIT_DOUBLED[0]
+    w = (-u0, u1, u2, u3)
+    twice, total = 2 * top, sum(mags)
+    if twice > total:  # one axis unit: a second |w_i| = top makes total >= twice
+        i = mags.index(top)
+        e = _AXIS_UNITS[i][w[i] > 0]
+    elif twice < total and 0 not in mags:  # one half-odd unit
+        e = tuple([1 if c > 0 else -1 for c in w])
+    else:  # 2*max = sum, or a zero coordinate: several units may tie
+        units = list(product(*[_HALF_SIGNS[(c > 0) - (c < 0)] for c in w]))
+        if twice == total:
+            units += [_AXIS_UNITS[i][c > 0] for i, c in enumerate(w) if abs(c) == top]
+        if left:
+            return min((_kernel.qmul(e, u), e) for e in units)
+        return min((_kernel.qmul(u, e), e) for e in units)
+    return (_kernel.qmul(e, u) if left else _kernel.qmul(u, e)), e
 
 
 def content(u: HurwitzQuaternion) -> int:

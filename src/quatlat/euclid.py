@@ -19,15 +19,16 @@ Side vocabulary used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd as _int_gcd
 
 from quatlat import _kernel
-from quatlat._kernel.pure import xgcd
 from quatlat.core import (
     ZERO,
     GaussianInteger,
     HurwitzQuaternion,
+    _canonical,
     _check_side,
-    canonical_associate,
+    _exact_quotient,
     cofactor,
 )
 from quatlat.errors import BothZero, DivisionByZero
@@ -121,7 +122,9 @@ def gcd(
     generators of the same ideal.  For a right gcd, the generator of
     the left ideal Ha + Hb: N(a) = conj(a)*a lies in Ha and N(b) in
     Hb, so with s*N(a) + t*N(b) = m = gcd(N(a), N(b)) the integer
-    m = (s*conj(a))*a + (t*conj(b))*b lies in Ha + Hb.  m is central,
+    m = (s*conj(a))*a + (t*conj(b))*b lies in Ha + Hb.  Only s is
+    needed: the inverse of N(a)/m modulo N(b)/m, taken in C by `pow`
+    and centred on 0 (see `_bezout`).  m is central,
     so a = c_a*m + a' with c_a Lipschitz and every doubled entry of a'
     in [-m, m) keeps the parity of a, and Ha + Hb = Ha' + Hm + Hb'.
     The loop runs on (a', m), then on that gcd and b'.  The left gcd is
@@ -134,10 +137,12 @@ def gcd(
     with a = a1*g and b = b1*g, N(b1)*a = (a1*conj(b1))*b, so adding
     N(b1)*H to x moves only y (for a left gcd, a = g*a1, b = g*b1 and
     a*N(b1) = b*(conj(b1)*a1)).  Every doubled entry of x is then at
-    most N(b)/N(g) in size.  Once g is canonicalized, y is recovered by
-    one exact division (`cofactor`): y*b = g - x*a for a right gcd, so
-    y = (g - x*a) * conj(b) / N(b), and b*y = g - a*x for a left gcd,
-    so y = conj(b) * (g - a*x) / N(b).  For b = 0, y = 0.
+    most N(b)/N(g) in size.  Once g is canonicalized (the closed form
+    of `canonical_associate`), y is recovered by one exact division:
+    y*b = g - x*a for a right gcd, so y = (g - x*a) * conj(b) / N(b),
+    and b*y = g - a*x for a left gcd, so y = conj(b) * (g - a*x) / N(b).
+    For b = 0, y = 0.  All of this runs on doubled tuples; the
+    quaternion objects are built only for the result.
 
     Raises:
         BothZero: when both arguments are zero.
@@ -153,26 +158,28 @@ def _gcd(
 ) -> GcdResult:
     """`gcd` on the reduced path or the plain loop, as reduce says."""
     right = side == "right"
+    a, b = a.doubled, b.doubled
     if reduce:
-        r, x = _reduced_euclid(a.doubled, b.doubled, right)
+        r, x = _reduced_euclid(a, b, right)
     else:
-        r, x = _euclid(a.doubled, _ONE, b.doubled, _ZERO, right)
-    g = HurwitzQuaternion._raw(r)
+        r, x = _euclid(a, _ONE, b, _ZERO, right)
     # Canonicalize on the generating side: unit*g generates the same
     # left ideal, g*unit the same right ideal.
-    canon, unit = canonical_associate(g, "left" if right else "right")
-    if right:
-        x = _kernel.qmul(unit.doubled, x)
-    else:
-        x = _kernel.qmul(x, unit.doubled)
-    if reduce and not b.is_zero:
-        x = _split(x, b.norm() // canon.norm())[1]
-    x = HurwitzQuaternion._raw(x)
-    if b.is_zero:
+    g, unit = _canonical(r, right)
+    x = _kernel.qmul(unit, x) if right else _kernel.qmul(x, unit)
+    if b == _ZERO:
         y = ZERO
     else:
-        y = cofactor(canon - x * a if right else canon - a * x, b, side)
-    return GcdResult(canon, x, y, side)
+        n = _kernel.qnorm(b)
+        if reduce:
+            x = _split(x, n // _kernel.qnorm(g))[1]
+        # y = (g - x*a) * conj(b) / N(b), or conj(b) * (g - a*x) / N(b).
+        if right:
+            y = _kernel.qmul(_kernel.qsub(g, _kernel.qmul(x, a)), _kernel.qconj(b))
+        else:
+            y = _kernel.qmul(_kernel.qconj(b), _kernel.qsub(g, _kernel.qmul(a, x)))
+        y = _exact_quotient(y, n)
+    return GcdResult(HurwitzQuaternion._raw(g), HurwitzQuaternion._raw(x), y, side)
 
 
 def _euclid(r0, x0, r1, x1, right):
@@ -196,10 +203,28 @@ def _euclid(r0, x0, r1, x1, right):
     return r0, x0
 
 
+def _bezout(na, nb):
+    """(m, s) with m = gcd(na, nb) and s*na = m modulo nb, for na, nb >= 0.
+
+    s is the coefficient of na that `pure.xgcd(na, nb)` returns: the
+    inverse of na/m modulo nb/m in (-nb/2m, nb/2m], 0 when nb = m and
+    1 when nb = 0.
+    """
+    m = _int_gcd(na, nb)
+    if nb == 0:
+        return m, 1
+    k = nb // m
+    if k == 1:
+        return m, 0
+    s = pow(na // m, -1, k)
+    return m, s - k if 2 * s > k else s
+
+
 def _reduced_euclid(a, b, right):
     """Euclid's loop on a and b reduced modulo gcd(N(a), N(b)); see `gcd`."""
-    m, s, _ = xgcd(_kernel.qnorm(a), _kernel.qnorm(b))
-    w = tuple(s * c for c in _kernel.qconj(a))  # s*conj(a), the witness of m
+    m, s = _bezout(_kernel.qnorm(a), _kernel.qnorm(b))
+    a0, a1, a2, a3 = a
+    w = (s * a0, -s * a1, -s * a2, -s * a3)  # s*conj(a), the witness of m
     if m == 1:  # a unit gcd: m itself generates the ideal
         return _ONE, w
     ca, a_m = _split(a, m)
@@ -221,10 +246,14 @@ def _split(u, n):
     Both are doubled tuples; u' keeps the parity of u.
     """
     two_n = 2 * n
-    c = tuple((e + n) // two_n for e in u)
+    u0, u1, u2, u3 = u
+    k0 = (u0 + n) // two_n
+    k1 = (u1 + n) // two_n
+    k2 = (u2 + n) // two_n
+    k3 = (u3 + n) // two_n
     return (
-        tuple(2 * k for k in c),
-        tuple(e - two_n * k for e, k in zip(u, c)),
+        (2 * k0, 2 * k1, 2 * k2, 2 * k3),
+        (u0 - two_n * k0, u1 - two_n * k1, u2 - two_n * k2, u3 - two_n * k3),
     )
 
 

@@ -20,8 +20,8 @@ rather than be papered over.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from quatlat import _kernel
 from quatlat._kernel.pure import combination_solver, xgcd
@@ -80,33 +80,29 @@ def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
         NotLipschitz: for half-odd alpha.
         NotPrimitive: when an integer > 1 divides alpha.
     """
+    rows, permutation = _basis_rows(alpha)
+    beta1, beta2, beta3 = (HurwitzQuaternion.from_coords(*row) for row in rows)
+    return OrthogonalBasis(beta1, beta2, beta3, permutation)
+
+
+def _basis_rows(alpha: HurwitzQuaternion):
+    """`orthogonal_basis` as integer coordinate rows: (rows, permutation)."""
     if alpha.is_zero:
         raise ZeroInput("the orthogonal lattice of 0 is not rank 3")
     a, b, c, d = alpha.coords
     if not is_primitive(alpha):
         raise NotPrimitive(f"{alpha} has content > 1")
     if a == 0 and b == 0:
-        return OrthogonalBasis(
-            HurwitzQuaternion.from_coords(1, 0, 0, 0),
-            HurwitzQuaternion.from_coords(0, 1, 0, 0),
-            HurwitzQuaternion.from_coords(0, 0, d, -c),
-            "a=b=0",
-        )
+        return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, d, -c)), "a=b=0"
     if c == 0 and d == 0:
-        return OrthogonalBasis(
-            HurwitzQuaternion.from_coords(b, -a, 0, 0),
-            HurwitzQuaternion.from_coords(0, 0, 1, 0),
-            HurwitzQuaternion.from_coords(0, 0, 0, 1),
-            "c=d=0",
-        )
+        return ((b, -a, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), "c=d=0"
     g1, x0, y0 = xgcd(a, b)
     g2, z0, t0 = xgcd(c, d)
-    beta1 = HurwitzQuaternion.from_coords(
-        g2 * x0, g2 * y0, -g1 * z0, -g1 * t0
-    )
-    beta2 = HurwitzQuaternion.from_coords(b // g1, -(a // g1), 0, 0)
-    beta3 = HurwitzQuaternion.from_coords(0, 0, d // g2, -(c // g2))
-    return OrthogonalBasis(beta1, beta2, beta3, "ab-cd")
+    return (
+        (g2 * x0, g2 * y0, -g1 * z0, -g1 * t0),
+        (b // g1, -(a // g1), 0, 0),
+        (0, 0, d // g2, -(c // g2)),
+    ), "ab-cd"
 
 
 def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> bool:
@@ -117,11 +113,11 @@ def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> boo
     coefficients; the two must agree, anything else reports a broken
     basis rather than silently picking a side.
     """
-    basis = orthogonal_basis(alpha)
+    rows = _basis_rows(alpha)[0]
     if not q.is_lipschitz:
         return False
     by_dot = _kernel.qdot4(alpha.doubled, q.doubled) == 0
-    by_combination = combination_solver(basis.rows())(q.coords) is not None
+    by_combination = combination_solver(rows)(q.coords) is not None
     if by_dot != by_combination:
         raise RuntimeError(
             f"orthogonal basis of {alpha} is inconsistent at {q}: "
@@ -140,9 +136,8 @@ def orthogonality_census(
     combinations of orthogonal_basis(alpha).  A correct basis gives
     (count, 0).
     """
-    basis = orthogonal_basis(alpha)
     return _kernel.count_orthogonality_failures(
-        alpha.coords, basis.rows(), q_bound
+        alpha.coords, _basis_rows(alpha)[0], q_bound
     )
 
 
@@ -166,11 +161,24 @@ def representation_count(n: int) -> int:
     """Number of Lipschitz representations of an odd norm n.
 
     Restricting to odd n keeps the classical divisor-sum count in
-    scope: the result equals 8 times the sum of divisors of n.
+    scope: by Jacobi's four-square theorem the result is 8 times the
+    sum of divisors of n.  It is computed from the prime factorization
+    of n, with no sphere walk, so unlike `representations` it has no
+    enumeration bound.
 
     Raises:
         EvenNorm: for even n.
+        PreconditionViolated: for n < 1.
     """
+    # Imported here: factor imports this module.
+    from quatlat.factor import rational_factorize
+
     if n % 2 == 0:
         raise EvenNorm(f"representation_count needs odd n, got {n}")
-    return len(representations(n))
+    if n < 1:
+        raise PreconditionViolated(f"norm must be positive, got {n}")
+    sigma = 1
+    if n > 1:
+        for p, e in Counter(rational_factorize(n)).items():
+            sigma *= (p ** (e + 1) - 1) // (p - 1)
+    return 8 * sigma

@@ -6,11 +6,15 @@ a = b * q + r, divide(a, b, "left") solves a = q * b + r, with
 quotient is restricted to Lipschitz form.
 
 The library forms only the winning remainder of a division, carries one
-Bezout witness through the gcd loop, and screens canonical associates by
-real part.  Test-only references that form both remainders, carry both
-witnesses and multiply out all 24 associates hold those forms bit for
-bit; Hypothesis properties hold the contracts at doubled coordinates up
-to 2^40.
+Bezout witness through the gcd loop, writes the canonical associate's
+units down from the signs of the coordinates, and takes the Bezout
+coefficient of the norms from a modular inverse.  Test-only references
+hold each form bit for bit: division that forms both remainders, a loop
+that carries both witnesses, the minimum over all 24 associates, the
+integer extended Euclid `pure.xgcd`, and the object-level gcd wrapper
+that multiplied out all 24 associates and recovered y with `cofactor`.
+Hypothesis properties hold the contracts at doubled coordinates up to
+2^40.
 """
 
 import math
@@ -38,7 +42,7 @@ from quatlat import (
     is_associate,
     is_multiple,
 )
-from quatlat import _kernel, euclid
+from quatlat import _kernel, core, euclid
 from quatlat._kernel import pure
 from conftest import random_hurwitz, random_lipschitz, random_nonzero
 
@@ -367,6 +371,60 @@ def _ref_gcd(a, b, side):
     return canon, pure.qmul(x0, unit), pure.qmul(y0, unit)
 
 
+def _oracle_split(u, n):
+    two_n = 2 * n
+    c = tuple((e + n) // two_n for e in u)
+    return tuple(2 * k for k in c), tuple(e - two_n * k for e, k in zip(u, c))
+
+
+def _oracle_reduced_euclid(a, b, right):
+    """The reduced loop with the norms' Bezout coefficient from `pure.xgcd`."""
+    m, s, _ = pure.xgcd(pure.qnorm(a), pure.qnorm(b))
+    w = tuple(s * c for c in pure.qconj(a))
+    if m == 1:
+        return (2, 0, 0, 0), w
+    ca, a_m = _oracle_split(a, m)
+    cb, b_m = _oracle_split(b, m)
+    if right:
+        x_a, x_b = pure.qmul(ca, w), pure.qmul(cb, w)
+    else:
+        x_a, x_b = pure.qmul(w, ca), pure.qmul(w, cb)
+    x_a, x_b = pure.qsub((2, 0, 0, 0), x_a), pure.qneg(x_b)
+    r, x = euclid._euclid(a_m, x_a, (2 * m, 0, 0, 0), w, right)
+    return euclid._euclid(r, x, b_m, x_b, right)
+
+
+def _oracle_gcd(a, b, side, reduce):
+    """`euclid._gcd` as it was on HurwitzQuaternion objects.
+
+    The canonical associate is the minimum over all 24 units, and y is
+    the `cofactor` of b in g - x*a (g - a*x on the left).
+    """
+    right = side == "right"
+    if reduce:
+        r, x = _oracle_reduced_euclid(a.doubled, b.doubled, right)
+    else:
+        r, x = euclid._euclid(a.doubled, (2, 0, 0, 0), b.doubled, _Z4, right)
+    canon, unit = _ref_canonical(r, "left" if right else "right")
+    canon, unit = HurwitzQuaternion(*canon), HurwitzQuaternion(*unit)
+    x = unit * HurwitzQuaternion(*x) if right else HurwitzQuaternion(*x) * unit
+    if reduce and not b.is_zero:
+        x = HurwitzQuaternion(*_oracle_split(x.doubled, b.norm() // canon.norm())[1])
+    if b.is_zero:
+        y = ZERO
+    else:
+        y = cofactor(canon - x * a if right else canon - a * x, b, side)
+    return canon.doubled, x.doubled, y.doubled
+
+
+def _assert_gcd_matches_the_oracle(a, b, side):
+    for reduce in (False, True):
+        res = euclid._gcd(a, b, side, reduce)
+        assert res.side == side
+        got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
+        assert got == _oracle_gcd(a, b, side, reduce), (a, b, side, reduce)
+
+
 def _seeded_pairs(rng, span, count):
     """count (a, b) doubled pairs, either parity, some a or b zero."""
     pairs = [(_Z4, random_nonzero(rng, span, hurwitz=True).doubled)]
@@ -465,6 +523,39 @@ def test_gcd_matches_the_two_witness_reference(span):
                 assert got == want, (a, b, side)
 
 
+@pytest.mark.parametrize("span", _BANDS)
+def test_gcd_matches_the_object_oracle_on_both_paths(span):
+    rng = random.Random(2118 + span.bit_length())
+    for a, b in _seeded_pairs(rng, span, 60):
+        for side in ("right", "left"):
+            _assert_gcd_matches_the_oracle(
+                HurwitzQuaternion(*a), HurwitzQuaternion(*b), side
+            )
+
+
+@pytest.mark.parametrize("side", ("right", "left"))
+@pytest.mark.parametrize(
+    "other",
+    (
+        HurwitzQuaternion(3, 5, -7, 9),
+        HurwitzQuaternion.from_coords(3, 5, -7, 2),
+        HurwitzQuaternion.from_coords(2**40 + 1, -(2**39), 5, 2**41),
+        K,  # a unit: m = 1 with a zero partner
+    ),
+)
+def test_reduced_gcd_with_a_zero_argument(other, side):
+    # N(ZERO) = 0: the Bezout of the norms takes its nb = 0 guard for
+    # (other, ZERO) and its nb = m guard for (ZERO, other).
+    for a, b in ((other, ZERO), (ZERO, other)):
+        _assert_gcd_matches_the_oracle(a, b, side)
+        res = euclid._gcd(a, b, side, True)
+        assert is_associate(res.gcd, other, "left" if side == "right" else "right")
+        if side == "right":
+            assert res.x * a + res.y * b == res.gcd
+        else:
+            assert a * res.x + b * res.y == res.gcd
+
+
 def test_canonical_associate_is_the_brute_force_minimum():
     rng = random.Random(2117)
     samples = [ZERO] + list(UNITS)
@@ -557,6 +648,34 @@ def test_reduced_gcd_matches_the_plain_loop_property(pair, side):
 
 
 @_properties
+@given(_reduced_pairs, _sides)
+def test_gcd_matches_the_object_oracle_property(pair, side):
+    _assert_gcd_matches_the_oracle(*pair, side)
+
+
+_norm = st.one_of(st.integers(0, 50), st.integers(0, 2**90))
+_norm_pairs = st.one_of(
+    st.tuples(_norm, _norm),
+    # 0, equal arguments, b | a and a | b.
+    st.builds(lambda n: (0, n), _norm),
+    st.builds(lambda n: (n, 0), _norm),
+    st.builds(lambda n: (n, n), _norm),
+    st.builds(lambda n, k: (n * k, n), _norm, st.integers(0, 2**20)),
+    st.builds(lambda n, k: (n, n * k), _norm, st.integers(0, 2**20)),
+    # nb / m = 2, where the symmetric residue sits on the boundary.
+    st.builds(lambda n, k: (n * (2 * k + 1), 2 * n), _norm, st.integers(0, 2**20)),
+)
+
+
+@_properties
+@given(_norm_pairs)
+def test_norm_bezout_matches_xgcd_property(pair):
+    na, nb = pair
+    m, s, _ = pure.xgcd(na, nb)
+    assert euclid._bezout(na, nb) == (m, s)
+
+
+@_properties
 @given(_hurwitz, _hurwitz, _sides)
 def test_gcd_divides_both_arguments_property(a, b, side):
     if a.is_zero and b.is_zero:
@@ -582,3 +701,38 @@ def test_canonical_form_is_unique_over_associates_property(u, side):
 def test_norm_is_multiplicative_property(a, b):
     assert (a * b).norm() == a.norm() * b.norm()
     assert (b * a).norm() == a.norm() * b.norm()
+
+
+# Coordinate shapes where several units reach the smallest real part: a
+# zero coordinate (either half-odd sign), equal magnitudes (several
+# axes), and 2*max = sum (axis and half-odd units both), e.g. (t, t, 0, 0)
+# and (2t, t, t, 0).
+_SHAPES = (
+    (1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 1, 0), (3, 1, 1, 1), (1, 1, 1, 0),
+    (1, 1, 1, 1), (2, 1, 0, 0), (3, 2, 1, 0), (2, 2, 1, 1), (4, 1, 1, 1),
+)
+
+
+def _shaped(shape, t, order, signs):
+    entries = [shape[i] * t * sign for i, sign in zip(order, signs)]
+    if len({e & 1 for e in entries}) > 1:
+        entries = [2 * e for e in entries]
+    return tuple(entries)
+
+
+_shaped_doubled = st.builds(
+    _shaped,
+    st.sampled_from(_SHAPES),
+    st.integers(1, 2**38),
+    st.permutations(range(4)),
+    st.tuples(*[st.sampled_from((1, -1))] * 4),
+)
+
+
+@_properties
+@given(st.one_of(_hurwitz.map(lambda u: u.doubled), _shaped_doubled), _sides)
+def test_closed_form_canonical_associate_property(u, side):
+    want = _ref_canonical(u, side)
+    assert core._canonical(u, side == "left") == want
+    canon, unit = canonical_associate(HurwitzQuaternion(*u), side)
+    assert (canon.doubled, unit.doubled) == want

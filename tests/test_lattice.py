@@ -12,7 +12,6 @@ The sphere walk is held to the triple loop it replaced, kept here as
 the oracle, and to Jacobi's four-square counts.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -98,6 +97,24 @@ def test_basis_rows_are_orthogonal_to_alpha():
         for beta in (basis.beta1, basis.beta2, basis.beta3):
             assert inner_product(alpha, beta) == 0
         assert basis.rows() == (basis.beta1.coords, basis.beta2.coords, basis.beta3.coords)
+
+
+def test_census_and_membership_share_the_basis_rows():
+    # orthogonality_census and in_orthogonal_lattice read the rows of
+    # `_basis_rows` directly; orthogonal_basis wraps those same rows.
+    rng = random.Random(4104)
+    alphas = [random_primitive(rng, 30) for _ in range(200)]
+    alphas += [HurwitzQuaternion.from_coords(*c) for c in ((0, 0, 3, 5), (7, 2, 0, 0))]
+    for alpha in alphas:
+        basis = orthogonal_basis(alpha)
+        assert lattice._basis_rows(alpha) == (basis.rows(), basis.permutation)
+    for bad, error in ((ZERO, ZeroInput), (OMEGA, NotLipschitz),
+                       (HurwitzQuaternion.from_coords(2, 2, 0, 0), NotPrimitive)):
+        for call in (lambda: orthogonality_census(bad, 2),
+                     lambda: in_orthogonal_lattice(bad, ZERO),
+                     lambda: in_orthogonal_lattice(bad, OMEGA)):
+            with pytest.raises(error):
+                call()
 
 
 def test_basis_gram_determinant_equals_norm():
@@ -297,11 +314,11 @@ def test_negative_bound_is_an_empty_box(coords, q_bound):
 
 def test_membership_reports_a_broken_basis(monkeypatch):
     alpha = HurwitzQuaternion.from_coords(1, 2, 3, 4)
-    basis = orthogonal_basis(alpha)
-    broken = dataclasses.replace(basis, beta1=2 * basis.beta1)
-    monkeypatch.setattr(lattice, "orthogonal_basis", lambda a: broken)
+    rows, permutation = lattice._basis_rows(alpha)
+    broken = (tuple(2 * x for x in rows[0]),) + rows[1:]
+    monkeypatch.setattr(lattice, "_basis_rows", lambda a: (broken, permutation))
     with pytest.raises(RuntimeError, match="inconsistent"):
-        in_orthogonal_lattice(alpha, basis.beta1)
+        in_orthogonal_lattice(alpha, HurwitzQuaternion.from_coords(*rows[0]))
 
 
 def test_membership_examples():
@@ -453,6 +470,16 @@ def test_representation_count_is_eight_sigma():
 def test_representation_count_rejects_even_norms():
     with pytest.raises(EvenNorm):
         representation_count(6)
+    with pytest.raises(PreconditionViolated):
+        representation_count(-1)
+
+
+def test_representation_count_matches_the_sphere_walk():
+    # The walk that `representations` wraps one element per tuple; the
+    # closed form needs no enumeration bound.
+    for n in range(1, 2002, 2):
+        assert representation_count(n) == len(pure.norm_representations(n, False)), n
+    assert representation_count(10**12 + 39) == 8 * (10**12 + 40)  # a prime
 
 
 @pytest.mark.parametrize("hurwitz", [False, True])
