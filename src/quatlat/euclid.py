@@ -150,35 +150,41 @@ def gcd(
     _check_side(side)
     if a.is_zero and b.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
-    return _gcd(a, b, side, min(a.norm(), b.norm()) >= _REDUCE_FROM)
+    na, nb = a.norm(), b.norm()
+    return _gcd(a, b, side, na, nb, min(na, nb) >= _REDUCE_FROM)
 
 
 def _gcd(
-    a: HurwitzQuaternion, b: HurwitzQuaternion, side: str, reduce: bool
+    a: HurwitzQuaternion,
+    b: HurwitzQuaternion,
+    side: str,
+    na: int,
+    nb: int,
+    reduce: bool,
 ) -> GcdResult:
-    """`gcd` on the reduced path or the plain loop, as reduce says."""
+    """`gcd` of a and b, of norms na and nb, on the reduced path or the
+    plain loop, as reduce says."""
     right = side == "right"
     a, b = a.doubled, b.doubled
     if reduce:
-        r, x = _reduced_euclid(a, b, right)
+        r, x = _reduced_euclid(a, b, na, nb, right)
     else:
         r, x = _euclid(a, _ONE, b, _ZERO, right)
     # Canonicalize on the generating side: unit*g generates the same
     # left ideal, g*unit the same right ideal.
     g, unit = _canonical(r, right)
     x = _kernel.qmul(unit, x) if right else _kernel.qmul(x, unit)
-    if b == _ZERO:
+    if nb == 0:
         y = ZERO
     else:
-        n = _kernel.qnorm(b)
         if reduce:
-            x = _split(x, n // _kernel.qnorm(g))[1]
+            x = _split(x, nb // _kernel.qnorm(g))[1]
         # y = (g - x*a) * conj(b) / N(b), or conj(b) * (g - a*x) / N(b).
         if right:
             y = _kernel.qmul(_kernel.qsub(g, _kernel.qmul(x, a)), _kernel.qconj(b))
         else:
             y = _kernel.qmul(_kernel.qconj(b), _kernel.qsub(g, _kernel.qmul(a, x)))
-        y = _exact_quotient(y, n)
+        y = _exact_quotient(y, nb)
     return GcdResult(HurwitzQuaternion._raw(g), HurwitzQuaternion._raw(x), y, side)
 
 
@@ -220,9 +226,10 @@ def _bezout(na, nb):
     return m, s - k if 2 * s > k else s
 
 
-def _reduced_euclid(a, b, right):
-    """Euclid's loop on a and b reduced modulo gcd(N(a), N(b)); see `gcd`."""
-    m, s = _bezout(_kernel.qnorm(a), _kernel.qnorm(b))
+def _reduced_euclid(a, b, na, nb, right):
+    """Euclid's loop on a and b, of norms na and nb, reduced modulo
+    gcd(na, nb); see `gcd`."""
+    m, s = _bezout(na, nb)
     a0, a1, a2, a3 = a
     w = (s * a0, -s * a1, -s * a2, -s * a3)  # s*conj(a), the witness of m
     if m == 1:  # a unit gcd: m itself generates the ideal

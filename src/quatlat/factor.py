@@ -1,11 +1,11 @@
 """Prime decompositions, four-square representations, and the
 quaternionic factoring experiments.
 
-Rational side: a Miller-Rabin test (proven below 3.3e24, with bases
-seeded by n beyond), Pollard-Brent factorization, and the classic
-randomized reductions writing a prime as two squares and any positive
-integer as four squares, seeded by their input (four squares takes a
-seed too).
+Rational side: a primality test (strong tests to proven base sets
+below 3.3e24, Baillie-PSW beyond), Pollard-Brent factorization, and
+the classic randomized reductions writing a prime as two squares and
+any positive integer as four squares, seeded by their input (four
+squares takes a seed too).
 
 Quaternion side: factorization of a primitive Hurwitz integer along a
 model (an ordered tuple of primes multiplying to its norm), the
@@ -22,7 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from quatlat import _kernel
@@ -74,13 +74,25 @@ __all__ = [
     "CONVENTIONS",
 ]
 
-# Below this limit the first 13 primes are a proven primality certificate
-# (Sorenson & Webster, Math. Comp. 2017).
-_PRIME_BASES_LIMIT = 3_317_044_064_679_887_385_961_981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Below this limit the first seven of them are one too.
-_DETERMINISTIC_LIMIT = 341_550_071_728_321
-_FIXED_WITNESSES = _PRIME_BASES[:7]
+_PRIME_BASES_PRODUCT = prod(_PRIME_BASES)  # one gcd tries all 13 as factors
+# (limit, k): every composite below limit fails the strong test to one
+# of the first k prime bases.  Each limit is the least strong
+# pseudoprime to those k bases: Pomerance, Selfridge & Wagstaff (1980)
+# up to k = 4, Jaeschke (1993) for k = 5 to 7, Jiang & Deng (2014) for
+# k = 9, Sorenson & Webster (2017) for k = 12 and 13.
+_PROVEN_PREFIXES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 _BRUTE_FORCE_LIMIT = 1000
 
@@ -88,55 +100,119 @@ CONVENTIONS = ("right", "left", "either")
 
 
 def miller_rabin(n: int) -> bool:
-    """Strong probable-prime test; the answer depends on n alone.
+    """Primality test; the answer depends on n alone and draws nothing.
 
-    A proof below 3.3e24: the prime bases up to 17 suffice below 3.4e14
-    and the first 13 primes below 3.3e24.  Beyond that it tests those 13
-    bases first, and only when all of them pass does it seed
-    random.Random(n) and draw 27 more bases, one at a time until one is
-    a witness.  The same n always gets the same bases and the same
-    answer, and a composite caught by a fixed base costs no seeding.
+    Below 3.3e24 the answer is a proof: n runs the strong test to the
+    shortest prefix of the prime bases 2, 3, 5, ..., 41 proven for its
+    range (2 alone below 2047, up to 17 below 3.4e14, up to 23 below
+    3.8e18, all 13 below 3.3e24; see `_PROVEN_PREFIXES` for the table
+    and its sources).  Above it, n runs Baillie-PSW: the strong test to
+    base 2 and the strong Lucas test with Selfridge's parameters (see
+    `_strong_lucas_probable_prime`).  Every prime passes both tests,
+    so a prime is never rejected.  No composite is known to pass
+    Baillie-PSW, and none below 2**64 does; above 3.3e24 a True is
+    not a proof.
     """
     if n < 2:
         return False
-    for p in _PRIME_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    if gcd(n, _PRIME_BASES_PRODUCT) > 1:
+        return n in _PRIME_BASES
+    for limit, k in _PROVEN_PREFIXES:
+        if n < limit:
+            return _strong_probable_prime(n, _PRIME_BASES[:k])
+    return _baillie_psw(n)
 
-    def witnesses_composite(a: int) -> bool:
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    # The strong (Miller-Rabin) test of odd n > 2 to each base in turn.
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
-            return False
+            continue
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
-                return False
-        return True
+                break
+        else:
+            return False
+    return True
 
-    if n < _DETERMINISTIC_LIMIT:
-        return not any(witnesses_composite(a) for a in _FIXED_WITNESSES)
-    if any(witnesses_composite(a) for a in _PRIME_BASES):
+
+def _baillie_psw(n: int) -> bool:
+    # Odd n coprime to the 13 prime bases.
+    return _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    # The Jacobi symbol (a/n) for odd n > 0.
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of odd n > 1, Selfridge's method A.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  With n + 1 = d * 2**s, d odd, n passes
+    when U_d = 0 or V_(d * 2**r) = 0 mod n for some 0 <= r < s; every
+    prime not dividing 2QD does.  A perfect square has no such D, so it
+    is rejected before the search; for any other n the search meets
+    either such a D or a D sharing a factor with n (a composite, unless
+    n = |D|).
+
+    U and V run up the bits of d from U_1 = V_1 = 1 by the doubling
+    rules U_2k = U_k*V_k and V_2k = V_k**2 - 2*Q**k and the steps
+    U_k+1 = (U_k + V_k)/2 and V_k+1 = (D*U_k + V_k)/2.
+    """
+    if isqrt(n) ** 2 == n:
         return False
-    if n < _PRIME_BASES_LIMIT:
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u = (u + n if u & 1 else u) // 2 % n
+            v = (v + n if v & 1 else v) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
         return True
-    rng = random.Random(n)
-    return not any(witnesses_composite(rng.randrange(2, n - 1)) for _ in range(27))
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _sqrt_minus_one(p: int, rng: random.Random) -> int:
-    # p is an odd prime with p % 4 == 1.
-    e = (p - 1) // 2
+    # p is an odd prime with p % 4 == 1.  r = z^((p-1)/4) squares to
+    # z^((p-1)/2), which is -1 exactly when z is a non-residue.
+    e = (p - 1) // 4
     while True:
-        z = rng.randrange(2, p - 1)
-        if pow(z, e, p) == p - 1:
-            return pow(z, e // 2, p)
+        r = pow(rng.randrange(2, p - 1), e, p)
+        if r * r % p == p - 1:
+            return r
 
 
 def sqrt_minus_one_mod_p(p: int) -> int:
@@ -274,25 +350,41 @@ def four_squares(n: int, seed: int | None = None) -> tuple[int, int, int, int]:
 
 
 def _pollard_brent(n: int) -> int:
-    # Returns a nontrivial factor of composite odd n.
+    # Returns a nontrivial factor of composite odd n.  Brent's cycle
+    # search on y -> y^2 + c: each round r = 1, 2, 4, ... fixes x at the
+    # current iterate, lets y skip r steps and walk r more, and
+    # multiplies the differences x - y into q, one gcd per batch of 64.
+    # Once x is on the cycle mod a prime factor and r is at least the
+    # cycle's length, a difference in the round is 0 mod that prime.  A
+    # batch whose gcd is n is walked again from its start ys, one gcd
+    # per step; if that reaches n too, the cycles mod every prime factor
+    # closed together and c moves on.
     if n % 2 == 0:
         return 2
     c = 1
     while True:
-        x = y = 2
-        d = 1
-        q = 1
-        count = 0
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            q = q * abs(x - y) % n
-            count += 1
-            if count % 64 == 0 or q == 0:
-                d = gcd(q if q else abs(x - y), n)
-        if 1 < d < n:
-            return d
+        y = 2
+        r = q = g = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 64
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g < n:
+            return g
         c += 1
 
 

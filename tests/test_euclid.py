@@ -419,7 +419,7 @@ def _oracle_gcd(a, b, side, reduce):
 
 def _assert_gcd_matches_the_oracle(a, b, side):
     for reduce in (False, True):
-        res = euclid._gcd(a, b, side, reduce)
+        res = euclid._gcd(a, b, side, a.norm(), b.norm(), reduce)
         assert res.side == side
         got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
         assert got == _oracle_gcd(a, b, side, reduce), (a, b, side, reduce)
@@ -548,7 +548,7 @@ def test_reduced_gcd_with_a_zero_argument(other, side):
     # (other, ZERO) and its nb = m guard for (ZERO, other).
     for a, b in ((other, ZERO), (ZERO, other)):
         _assert_gcd_matches_the_oracle(a, b, side)
-        res = euclid._gcd(a, b, side, True)
+        res = euclid._gcd(a, b, side, a.norm(), b.norm(), True)
         assert is_associate(res.gcd, other, "left" if side == "right" else "right")
         if side == "right":
             assert res.x * a + res.y * b == res.gcd
@@ -642,8 +642,8 @@ _reduced_pairs = st.one_of(
 @given(_reduced_pairs, _sides)
 def test_reduced_gcd_matches_the_plain_loop_property(pair, side):
     a, b = pair
-    res = euclid._gcd(a, b, side, True)
-    assert res.gcd == euclid._gcd(a, b, side, False).gcd
+    res = euclid._gcd(a, b, side, a.norm(), b.norm(), True)
+    assert res.gcd == euclid._gcd(a, b, side, a.norm(), b.norm(), False).gcd
     _assert_reduced_witnesses(a, b, res)
 
 

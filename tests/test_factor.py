@@ -17,11 +17,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quatlat import (
     OMEGA,
@@ -124,7 +124,7 @@ def _miller_rabin_eager(n: int) -> bool:
     return not any(composite(a) for a in bases)
 
 
-def test_miller_rabin_seeds_only_when_the_fixed_bases_pass(monkeypatch):
+def test_miller_rabin_seeds_no_generator(monkeypatch):
     seeds = []
 
     class CountingRandom(random.Random):
@@ -133,15 +133,14 @@ def test_miller_rabin_seeds_only_when_the_fixed_bases_pass(monkeypatch):
             super().__init__(seed)
 
     monkeypatch.setattr(factor_module, "random", SimpleNamespace(Random=CountingRandom))
-    # A fixed base witnesses this composite, so no generator is seeded.
+    # Caught by base 2.
     assert not miller_rabin((2**61 - 1) * (2**89 - 1))
     assert seeds == []
-    # A strong pseudoprime to all 13 fixed bases: one seeded generator,
-    # whose draws still find a witness.
+    # A strong pseudoprime to all 13 prime bases, caught by the Lucas test.
     assert not miller_rabin(_PRIME_BASES_LIMIT)
-    assert seeds == [_PRIME_BASES_LIMIT]
+    assert seeds == []
     assert miller_rabin(2**89 - 1)
-    assert seeds == [_PRIME_BASES_LIMIT, 2**89 - 1]
+    assert seeds == []
 
 
 def test_miller_rabin_matches_eager_bases_above_the_proven_limit():
@@ -153,6 +152,81 @@ def test_miller_rabin_matches_eager_bases_above_the_proven_limit():
     assert 20 < sum(verdicts) < len(samples) - 20
 
 
+# (limit, k, largest prime below limit) for each proven prefix: the limit
+# is the least strong pseudoprime to the first k prime bases.
+_PROVEN_ROWS = (
+    (2047, 1, 2039),
+    (1373653, 2, 1373639),
+    (25326001, 3, 25325981),
+    (3215031751, 4, 3215031749),
+    (2152302898747, 5, 2152302898729),
+    (3474749660383, 6, 3474749660329),
+    (341550071728321, 7, 341550071728289),
+    (3825123056546413051, 9, 3825123056546412979),
+    (318665857834031151167461, 12, 318665857834031151167441),
+    (3317044064679887385961981, 13, 3317044064679887385961813),
+)
+
+
+@pytest.mark.parametrize("limit, k, prime", _PROVEN_ROWS)
+def test_miller_rabin_at_each_proven_limit(limit, k, prime):
+    assert (limit, k) in factor_module._PROVEN_PREFIXES
+    assert factor_module._strong_probable_prime(limit, _SMALL_PRIMES[:k])
+    assert not miller_rabin(limit)
+    assert miller_rabin(prime)
+
+
+# Strong Lucas pseudoprimes under Selfridge's method A (OEIS A217255).
+_STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+)
+
+
+def test_strong_lucas_pseudoprimes_pass_the_lucas_test_alone():
+    lucas = factor_module._strong_lucas_probable_prime
+    for n in _STRONG_LUCAS_PSEUDOPRIMES:
+        assert lucas(n), n
+        assert not miller_rabin(n), n
+    # These are all of them below 10**5, and every odd prime there passes.
+    odd = range(3, 100_000, 2)
+    assert [n for n in odd if lucas(n) != _is_prime_trial(n)] == list(
+        _STRONG_LUCAS_PSEUDOPRIMES
+    )
+
+
+def _next_prime(n: int) -> int:
+    while not miller_rabin(n):
+        n += 1
+    return n
+
+
+_BPSW_LOW, _BPSW_HIGH = 2**64, _PRIME_BASES_LIMIT
+_bpsw_odd = st.one_of(
+    st.integers(_BPSW_LOW // 2, (_BPSW_HIGH - 1) // 2).map(lambda k: 2 * k + 1),
+    st.integers(_BPSW_LOW, _BPSW_HIGH - 10**4).map(_next_prime),
+    # Two-prime products: one factor of 10 to 40 bits and the other
+    # sized to land the product in range, or p times the next prime
+    # after 2p, a shape that holds many strong pseudoprimes.
+    st.builds(
+        lambda a, m: _next_prime(a) * _next_prime(m // a),
+        st.integers(2**10, 2**40),
+        st.integers(2**66, _BPSW_HIGH // 2),
+    ),
+    st.integers(2**32, 2**40).map(_next_prime).map(lambda p: p * _next_prime(2 * p)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_bpsw_odd)
+@example(318665857834031151167461)
+def test_bpsw_matches_the_proven_bases_below_their_limit(n):
+    assume(_BPSW_LOW <= n < _BPSW_HIGH)
+    proven = miller_rabin(n)
+    assert proven == (
+        gcd(n, prod(_SMALL_PRIMES)) == 1 and factor_module._baillie_psw(n)
+    )
+
+
 def test_sqrt_minus_one_mod_p():
     for p in range(5, 600, 4):
         if not _is_prime_trial(p):
@@ -162,6 +236,25 @@ def test_sqrt_minus_one_mod_p():
         assert (x * x + 1) % p == 0
     with pytest.raises(BadResidueClass):
         sqrt_minus_one_mod_p(7)
+
+
+def _sqrt_minus_one_two_powers(p, rng):
+    # The search with a second exponentiation on success: z^((p-1)/2)
+    # tested, z^((p-1)/4) returned.
+    e = (p - 1) // 2
+    while True:
+        z = rng.randrange(2, p - 1)
+        if pow(z, e, p) == p - 1:
+            return pow(z, e // 2, p)
+
+
+def test_sqrt_minus_one_draws_like_the_two_power_search():
+    primes = [p for p in range(5, 20_000, 4) if _is_prime_trial(p)]
+    for seed in (0, 2141, 10**21 + 7):
+        new, old = random.Random(seed), random.Random(seed)
+        for p in primes:
+            assert factor_module._sqrt_minus_one(p, new) == _sqrt_minus_one_two_powers(p, old)
+            assert new.getstate() == old.getstate()
 
 
 @pytest.mark.parametrize("n", [1, 9, 21, 25])
@@ -245,6 +338,25 @@ def test_four_squares_rejects_nonpositive():
         four_squares(0)
     with pytest.raises(PreconditionViolated):
         four_squares(-4)
+
+
+def _semiprime_factors(rng, bits):
+    # Two primes of the given sizes, each checked by trial division.
+    out = []
+    for b in bits:
+        p = rng.randrange(2 ** (b - 1), 2**b) | 1
+        while not _is_prime_trial(p):
+            p += 2
+        out.append(p)
+    return out
+
+
+def test_pollard_brent_splits_semiprimes():
+    rng = random.Random(2417)
+    for _ in range(60):
+        p, q = _semiprime_factors(rng, (rng.randint(10, 30), rng.randint(10, 30)))
+        assert factor_module._pollard_brent(p * q) in (p, q), (p, q)
+        assert rational_factorize(p * q) == sorted((p, q))
 
 
 def test_rational_factorize():
