@@ -11,15 +11,21 @@ of orthogonal primes, and the measured semiprime pair fraction.
 `quatlat check all` runs every suite and prints one pass or fail line
 each; a failing suite carries a counterexample or the measured
 discrepancy in its detail text.  All random sweeps use fixed seeds so
-repeated runs print identical output.
+repeated runs print identical output.  The sampled suites (thm-3-2,
+cor-3-3, lemma-4-2, thm-4-3, thm-4-4) work on doubled tuples through the
+`quatlat._kernel` namespace and build quaternion objects only for
+failure texts and printed witnesses; their draws are defined by the
+generator's `getrandbits` stream (see `_randints`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
+from quatlat import _kernel
 from quatlat.core import (
     GaussianInteger,
     HurwitzQuaternion,
@@ -28,12 +34,10 @@ from quatlat.core import (
     K,
     ONE,
     UNITS,
-    ZERO,
-    inner_product,
     is_primitive,
     is_primitive_mod,
 )
-from quatlat.cross import cross3, gram_norm
+from quatlat.cross import cross3, det_int
 from quatlat.euclid import is_multiple
 from quatlat.factor import (
     CONVENTIONS,
@@ -46,14 +50,11 @@ from quatlat.factor import (
     semiprime_pair_fraction,
     unit_migration_equal,
 )
-from quatlat.lattice import (
-    orthogonal_basis,
-    orthogonality_census,
-    representations,
-)
+from quatlat.lattice import _basis_rows, orthogonality_census, representations
 
 BASIS = (ONE, I, J, K)
 AXIS_NAMES = ("1", "i", "j", "k")
+_BASIS_D = tuple(e.doubled for e in BASIS)
 
 
 @dataclass(frozen=True)
@@ -66,35 +67,64 @@ class CheckOutcome:
     detail: str
 
 
-def _random_quaternion(
-    rng: random.Random, span: int, hurwitz: bool = False
-) -> HurwitzQuaternion:
-    """A quaternion with coordinates in [-span, span].
+def _randints(rng: random.Random, lo: int, hi: int, count: int = 4) -> list[int]:
+    """`count` draws of rng.randint(lo, hi), made in one Python frame.
+
+    Like randint, each draw takes (hi - lo + 1).bit_length() bits from
+    rng.getrandbits until they fall below hi - lo + 1, so the values and
+    the generator's later state are randint's.  Python promises a stable
+    stream only for random(), so the suites' draws are defined here.
+    """
+    width = hi - lo + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    while len(out) < count:
+        r = getrandbits(k)
+        if r < width:
+            out.append(lo + r)
+    return out
+
+
+def _random_doubled(rng: random.Random, span: int, hurwitz: bool = False):
+    """Doubled coordinates of a quaternion with coordinates in [-span, span].
 
     With hurwitz=True, half the draws come out half-odd with the same
     coordinate magnitude.
     """
     if hurwitz and rng.random() < 0.5:
-        return HurwitzQuaternion(
-            *(2 * rng.randint(-span, span - 1) + 1 for _ in range(4))
-        )
-    return HurwitzQuaternion(*(2 * rng.randint(-span, span) for _ in range(4)))
+        a, b, c, d = _randints(rng, -span, span - 1)
+        return (2 * a + 1, 2 * b + 1, 2 * c + 1, 2 * d + 1)
+    a, b, c, d = _randints(rng, -span, span)
+    return (2 * a, 2 * b, 2 * c, 2 * d)
 
 
-def _random_nonzero(
-    rng: random.Random, span: int, hurwitz: bool = False
-) -> HurwitzQuaternion:
+def _random_nonzero(rng: random.Random, span: int):
     while True:
-        q = _random_quaternion(rng, span, hurwitz)
-        if not q.is_zero:
+        q = _random_doubled(rng, span)
+        if any(q):
             return q
 
 
 def _random_primitive(rng: random.Random, span: int) -> HurwitzQuaternion:
+    """A primitive Lipschitz quaternion, as the object the lattice helpers take."""
     while True:
-        q = _random_quaternion(rng, span)
+        q = HurwitzQuaternion._raw(_random_doubled(rng, span))
         if not q.is_zero and is_primitive(q):
             return q
+
+
+def _cross_in_ideal(c, d, side: str) -> bool:
+    """`is_multiple(p, d, side, lipschitz_cofactor=True)` for p = cross3's value.
+
+    c is cross4 of Lipschitz doubled tuples, 4p.  p = d*m gives conj(d)*p =
+    N(d)*m (p*conj(d) for p = m*d), and m is Lipschitz when 2N(d) divides
+    every doubled entry of N(d)*m, so 8N(d) every entry of conj(d)*c.
+    """
+    n8 = 8 * _kernel.qnorm(d)
+    dc = _kernel.qconj(d)
+    m = _kernel.qmul(dc, c) if side == "left" else _kernel.qmul(c, dc)
+    return not (m[0] % n8 or m[1] % n8 or m[2] % n8 or m[3] % n8)
 
 
 def _check_inner_product_scaling():
@@ -105,66 +135,65 @@ def _check_inner_product_scaling():
     cofactors, their inner product must be divisible by N(tau).  The
     cofactor restriction matters: with half-odd cofactors the inner
     product can pick up a denominator of 2 and the divisibility fails.
+    Inner products are compared as qdot4 values, four times the product.
     """
+    qmul, qdot4, qnorm = _kernel.qmul, _kernel.qdot4, _kernel.qnorm
+    q = HurwitzQuaternion._raw
     rng = random.Random(7101)
     scaling = 0
     divisibility = 0
     for _ in range(400):
-        u = _random_quaternion(rng, 30, hurwitz=True)
-        v = _random_quaternion(rng, 30, hurwitz=True)
-        w = _random_quaternion(rng, 30, hurwitz=True)
-        expected = u.norm() * inner_product(v, w)
-        left = inner_product(u * v, u * w)
-        right = inner_product(v * u, w * u)
+        u = _random_doubled(rng, 30, hurwitz=True)
+        v = _random_doubled(rng, 30, hurwitz=True)
+        w = _random_doubled(rng, 30, hurwitz=True)
+        expected = qnorm(u) * qdot4(v, w)
+        left = qdot4(qmul(u, v), qmul(u, w))
+        right = qdot4(qmul(v, u), qmul(w, u))
         if left != expected or right != expected:
             return False, (
-                f"u={u}, v={v}, w={w}: (uv).(uw)={left}, "
-                f"(vu).(wu)={right}, N(u)(v.w)={expected}"
+                f"u={q(u)}, v={q(v)}, w={q(w)}: (uv).(uw)={Fraction(left, 4)}, "
+                f"(vu).(wu)={Fraction(right, 4)}, N(u)(v.w)={Fraction(expected, 4)}"
             )
         scaling += 1
     for _ in range(400):
         tau = _random_nonzero(rng, 12)
-        v = _random_quaternion(rng, 12)
-        w = _random_quaternion(rng, 12)
-        dot = inner_product(tau * v, tau * w)
-        if dot.denominator != 1 or dot.numerator % tau.norm():
-            return False, (
-                f"tau={tau}, alpha={tau * v}, beta={tau * w}: "
-                f"alpha.beta={dot} not divisible by N(tau)={tau.norm()}"
-            )
-        dot = inner_product(v * tau, w * tau)
-        if dot.denominator != 1 or dot.numerator % tau.norm():
-            return False, (
-                f"tau={tau} on the right, alpha={v * tau}, beta={w * tau}: "
-                f"alpha.beta={dot} not divisible by N(tau)={tau.norm()}"
-            )
+        v = _random_doubled(rng, 12)
+        w = _random_doubled(rng, 12)
+        n = qnorm(tau)
+        # tau on the left, then on the right; 4N(tau) | qdot4 is N(tau) | dot.
+        for alpha, beta, where in (
+            (qmul(tau, v), qmul(tau, w), ""),
+            (qmul(v, tau), qmul(w, tau), " on the right"),
+        ):
+            dot = qdot4(alpha, beta)
+            if dot % (4 * n):
+                return False, (
+                    f"tau={q(tau)}{where}, alpha={q(alpha)}, beta={q(beta)}: "
+                    f"alpha.beta={Fraction(dot, 4)} not divisible by N(tau)={n}"
+                )
         divisibility += 1
     return True, (
-        f"{scaling} scaling triples and {divisibility} divisibility"
-        f" pairs verified"
+        f"{scaling} scaling triples and {divisibility} divisibility pairs verified"
     )
 
 
 def _check_unit_axis_orthogonality():
     """alpha*eps is orthogonal to alpha*delta for distinct basis units."""
+    qmul, qdot4 = _kernel.qmul, _kernel.qdot4
     rng = random.Random(7102)
     checked = 0
     for _ in range(300):
-        alpha = _random_quaternion(rng, 40, hurwitz=True)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                eps, delta = BASIS[a], BASIS[b]
-                if inner_product(alpha * eps, alpha * delta) != 0:
-                    return False, (
-                        f"alpha={alpha}: (alpha*{AXIS_NAMES[a]})."
-                        f"(alpha*{AXIS_NAMES[b]}) != 0"
-                    )
-                if inner_product(eps * alpha, delta * alpha) != 0:
-                    return False, (
-                        f"alpha={alpha}: ({AXIS_NAMES[a]}*alpha)."
-                        f"({AXIS_NAMES[b]}*alpha) != 0"
-                    )
-                checked += 1
+        alpha = _random_doubled(rng, 40, hurwitz=True)
+        right = [qmul(alpha, e) for e in _BASIS_D]
+        left = [qmul(e, alpha) for e in _BASIS_D]
+        for a, b in combinations(range(4), 2):
+            if qdot4(right[a], right[b]) or qdot4(left[a], left[b]):
+                x, y = AXIS_NAMES[a], AXIS_NAMES[b]
+                pair = f"(alpha*{x}).(alpha*{y})"
+                if not qdot4(right[a], right[b]):
+                    pair = f"({x}*alpha).({y}*alpha)"
+                return False, f"alpha={HurwitzQuaternion._raw(alpha)}: {pair} != 0"
+            checked += 1
     return True, f"{checked} orthogonal unit-axis pairs verified"
 
 
@@ -291,7 +320,7 @@ def _check_eight_right_divisors():
     attempts = 0
     while random_checked < 25 and attempts < 400:
         attempts += 1
-        alpha = _random_nonzero(rng, 6)
+        alpha = HurwitzQuaternion._raw(_random_nonzero(rng, 6))
         odd_primes = [p for p in rational_factorize(alpha.norm()) if p % 2]
         if not odd_primes:
             continue
@@ -317,8 +346,10 @@ def _check_orthogonal_basis():
 
     Every basis vector is orthogonal to alpha, the Gram determinant
     equals N(alpha), and an exhaustive box census finds no orthogonal
-    vector outside the basis span.
+    vector outside the basis span.  qdot4 of two integer coordinate rows
+    is their inner product.
     """
+    qdot4 = _kernel.qdot4
     rng = random.Random(7105)
     degenerate = [
         ONE,
@@ -330,12 +361,13 @@ def _check_orthogonal_basis():
     ]
     samples = degenerate + [_random_primitive(rng, 25) for _ in range(200)]
     for alpha in samples:
-        basis = orthogonal_basis(alpha)
-        betas = (basis.beta1, basis.beta2, basis.beta3)
-        for beta in betas:
-            if inner_product(alpha, beta) != 0:
+        a = alpha.coords
+        rows = _basis_rows(alpha)[0]
+        for row in rows:
+            if qdot4(a, row):
+                beta = HurwitzQuaternion.from_coords(*row)
                 return False, f"alpha={alpha}: basis vector {beta} not orthogonal"
-        gram = gram_norm(*betas)
+        gram = det_int([[qdot4(x, y) for y in rows] for x in rows])
         if gram != alpha.norm():
             return False, (
                 f"alpha={alpha}: Gram determinant {gram} != N(alpha)"
@@ -363,26 +395,21 @@ def _check_cross_of_perpendiculars():
     checked = 0
     for _ in range(300):
         alpha = _random_primitive(rng, 12)
-        basis = orthogonal_basis(alpha)
-        betas = (basis.beta1, basis.beta2, basis.beta3)
-        combo = []
-        for _ in range(2):
-            out = ZERO
-            for beta in betas:
-                out = out + HurwitzQuaternion.from_integer(rng.randint(-4, 4)) * beta
-            combo.append(out)
-        beta, gamma = combo
-        product = cross3(alpha, beta, gamma)
-        if not is_multiple(product, alpha, "left", lipschitz_cofactor=True):
-            return False, (
-                f"alpha={alpha}, beta={beta}, gamma={gamma}: "
-                f"cross {product} has no Lipschitz right cofactor"
-            )
-        if not is_multiple(product, alpha, "right", lipschitz_cofactor=True):
-            return False, (
-                f"alpha={alpha}, beta={beta}, gamma={gamma}: "
-                f"cross {product} has no Lipschitz left cofactor"
-            )
+        a = alpha.doubled
+        rows = _basis_rows(alpha)[0]
+        beta, gamma = (
+            tuple(2 * (x * r0 + y * r1 + z * r2) for r0, r1, r2 in zip(*rows))
+            for x, y, z in (_randints(rng, -4, 4, 3), _randints(rng, -4, 4, 3))
+        )
+        c = _kernel.cross4(a, beta, gamma)
+        for side, cofactor in (("left", "right"), ("right", "left")):
+            if not _cross_in_ideal(c, a, side):
+                beta, gamma = map(HurwitzQuaternion._raw, (beta, gamma))
+                return False, (
+                    f"alpha={alpha}, beta={beta}, gamma={gamma}: "
+                    f"cross {cross3(alpha, beta, gamma)} has no Lipschitz"
+                    f" {cofactor} cofactor"
+                )
         checked += 1
     return True, f"{checked} perpendicular triples gave two-sided multiples"
 
@@ -396,38 +423,47 @@ def _check_cross_of_left_multiples():
     exactly, random quadruples confirm left membership, and a fixed
     quadruple witnesses that right membership genuinely fails.
     """
+    qmul, qconj, cross4 = _kernel.qmul, _kernel.qconj, _kernel.cross4
+    q = HurwitzQuaternion._raw
     rng = random.Random(7107)
+    times_e = [[qmul(x, e) for e in _BASIS_D] for x in _BASIS_D]
     identities = 0
     for _ in range(50):
         alpha = _random_nonzero(rng, 20)
-        coords = alpha.coords
+        alpha_e = [qmul(alpha, e) for e in _BASIS_D]
         for u in (1, 2, 3):
-            alpha_u_bar = (alpha * BASIS[u]).conjugate()
+            alpha_ue = [qmul(alpha, x) for x in times_e[u]]
+            alpha_u_bar = qconj(qmul(alpha, _BASIS_D[u]))
             for v in range(4):
-                # -Im(conj(alpha u) v) in doubled coordinates; alpha.v = coords[v].
-                _, w1, w2, w3 = (alpha_u_bar * BASIS[v]).doubled
-                mu = HurwitzQuaternion(0, -w1, -w2, -w3) - coords[v] * BASIS[u]
-                for eps in BASIS:
-                    lhs = cross3(alpha * eps, alpha * (BASIS[u] * eps), BASIS[v] * eps)
-                    rhs = alpha * mu * eps
-                    if lhs != rhs:
+                # mu = -Im(conj(alpha u) v) - (alpha.v) u, doubled and times 4
+                # (alpha.v = alpha[v] / 2): cross4 is 4 cross3, so it must
+                # equal alpha (4 mu) e.
+                _, w1, w2, w3 = qmul(alpha_u_bar, _BASIS_D[v])
+                mu4 = [0, -4 * w1, -4 * w2, -4 * w3]
+                mu4[u] -= 4 * alpha[v]
+                alpha_mu4 = qmul(alpha, tuple(mu4))
+                for e in range(4):
+                    rhs = qmul(alpha_mu4, _BASIS_D[e])
+                    if cross4(alpha_e[e], alpha_ue[e], times_e[v][e]) != rhs:
+                        lhs = cross3(q(alpha_e[e]), q(alpha_ue[e]), q(times_e[v][e]))
                         return False, (
-                            f"alpha={alpha}, u={AXIS_NAMES[u]}, "
-                            f"v={AXIS_NAMES[v]}, e={eps}: cross gave {lhs}, "
-                            f"closed form gives {rhs}"
+                            f"alpha={q(alpha)}, u={AXIS_NAMES[u]}, "
+                            f"v={AXIS_NAMES[v]}, e={AXIS_NAMES[e]}: cross gave {lhs}, "
+                            f"closed form gives {q(tuple(x // 4 for x in rhs))}"
                         )
                     identities += 1
     members = 0
     for _ in range(400):
         alpha = _random_nonzero(rng, 10)
-        beta = _random_quaternion(rng, 10)
-        gamma = _random_quaternion(rng, 10)
-        delta = _random_quaternion(rng, 10)
-        product = cross3(alpha * beta, alpha * gamma, delta)
-        if not is_multiple(product, alpha, "left", lipschitz_cofactor=True):
+        beta = _random_doubled(rng, 10)
+        gamma = _random_doubled(rng, 10)
+        delta = _random_doubled(rng, 10)
+        ab, ag = qmul(alpha, beta), qmul(alpha, gamma)
+        if not _cross_in_ideal(cross4(ab, ag, delta), alpha, "left"):
             return False, (
-                f"alpha={alpha}, beta={beta}, gamma={gamma}, delta={delta}: "
-                f"cross {product} not a left multiple of alpha"
+                f"alpha={q(alpha)}, beta={q(beta)}, gamma={q(gamma)}, "
+                f"delta={q(delta)}: cross {cross3(q(ab), q(ag), q(delta))} not a left"
+                " multiple of alpha"
             )
         members += 1
     alpha = HurwitzQuaternion.from_coords(1, 2, 0, 0)

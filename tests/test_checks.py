@@ -1,0 +1,138 @@
+"""The sampled verification suites: their draws, and how they fail.
+
+thm-3-2, cor-3-3, lemma-4-2, thm-4-3 and thm-4-4 work on doubled tuples
+through the `quatlat._kernel` namespace.  Patching an op there must make
+every suite that uses it fail, with the counterexample text the suites
+printed when they still worked on quaternion objects; a suite that
+imported the op directly would escape the patch and keep passing.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import quatlat._kernel
+from quatlat.checks import _randints, run_check
+
+# Widths 1, 2^k and 2^k + 1 from any lower end, and the suites' own
+# ranges randint(-span, span - 1) (half-odd coordinates) and
+# randint(-span, span).
+_WIDTHS = st.integers(0, 20).flatmap(lambda k: st.sampled_from((1 << k, (1 << k) + 1)))
+_RANGES = st.one_of(
+    st.tuples(st.integers(-99, 99), _WIDTHS).map(lambda t: (t[0], t[0] + t[1] - 1)),
+    st.tuples(st.integers(1, 99), st.booleans()).map(lambda t: (-t[0], t[0] - t[1])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**64), bounds=_RANGES, count=st.integers(1, 6))
+@example(seed=0, bounds=(5, 5), count=4)
+@example(seed=7101, bounds=(-30, 29), count=4)
+def test_randints_draws_what_randint_draws(seed, bounds, count):
+    lo, hi = bounds
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _randints(ours, lo, hi, count) == [theirs.randint(lo, hi) for _ in range(count)]
+    assert ours.random() == theirs.random()
+
+
+# Per component of qmul, the sign and b-index of its last term: component 0
+# ends in -a3*b3, 1 in -a3*b2, 2 in +a3*b1 and 3 in +a3*b0.  Negating the
+# whole component instead, as the cross4 test does, is a reflection of
+# every product: it keeps inner products of two products and keeps exact
+# quotients exact, so thm-3-2, cor-3-3 and the ideal tests cannot see it.
+_LAST_TERMS = ((-1, 3), (-1, 2), (1, 1), (1, 0))
+
+
+def _qmul_with_a_flipped_term(axis):
+    qmul = quatlat._kernel.qmul
+    sign, index = _LAST_TERMS[axis]
+
+    def broken(u, v):
+        # The raw component moves by -2*sign*a3*b_index; qmul halves it.
+        c = list(qmul(u, v))
+        c[axis] -= sign * u[3] * v[index]
+        return tuple(c)
+
+    return broken
+
+
+def _qdot4_off_by_one():
+    qdot4 = quatlat._kernel.qdot4
+    return lambda u, v: qdot4(u, v) + 1
+
+
+def _cross4_flipped_on_axis_0():
+    cross4 = quatlat._kernel.cross4
+
+    def broken(u, v, w):
+        c = list(cross4(u, v, w))
+        c[0] = -c[0]
+        return tuple(c)
+
+    return broken
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_multiplying_suites_fail_on_a_product_with_a_flipped_term(monkeypatch, axis):
+    monkeypatch.setattr(quatlat._kernel, "qmul", _qmul_with_a_flipped_term(axis))
+    for suite in ("thm-3-2", "cor-3-3", "thm-4-3", "thm-4-4"):
+        assert not run_check(suite).passed, suite
+
+
+def test_inner_product_suites_fail_on_an_off_by_one_qdot4(monkeypatch):
+    monkeypatch.setattr(quatlat._kernel, "qdot4", _qdot4_off_by_one())
+    for suite in ("thm-3-2", "cor-3-3", "lemma-4-2"):
+        assert not run_check(suite).passed, suite
+
+
+_BROKEN = {
+    "qmul": lambda: _qmul_with_a_flipped_term(1),
+    "qdot4": _qdot4_off_by_one,
+    "cross4": _cross4_flipped_on_axis_0,
+}
+
+# Each suite's verdict and detail under one broken kernel, recorded from the
+# suites as they ran on quaternion objects, before the doubled-tuple rewrite.
+_BROKEN_REPORTS = {
+    ("qmul", "thm-3-2"): (
+        False,
+        "u=13/2+45/2i+3/2j+23/2k, v=-53/2+27/2i+39/2j+19/2k, w=-6+15i+3j-4k:"
+        " (uv).(uw)=207293, (vu).(wu)=528463/2, N(u)(v.w)=260906",
+    ),
+    ("qmul", "cor-3-3"): (False, "alpha=1/2-47/2i+13/2j-31/2k: (alpha*1).(alpha*j) != 0"),
+    ("qmul", "thm-4-3"): (
+        False,
+        "alpha=-8-5i-9j-2k, beta=-1+i+j-3k, gamma=8-13i-3j+14k:"
+        " cross 270+60i-240j-150k has no Lipschitz right cofactor",
+    ),
+    ("qmul", "thm-4-4"): (
+        False,
+        "alpha=-19+3i-8j+20k, u=i, v=1, e=1:"
+        " cross gave -464i-404j-92k, closed form gives 336i-404j-92k",
+    ),
+    ("qdot4", "thm-3-2"): (
+        False,
+        "u=13/2+45/2i+3/2j+23/2k, v=-53/2+27/2i+39/2j+19/2k, w=-6+15i+3j-4k:"
+        " (uv).(uw)=1043625/4, (vu).(wu)=1043625/4, N(u)(v.w)=1044307/4",
+    ),
+    ("qdot4", "cor-3-3"): (False, "alpha=1/2-47/2i+13/2j-31/2k: (alpha*1).(alpha*i) != 0"),
+    ("qdot4", "lemma-4-2"): (False, "alpha=1: basis vector -i not orthogonal"),
+    ("cross4", "thm-4-3"): (
+        False,
+        "alpha=-8-5i-9j-2k, beta=-1+i+j-3k, gamma=8-13i-3j+14k:"
+        " cross -270+60i-240j-150k has no Lipschitz right cofactor",
+    ),
+    ("cross4", "thm-4-4"): (
+        False,
+        "alpha=-19+3i-8j+20k, u=i, v=1, e=i:"
+        " cross gave -464-92j+404k, closed form gives 464-92j+404k",
+    ),
+}
+
+
+@pytest.mark.parametrize(("kernel", "suite"), list(_BROKEN_REPORTS))
+def test_failure_texts_under_a_broken_kernel_are_frozen(monkeypatch, kernel, suite):
+    monkeypatch.setattr(quatlat._kernel, kernel, _BROKEN[kernel]())
+    outcome = run_check(suite)
+    assert (outcome.passed, outcome.detail) == _BROKEN_REPORTS[kernel, suite]
