@@ -259,15 +259,14 @@ def _check_unique_factorization():
     as migration, while changing a single factor alone is not.
     """
     rng = random.Random(7103)
+    primes = (3, 5, 7, 11, 13)
+    spheres = {p: representations(p, hurwitz=True) for p in primes}
     models = 0
     migrations = 0
     for _ in range(40):
         count = rng.choice((2, 3))
-        norms = rng.sample((3, 5, 7, 11, 13), count)
-        pieces = [
-            rng.choice(representations(p, hurwitz=True))
-            for p in norms
-        ]
+        norms = rng.sample(primes, count)
+        pieces = [rng.choice(spheres[p]) for p in norms]
         alpha = pieces[0]
         for piece in pieces[1:]:
             alpha = alpha * piece

@@ -188,6 +188,16 @@ def _gcd(
     return GcdResult(HurwitzQuaternion._raw(g), HurwitzQuaternion._raw(x), y, side)
 
 
+def _canonical_gcd(a, b, right):
+    """`gcd(a, b, "right" if right else "left").gcd`, with no witnesses.
+
+    The canonical associate on the generating side is unique, so the
+    plain loop gives the same gcd as the reduced path.
+    """
+    g = _kernel.qgcd(a.doubled, b.doubled, right)
+    return HurwitzQuaternion._raw(_canonical(g, right)[0])
+
+
 def _euclid(r0, x0, r1, x1, right):
     """Euclid's loop on doubled r0, r1 whose witnesses are x0, x1.
 

@@ -46,7 +46,7 @@ from quatlat.errors import (
     NotRepresentable,
     PreconditionViolated,
 )
-from quatlat.euclid import gaussian_gcd, gcd as quaternion_gcd, is_multiple
+from quatlat.euclid import _canonical_gcd, gaussian_gcd, is_multiple
 from quatlat.lattice import DEFAULT_ENUM_BOUND, _check_bound, representations
 
 __all__ = [
@@ -447,10 +447,7 @@ class PrimeModel:
         return len(self.primes)
 
     def product(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return prod(self.primes)
 
 
 def _as_model(model) -> PrimeModel:
@@ -493,7 +490,7 @@ def factor_modelled(alpha: HurwitzQuaternion, model) -> ModelledFactorization:
     factors: list[HurwitzQuaternion] = []
     work = alpha
     for p in reversed(model.primes[1:]):
-        g = quaternion_gcd(work, HurwitzQuaternion.from_integer(p), "right").gcd
+        g = _canonical_gcd(work, HurwitzQuaternion.from_integer(p), True)
         if g.norm() != p:
             raise ModelMismatch(
                 f"right gcd with {p} has norm {g.norm()}, expected {p}"
@@ -554,15 +551,22 @@ def pall_right_divisors(alpha: HurwitzQuaternion, m: int) -> PallReport:
 
     For odd m dividing norm(alpha) and alpha primitive mod m there are
     exactly eight, pairwise left-associated; the report records both
-    the divisors (in canonical order) and whether the pairwise
+    the divisors (sorted by doubled tuple) and whether the pairwise
     association held.
+
+    No sphere is walked.  If alpha = lambda*delta with N(delta) = m,
+    then delta right-divides both alpha and m = conj(delta)*delta, so
+    H*delta contains H*alpha + H*m = H*g, where g is the right gcd of
+    alpha and m, of norm m because alpha is primitive mod m.  Equal
+    norms make H*delta = H*g, so delta is one of the 24 products e*g
+    with e a unit.  The divisors are the e*g of norm m that are
+    Lipschitz with a Lipschitz cofactor in alpha.
 
     Raises:
         NotLipschitz: for half-odd alpha.
         BadResidueClass: for even m.
         PreconditionViolated: when m < 1 or m does not divide the norm.
         NotPrimitive: when alpha is not primitive mod m.
-        BoundExceeded: when m exceeds DEFAULT_ENUM_BOUND.
     """
     if m < 1:
         raise PreconditionViolated(f"m must be positive, got {m}")
@@ -572,16 +576,18 @@ def pall_right_divisors(alpha: HurwitzQuaternion, m: int) -> PallReport:
         raise PreconditionViolated(f"{m} does not divide norm {alpha.norm()}")
     if not is_primitive_mod(alpha, m):
         raise NotPrimitive(f"{alpha} is not primitive modulo {m}")
+    g = _canonical_gcd(alpha, HurwitzQuaternion.from_integer(m), True).doubled
+    associates = sorted(_kernel.qmul(e, g) for e in _UNIT_DOUBLED)
     divisors = tuple(
         delta
-        for delta in representations(m)
-        if is_multiple(alpha, delta, "right", lipschitz_cofactor=True)
+        for delta in HurwitzQuaternion._raw_many(associates)
+        if delta.norm() == m
+        and delta.is_lipschitz
+        and is_multiple(alpha, delta, "right", lipschitz_cofactor=True)
     )
-    left_associated = all(
-        is_associate(divisors[i], divisors[j], "left")
-        for i in range(len(divisors))
-        for j in range(i + 1, len(divisors))
-    )
+    # Left association is an equivalence relation, so every pair is
+    # associated exactly when every divisor is associated with the first.
+    left_associated = all(is_associate(d, divisors[0], "left") for d in divisors[1:])
     return PallReport(alpha, m, divisors, left_associated)
 
 
@@ -640,8 +646,8 @@ def outer_factor_recovery(
         raise NotPrimitive(f"{pi * rho} is imprimitive")
     twisted = pi * I * rho
     plain = pi * rho
-    gl = quaternion_gcd(twisted, plain, "left").gcd
-    gr = quaternion_gcd(twisted, plain, "right").gcd
+    gl = _canonical_gcd(twisted, plain, False)
+    gr = _canonical_gcd(twisted, plain, True)
     return OuterFactorRecovery(
         is_associate(gl, pi, "right"),
         is_associate(gr, rho, "left"),

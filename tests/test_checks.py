@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quatlat._kernel
+from quatlat import HurwitzQuaternion, pall_right_divisors
 from quatlat.checks import _randints, run_check
 
 # Widths 1, 2^k and 2^k + 1 from any lower end, and the suites' own
@@ -136,3 +137,27 @@ def test_failure_texts_under_a_broken_kernel_are_frozen(monkeypatch, kernel, sui
     monkeypatch.setattr(quatlat._kernel, kernel, _BROKEN[kernel]())
     outcome = run_check(suite)
     assert (outcome.passed, outcome.detail) == _BROKEN_REPORTS[kernel, suite]
+
+
+# thm-2-1 and thm-2-2 find every divisor of a given norm through one
+# canonical gcd of doubled tuples, `_kernel.qgcd`.
+_BROKEN_QGCD = {
+    "unit": lambda a, b, right: (2, 0, 0, 0),
+    "first argument": lambda a, b, right: a,
+}
+
+
+@pytest.mark.parametrize("broken", list(_BROKEN_QGCD))
+def test_divisor_suites_fail_on_a_broken_qgcd(monkeypatch, broken):
+    monkeypatch.setattr(quatlat._kernel, "qgcd", _BROKEN_QGCD[broken])
+    for suite in ("thm-2-1", "thm-2-2"):
+        assert not run_check(suite).passed, suite
+
+
+def test_pall_walks_no_sphere(monkeypatch):
+    def walk(n, include_half_odd):
+        raise AssertionError(f"walked the sphere of norm {n}")
+
+    monkeypatch.setattr(quatlat._kernel, "norm_representations", walk)
+    report = pall_right_divisors(HurwitzQuaternion.from_coords(-1, 3, 1, -2), 15)
+    assert report.count == 8 and report.left_associated

@@ -305,6 +305,10 @@ def test_pall_output():
     assert doc["kind"] == "pall_divisors"
     assert doc["left_associated"] is True
     assert len(doc["divisors"]) == 8
+    # Norm 10001 is past DEFAULT_ENUM_BOUND: no sphere is walked.
+    result = dispatch(["pall", "100+i", "10001"])
+    assert result.exit_code == 0
+    assert len(result.payload.splitlines()) == 8
 
 
 def test_igama_text_and_json():

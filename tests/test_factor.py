@@ -32,6 +32,7 @@ from quatlat import (
     HurwitzQuaternion,
     I,
     J,
+    UNITS,
     ModelMismatch,
     ModelledFactorization,
     NotPrimitive,
@@ -43,6 +44,9 @@ from quatlat import (
     igama_check,
     GaussianInteger,
     is_associate,
+    is_multiple,
+    is_primitive,
+    is_primitive_mod,
     miller_rabin,
     orthogonal_primes_check,
     outer_factor_recovery,
@@ -58,7 +62,8 @@ from quatlat import (
 import quatlat.checks as checks_module
 import quatlat.factor as factor_module
 from quatlat._kernel import pure
-from quatlat.core import canonical_associate
+from quatlat.core import canonical_associate, cofactor
+from quatlat.euclid import gcd as quaternion_gcd
 from quatlat.factor import _line_keyer, _matrix_mod_p, _minus_one_as_two_squares
 
 
@@ -416,6 +421,58 @@ def test_factor_modelled_random_sweep():
         assert tuple(f.norm() for f in other.factors) == reordered
 
 
+def _factor_by_public_gcd(alpha, model):
+    """factor_modelled's factors, peeled with the public gcd's `.gcd`."""
+    factors, work = [], alpha
+    for p in reversed(model[1:]):
+        g = quaternion_gcd(work, HurwitzQuaternion.from_integer(p), "right").gcd
+        factors.append(g)
+        work = cofactor(work, g, "right")
+    return (work, *reversed(factors))
+
+
+def _prime_of_norm(p, seed, unit):
+    """A Hurwitz prime of norm p: a unit times a four-square representation."""
+    return UNITS[unit] * HurwitzQuaternion.from_coords(*four_squares(p, seed=seed))
+
+
+# 65537 and 1000003 are past 2**16: with N(alpha) >= 2**32, a gcd with
+# either of them takes the public gcd's reduced path (_REDUCE_FROM).
+_MODEL_PRIMES = (3, 5, 7, 13, 65537, 1000003)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    norms=st.lists(st.sampled_from(_MODEL_PRIMES), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32),
+    units=st.lists(st.integers(0, 23), min_size=4, max_size=4),
+)
+@example(norms=[65537, 1000003], seed=0, units=[0, 0, 0, 0])
+@example(norms=[13, 65537, 1000003], seed=1, units=[5, 17, 9, 0])
+def test_factor_modelled_matches_the_public_gcd(norms, seed, units):
+    pieces = [_prime_of_norm(p, seed + i, u) for i, (p, u) in enumerate(zip(norms, units))]
+    alpha = prod(pieces[1:], start=pieces[0])
+    assume(is_primitive(alpha))
+    for model in (tuple(norms), tuple(reversed(norms))):
+        assert factor_modelled(alpha, model).factors == _factor_by_public_gcd(alpha, model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    norms=st.lists(st.sampled_from(_MODEL_PRIMES), min_size=2, max_size=2, unique=True),
+    seed=st.integers(0, 2**32),
+    units=st.tuples(st.integers(0, 23), st.integers(0, 23)),
+)
+@example(norms=[65537, 1000003], seed=0, units=(0, 0))
+def test_outer_factor_recovery_matches_the_public_gcd(norms, seed, units):
+    pi, rho = (_prime_of_norm(p, seed + i, u) for i, (p, u) in enumerate(zip(norms, units)))
+    assume(is_primitive(pi * rho))
+    twisted, plain = pi * I * rho, pi * rho
+    res = outer_factor_recovery(pi, rho)
+    assert res.left_gcd == quaternion_gcd(twisted, plain, "left").gcd
+    assert res.right_gcd == quaternion_gcd(twisted, plain, "right").gcd
+
+
 def test_factor_modelled_rejects_bad_inputs():
     alpha = HurwitzQuaternion.from_coords(-1, 3, 1, -2)
     with pytest.raises(ModelMismatch):
@@ -492,8 +549,52 @@ def test_pall_input_validation():
         pall_right_divisors(HurwitzQuaternion.from_coords(0, 3, 0, 0), 3)
     with pytest.raises(Exception):
         pall_right_divisors(OMEGA, 1)
-    with pytest.raises(BoundExceeded):  # norm 10001, one past the bound
-        pall_right_divisors(HurwitzQuaternion.from_coords(100, 1, 0, 0), 10001)
+    # Norm 10001 is past DEFAULT_ENUM_BOUND, which bounds sphere walks only.
+    alpha = HurwitzQuaternion.from_coords(100, 1, 0, 0)
+    report = pall_right_divisors(alpha, 10001)
+    assert report.count == 8 and report.left_associated
+    for delta in report.divisors:
+        assert is_multiple(alpha, delta, "right", lipschitz_cofactor=True)
+    assert (report.divisors, report.left_associated) == _pall_by_sphere_scan(
+        alpha, 10001
+    )
+
+
+def _pall_by_sphere_scan(alpha, m):
+    """pall_right_divisors's divisors and left_associated by the sphere
+    scan: every Lipschitz element of norm m tried as a right divisor with
+    a Lipschitz cofactor, then every pair tried for left association."""
+    sphere = HurwitzQuaternion._raw_many(pure.norm_representations(m, False))
+    divisors = tuple(
+        d for d in sphere if is_multiple(alpha, d, "right", lipschitz_cofactor=True)
+    )
+    left_associated = all(
+        is_associate(a, b, "left")
+        for i, a in enumerate(divisors)
+        for b in divisors[i + 1 :]
+    )
+    return divisors, left_associated
+
+
+# m is the product of the odd primes of N(alpha), with multiplicity, that
+# mask selects by position in the sorted factorization.
+@settings(max_examples=150, deadline=None)
+@given(coords=st.tuples(*[st.integers(-30, 30)] * 4), mask=st.integers(0, 63))
+@example(coords=(-1, 3, 1, -2), mask=0)  # m = 1
+@example(coords=(-1, 3, 1, -2), mask=3)  # m = 15
+@example(coords=(5, 1, 1, 0), mask=3)  # m = 9
+@example(coords=(5, 1, 1, 0), mask=7)  # m = 27
+@example(coords=(4, 3, 0, 0), mask=3)  # m = 25
+@example(coords=(10, 10, 10, 1), mask=3)  # m = 7 * 43
+@example(coords=(22, 5, 2, 0), mask=15)  # m = 3**3 * 19
+def test_pall_matches_the_sphere_scan(coords, mask):
+    alpha = HurwitzQuaternion.from_coords(*coords)
+    assume(not alpha.is_zero)
+    odd = [p for p in rational_factorize(alpha.norm()) if p % 2]
+    m = prod(p for i, p in enumerate(odd) if mask >> i & 1)
+    assume(m <= 1000 and is_primitive_mod(alpha, m))
+    report = pall_right_divisors(alpha, m)
+    assert (report.divisors, report.left_associated) == _pall_by_sphere_scan(alpha, m)
 
 
 def test_igama_known_values():
