@@ -42,6 +42,7 @@ from quatlat.euclid import is_multiple
 from quatlat.factor import (
     CONVENTIONS,
     ModelledFactorization,
+    _randbelow,
     factor_modelled,
     igama_check,
     orthogonal_primes_check,
@@ -68,21 +69,12 @@ class CheckOutcome:
 
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int = 4) -> list[int]:
-    """`count` draws of rng.randint(lo, hi), made in one Python frame.
-
-    Like randint, each draw takes (hi - lo + 1).bit_length() bits from
-    rng.getrandbits until they fall below hi - lo + 1, so the values and
-    the generator's later state are randint's.  Python promises a stable
-    stream only for random(), so the suites' draws are defined here.
-    """
-    width = hi - lo + 1
-    k = width.bit_length()
+    """`count` draws of rng.randint(lo, hi), each by `_randbelow`'s rule."""
     getrandbits = rng.getrandbits
+    width = hi - lo + 1
     out = []
-    while len(out) < count:
-        r = getrandbits(k)
-        if r < width:
-            out.append(lo + r)
+    for _ in range(count):
+        out.append(lo + _randbelow(getrandbits, width))
     return out
 
 
@@ -213,41 +205,62 @@ def _check_orthogonal_primes():
     return True, "; ".join(lines)
 
 
+def _gaussian_pair_orbit(rz: int, iz: int, rw: int, iw: int) -> set:
+    """The 64 images of (z, w) = (rz + iz i, rw + iw i) under
+    (z, w) -> (u z', v w') and (u w', v z'), for Gaussian units u, v and
+    z', w' both z, w or both their conjugates, as coordinate tuples."""
+
+    def units(a, b):
+        return ((a, b), (-b, a), (-a, -b), (b, -a))
+
+    z, w, zc, wc = units(rz, iz), units(rw, iw), units(rz, -iz), units(rw, -iw)
+    return {
+        first + second
+        for left, right in ((z, w), (w, z), (zc, wc), (wc, zc))
+        for first in left
+        for second in right
+    }
+
+
 def _check_gaussian_ideal_coprimality():
     """ideal_trivial and coprime agree for every small odd-norm pair.
 
-    A Gaussian unit u maps (z, w) to (uz, uw), so gamma = z + wj to
-    u*gamma, and i*gamma to u*(i*gamma) since u commutes with i.  The
-    left gcd of the pair is then u times the old one, with the same
-    norm, and coprimality in Z[i] does not change either.  The four
-    units act freely on the box's odd-norm pairs, so igama_check runs
-    once per orbit (keyed by its least coordinate tuple) and the other
-    members reuse its result.  The walk still visits every pair in
-    order, so the count and the first failure are a full walk's.
+    Write gamma = z + w*j and gH = i*gamma*H + gamma*H.  Each of these
+    maps of (z, w) keeps the norm of g, and coprimality in Z[i]:
+    - (u*z, u*w) for a Gaussian unit u: u commutes with i, so the pair
+      is u times the old one and the left gcd is u*g;
+    - (z, i*w): x -> (1+i) x (1+i)^-1 fixes i and Z[i] and sends j to
+      k = i*j, so it maps gamma to z + (i*w)*j; (1+i)H = H(1+i), so it
+      is an automorphism of H and carries gH onto an ideal of equal norm;
+    - (conj z, conj w): x -> j x j^-1 is an automorphism of H sending
+      i to -i and z + w*j to conj(z) + conj(w)*j, and the pair
+      (-i*gamma', gamma') generates what (i*gamma', gamma') does;
+    - (-w, z): gamma*j = -w + z*j, and i*gamma*j*H + gamma*j*H = gH,
+      since j is a unit.
+    gcd(z, w) in Z[i] changes by a unit or a conjugation under each.
+    Their compositions are the 64 maps of `_gaussian_pair_orbit`, which
+    send the box's odd-norm pairs to odd-norm pairs of the box.  So
+    igama_check runs on the first pair of each orbit in walk order, and
+    the orbit's size joins the count: the count is a full walk's, and a
+    failing orbit fails first at the pair where a full walk would.
     """
     checked = 0
-    results = {}
-    for rz, iz, rw, iw in product(range(-4, 5), repeat=4):
-        if (rz * rz + iz * iz + rw * rw + iw * iw) % 2 == 0:
+    seen = set()
+    for pair in product(range(-4, 5), repeat=4):
+        # A norm's parity is the parity of its coordinates' sum.
+        if sum(pair) % 2 == 0 or pair in seen:
             continue
-        orbit = min(
-            (rz, iz, rw, iw),
-            (-iz, rz, -iw, rw),
-            (-rz, -iz, -rw, -iw),
-            (iz, -rz, iw, -rw),
-        )
-        res = results.get(orbit)
-        if res is None:
-            res = results[orbit] = igama_check(
-                GaussianInteger(rz, iz), GaussianInteger(rw, iw)
-            )
+        orbit = _gaussian_pair_orbit(*pair)
+        seen |= orbit
+        rz, iz, rw, iw = pair
+        res = igama_check(GaussianInteger(rz, iz), GaussianInteger(rw, iw))
         if res.ideal_trivial != res.coprime:
             return False, (
                 f"z={GaussianInteger(rz, iz)}, w={GaussianInteger(rw, iw)}: "
                 f"ideal_trivial={res.ideal_trivial}, coprime={res.coprime}, "
                 f"gcld norm {res.gcld_norm}"
             )
-        checked += 1
+        checked += len(orbit)
     return True, f"{checked} odd-norm Gaussian pairs verified exhaustively"
 
 

@@ -75,7 +75,11 @@ __all__ = [
 ]
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BASES_PRODUCT = prod(_PRIME_BASES)  # one gcd tries all 13 as factors
+# The primes below 341, the least base-2 Fermat pseudoprime, so Fermat's
+# test to base 2 picks out the odd ones exactly; one gcd tries them all
+# as factors, and it costs less than the strong test it spares.
+_SMALL_PRIMES = frozenset((2, *(q for q in range(3, 341, 2) if pow(2, q - 1, q) == 1)))
+_SMALL_PRIMES_PRODUCT = prod(_SMALL_PRIMES)
 # (limit, k): every composite below limit fails the strong test to one
 # of the first k prime bases.  Each limit is the least strong
 # pseudoprime to those k bases: Pomerance, Selfridge & Wagstaff (1980)
@@ -115,8 +119,8 @@ def miller_rabin(n: int) -> bool:
     """
     if n < 2:
         return False
-    if gcd(n, _PRIME_BASES_PRODUCT) > 1:
-        return n in _PRIME_BASES
+    if gcd(n, _SMALL_PRIMES_PRODUCT) > 1:
+        return n in _SMALL_PRIMES
     for limit, k in _PROVEN_PREFIXES:
         if n < limit:
             return _strong_probable_prime(n, _PRIME_BASES[:k])
@@ -205,12 +209,31 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def _randbelow(getrandbits, width: int) -> int:
+    """rng.randrange(width), for width >= 1, from rng.getrandbits alone.
+
+    As CPython's Random does for randrange, randint and shuffle, it takes
+    width.bit_length() bits at a time until they fall below width, so
+    the value and the generator's later state are theirs.  Python
+    promises a stable stream only for random(), so the draws of the
+    four-squares and montecarlo samplers and of the sampled check
+    suites are defined here.
+    """
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return r
+
+
 def _sqrt_minus_one(p: int, rng: random.Random) -> int:
     # p is an odd prime with p % 4 == 1.  r = z^((p-1)/4) squares to
-    # z^((p-1)/2), which is -1 exactly when z is a non-residue.
+    # z^((p-1)/2), which is -1 exactly when z is a non-residue.  z is
+    # rng.randrange(2, p - 1).
     e = (p - 1) // 4
+    getrandbits = rng.getrandbits
     while True:
-        r = pow(rng.randrange(2, p - 1), e, p)
+        r = pow(2 + _randbelow(getrandbits, p - 3), e, p)
         if r * r % p == p - 1:
             return r
 
@@ -233,10 +256,14 @@ def sqrt_minus_one_mod_p(p: int) -> int:
 
 
 def _two_squares_prime(p: int, rng: random.Random) -> tuple[int, int]:
-    # p prime, p % 4 == 1; gcd(p, u + i) in Z[i] has norm exactly p.
-    u = _sqrt_minus_one(p, rng)
-    g = gaussian_gcd(GaussianInteger(p, 0), GaussianInteger(u, 1))
-    a, b = abs(g.re), abs(g.im)
+    # p prime, p % 4 == 1.  Cornacchia (Hermite-Serret): Euclid on
+    # (p, r) with r^2 = -1 mod p; the first remainder a below sqrt(p)
+    # leaves p - a^2 = b^2.  p has one such pair, whichever root is drawn.
+    root = isqrt(p)
+    r, a = p, _sqrt_minus_one(p, rng)
+    while a > root:
+        r, a = a, r % a
+    b = isqrt(p - a * a)
     return (a, b) if a <= b else (b, a)
 
 
@@ -275,42 +302,28 @@ def _four_squares_brute(n: int) -> tuple[int, int, int, int]:
     raise AssertionError(f"unreachable: {n} has a four-square representation")
 
 
-def _draw_parity(rng: random.Random, hi: int, parity: int) -> int | None:
-    # Uniform over {0..hi} with the requested low bit, None if empty.
-    if hi < parity:
-        return None
-    return 2 * rng.randint(0, (hi - parity) // 2) + parity
-
-
 def _four_squares_random(n: int, rng: random.Random) -> tuple[int, int, int, int]:
-    # n >= _BRUTE_FORCE_LIMIT and n % 4 != 0.  Choose the parities of
-    # the two sampled squares so the leftover is 1 mod 4, then it is 0,
-    # 1, 2, or (with fair probability) a prime splitting as two squares.
+    # n >= _BRUTE_FORCE_LIMIT and n % 4 != 0.  The parities of the two
+    # sampled squares make the leftover p = n - x^2 - y^2 1 mod 4, so it
+    # is 1 or (with fair probability) a prime splitting as two squares.
+    # For n % 4 == 2 one randint(0, 1) picks the odd one of x and y; then
+    # x and y are each a randint over {0..hi} with the wanted low bit.
+    # An odd y always has room: n % 4 of 2 or 3 is no square, so t > 0.
+    getrandbits = rng.getrandbits
     residue = n % 4
     root = isqrt(n)
+    px = py = int(residue == 3)
     while True:
-        if residue == 1:
-            px, py = 0, 0
-        elif residue == 2:
-            px = rng.randint(0, 1)
+        if residue == 2:
+            px = _randbelow(getrandbits, 2)
             py = 1 - px
-        else:
-            px, py = 1, 1
-        x = _draw_parity(rng, root, px)
-        if x is None:
-            continue
+        x = 2 * _randbelow(getrandbits, (root - px) // 2 + 1) + px
         t = n - x * x
-        y = _draw_parity(rng, isqrt(t), py)
-        if y is None:
-            continue
+        y = 2 * _randbelow(getrandbits, (isqrt(t) - py) // 2 + 1) + py
         p = t - y * y
-        if p == 0:
-            quad = (x, y, 0, 0)
-        elif p == 1:
+        if p == 1:
             quad = (x, y, 1, 0)
-        elif p == 2:
-            quad = (x, y, 1, 1)
-        elif p % 4 == 1 and miller_rabin(p):
+        elif miller_rabin(p):
             a, b = _two_squares_prime(p, rng)
             quad = (x, y, a, b)
         else:
@@ -852,18 +865,23 @@ def semiprime_factor_attempt(
     census (see semiprime_pair_fraction), a side's gcd is nontrivial
     exactly when the pair shares one of its two divisor classes on that
     side, the row or column lines of its matrices mod p and mod q, and
-    its norm is the prime whose class is shared.  Each drawn element is
-    keyed once, when first drawn.  For p = q an element may be p times
-    a unit, whose matrix mod p is zero, so the degenerate case keeps
-    Euclid's one-sided gcds.  For n up to DEFAULT_ENUM_BOUND the draws
-    are uniform over all Lipschitz representations (the same
-    distribution the exact census integrates over); beyond it each draw
-    is a randomized four-squares quadruple under a random signed
-    permutation, which no longer covers every representation evenly.
+    its norm is the prime whose class is shared.  All 2*trials elements
+    are drawn first, then the distinct ones are keyed in one batch per
+    prime.  For p = q an element may be p times a unit, whose matrix
+    mod p is zero, so the degenerate case keeps Euclid's one-sided gcds.
+    For n up to DEFAULT_ENUM_BOUND the draws are uniform over all
+    Lipschitz representations (the same distribution the exact census
+    integrates over); beyond it each draw is a randomized four-squares
+    quadruple under a random signed permutation, which no longer covers
+    every representation evenly.
 
     n must be an odd product of two primes; p = q is accepted but
     flagged degenerate in the report.  The draws are seeded by n unless
     a seed is given, so the same arguments always give the same report.
+    They are defined by the generator's getrandbits stream (see
+    `_randbelow`): an enumeration draw is rng.randrange(len(pool)); a
+    four-squares draw is the quadruple, rng.shuffle of it, and one
+    rng.randint(0, 1) per coordinate that keeps its sign on 1.
 
     Raises:
         PreconditionViolated: when n is even, prime, or not a semiprime,
@@ -878,65 +896,53 @@ def semiprime_factor_attempt(
         raise PreconditionViolated(f"{n} is not a product of two primes")
     p, q = primes
     rng = random.Random(n if seed is None else seed)
+    getrandbits = rng.getrandbits
     if n <= DEFAULT_ENUM_BOUND:
         sampler = "enumeration"
         pool = _kernel.norm_representations(n, False)
-
-        def draw():
-            return pool[rng.randrange(len(pool))]
-
+        elements = [pool[_randbelow(getrandbits, len(pool))] for _ in range(2 * trials)]
     else:
         sampler = "four-squares"
-
-        def draw():
-            quad = _four_squares(n, rng)
-            coords = list(quad)
-            rng.shuffle(coords)
-            return tuple(
-                2 * (v if rng.randint(0, 1) else -v) for v in coords
+        elements = []
+        for _ in range(2 * trials):
+            coords = list(_four_squares(n, rng))
+            for i in (3, 2, 1):  # rng.shuffle(coords)
+                j = _randbelow(getrandbits, i + 1)
+                coords[i], coords[j] = coords[j], coords[i]
+            elements.append(
+                tuple(2 * v if _randbelow(getrandbits, 2) else -2 * v for v in coords)
             )
-
+    firsts, seconds = elements[::2], elements[1::2]
+    # Each trial's outcome is the prime its right gcd reveals and the one
+    # its left gcd reveals, 0 for a trivial gcd.
     if p == q:
 
-        def factors(a, b):
-            # The prime each side's gcd reveals, or 0 when it is trivial.
-            norms = (_kernel.qnorm(_kernel.qgcd(a, b, side)) for side in (True, False))
-            return [0 if g in (1, n) else gcd(g, n) for g in norms]
+        def revealed(a, b, right):
+            g = _kernel.qnorm(_kernel.qgcd(a, b, right))
+            return 0 if g in (1, n) else gcd(g, n)
 
+        outcomes = (
+            (revealed(a, b, True), revealed(a, b, False)) for a, b in zip(firsts, seconds)
+        )
     else:
-        lines_p, lines_q = _line_keyer(p), _line_keyer(q)
-        keys: dict[tuple, tuple[int, int, int, int]] = {}
-
-        def classes(u):
-            # (right p, left p, right q, left q) line keys of u.
-            k = keys.get(u)
-            if k is None:
-                (rp,), (lp,) = lines_p([u])
-                (rq,), (lq,) = lines_q([u])
-                k = keys[u] = rp, lp, rq, lq
-            return k
-
-        def factors(a, b):
-            rp, lp, rq, lq = (s == t for s, t in zip(classes(a), classes(b)))
-            return (
-                (p if rp else q) if rp != rq else 0,
-                (p if lp else q) if lp != lq else 0,
+        distinct = list(dict.fromkeys(elements))
+        right_p, left_p = _line_keyer(p)(distinct)
+        right_q, left_q = _line_keyer(q)(distinct)
+        key = dict(zip(distinct, zip(right_p, right_q, left_p, left_q))).__getitem__
+        # The prime a side reveals, by 2 * (p-class shared) + (q-class shared).
+        reveals = (0, q, p, 0)
+        outcomes = (
+            (
+                reveals[2 * (ka[0] == kb[0]) + (ka[1] == kb[1])],
+                reveals[2 * (ka[2] == kb[2]) + (ka[3] == kb[3])],
             )
-
-    successes_right = successes_left = successes_either = 0
-    found: set[int] = set()
-    for _ in range(trials):
-        a = draw()
-        b = draw()
-        f_right, f_left = factors(a, b)
-        if f_right:
-            successes_right += 1
-            found.add(f_right)
-        if f_left:
-            successes_left += 1
-            found.add(f_left)
-        if f_right or f_left:
-            successes_either += 1
+            for ka, kb in zip(map(key, firsts), map(key, seconds))
+        )
+    tally = Counter(outcomes)
+    successes_right = sum(m for (f_right, _), m in tally.items() if f_right)
+    successes_left = sum(m for (_, f_left), m in tally.items() if f_left)
+    successes_either = sum(m for outcome, m in tally.items() if any(outcome))
+    found = {f for outcome in tally for f in outcome if f}
     return FactorAttemptReport(
         n,
         p,

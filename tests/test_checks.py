@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import quatlat._kernel
 from quatlat import HurwitzQuaternion, pall_right_divisors
 from quatlat.checks import _randints, run_check
+from quatlat.factor import _randbelow
 
 # Widths 1, 2^k and 2^k + 1 from any lower end, and the suites' own
 # ranges randint(-span, span - 1) (half-odd coordinates) and
@@ -34,6 +35,16 @@ def test_randints_draws_what_randint_draws(seed, bounds, count):
     lo, hi = bounds
     ours, theirs = random.Random(seed), random.Random(seed)
     assert _randints(ours, lo, hi, count) == [theirs.randint(lo, hi) for _ in range(count)]
+    # A single draw, then shuffle's randbelow(4), randbelow(3), randbelow(2)
+    # on a list of four, as the montecarlo sampler makes them.
+    width = hi - lo + 1
+    assert _randbelow(ours.getrandbits, width) == theirs.randrange(width)
+    ordered, shuffled = [0, 1, 2, 3], [0, 1, 2, 3]
+    for i in (3, 2, 1):
+        j = _randbelow(ours.getrandbits, i + 1)
+        ordered[i], ordered[j] = ordered[j], ordered[i]
+    theirs.shuffle(shuffled)
+    assert ordered == shuffled
     assert ours.random() == theirs.random()
 
 

@@ -10,7 +10,9 @@ matrix of each representation mod p.  Two references hold it: the
 pairwise gcd loop of the pure kernel, count for count, and the Euclid
 divisor classes (one-sided gcd with p, canonicalized), class for class.
 The monte-carlo attempt reads each trial off the same classes; its
-reference is the per-trial Euclid loop on the same seeded draws.
+reference is the per-trial Euclid loop on the same seeded draws, made
+through random.Random's own randrange, shuffle and randint and the
+randint-drawn four-squares sampler kept here.
 """
 
 import random
@@ -63,7 +65,7 @@ import quatlat.checks as checks_module
 import quatlat.factor as factor_module
 from quatlat._kernel import pure
 from quatlat.core import canonical_associate, cofactor
-from quatlat.euclid import gcd as quaternion_gcd
+from quatlat.euclid import gaussian_gcd, gcd as quaternion_gcd
 from quatlat.factor import _line_keyer, _matrix_mod_p, _minus_one_as_two_squares
 
 
@@ -283,6 +285,33 @@ def test_two_squares_on_splitting_primes():
         assert pairs == [two_squares(p)]
 
 
+def _two_squares_by_gaussian_gcd(p, root):
+    # gcd(p, root + i) in Z[i] has norm exactly p when root^2 = -1 mod p.
+    g = gaussian_gcd(GaussianInteger(p, 0), GaussianInteger(root, 1))
+    a, b = abs(g.re), abs(g.im)
+    return (a, b) if a <= b else (b, a)
+
+
+def test_two_squares_by_euclid_matches_the_gaussian_gcd():
+    # Primes p = 1 mod 4 from 5 to about 2**100, each from the square
+    # roots of -1 that four seeds draw; a seed draws either root.
+    rng = random.Random(2718)
+    primes = [p for p in range(5, 3000, 4) if _is_prime_trial(p)]
+    for bits in range(12, 101):
+        p = rng.getrandbits(bits) | (1 << (bits - 1))
+        p -= p % 4 - 1
+        while not miller_rabin(p):
+            p += 4
+        primes.append(p)
+    for p in primes:
+        expected = _two_squares_by_gaussian_gcd(p, sqrt_minus_one_mod_p(p))
+        a, b = expected
+        assert a * a + b * b == p
+        assert two_squares(p) == expected
+        for seed in range(4):
+            assert factor_module._two_squares_prime(p, random.Random(seed)) == expected
+
+
 def test_two_squares_rejects_other_inputs():
     for bad in (7, 9, 21, 3, 11, 15):
         with pytest.raises(NotRepresentable):
@@ -330,6 +359,86 @@ def test_default_seeds_come_from_the_input():
     assert sqrt_minus_one_mod_p(p) == root
     report = semiprime_factor_attempt(15, 40)
     assert semiprime_factor_attempt(15, 40) == report == semiprime_factor_attempt(15, 40, seed=15)
+
+
+def _draw_parity_reference(rng, hi, parity):
+    # Uniform over {0..hi} with the requested low bit, None if empty.
+    if hi < parity:
+        return None
+    return 2 * rng.randint(0, (hi - parity) // 2) + parity
+
+
+def _four_squares_random_reference(n, rng):
+    # The randint-drawn sampler, with p = a^2 + b^2 split by the Gaussian gcd.
+    residue = n % 4
+    root = isqrt(n)
+    while True:
+        if residue == 1:
+            px, py = 0, 0
+        elif residue == 2:
+            px = rng.randint(0, 1)
+            py = 1 - px
+        else:
+            px, py = 1, 1
+        x = _draw_parity_reference(rng, root, px)
+        if x is None:
+            continue
+        t = n - x * x
+        y = _draw_parity_reference(rng, isqrt(t), py)
+        if y is None:
+            continue
+        p = t - y * y
+        if p == 0:
+            quad = (x, y, 0, 0)
+        elif p == 1:
+            quad = (x, y, 1, 0)
+        elif p == 2:
+            quad = (x, y, 1, 1)
+        elif p % 4 == 1 and miller_rabin(p):
+            quad = (x, y, *_two_squares_by_gaussian_gcd(p, _sqrt_minus_one_two_powers(p, rng)))
+        else:
+            continue
+        return tuple(sorted(quad))
+
+
+def _four_squares_reference(n, rng):
+    # _four_squares for n >= 1000 on the reference sampler.
+    scale = 1
+    while n % 4 == 0:
+        n //= 4
+        scale *= 2
+    if n < 1000:
+        quad = factor_module._four_squares_brute(n)
+    else:
+        quad = _four_squares_random_reference(n, rng)
+    return tuple(sorted(scale * v for v in quad))
+
+
+def _times_four_to_the(e):
+    # 4**e * m with m = 1, 2 or 3 mod 4 and 1000 <= 4**e * m < 10**40.
+    m = st.integers(-(-1000 // 4**e), (10**40 - 1) // 4**e).filter(lambda m: m % 4)
+    return m.map(lambda m: 4**e * m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 12).flatmap(_times_four_to_the),
+    seed=st.integers(0, 2**64),
+    draws=st.integers(1, 3),
+)
+@example(n=1001, seed=0, draws=3)
+@example(n=1002, seed=0, draws=3)
+@example(n=1003, seed=0, draws=3)
+@example(n=4**6 * 999, seed=1, draws=2)
+@example(n=4**6 * 1001, seed=1, draws=2)
+@example(n=10**40 - 1, seed=2, draws=2)
+def test_four_squares_draws_match_the_randint_reference(n, seed, draws):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        quad = factor_module._four_squares(n, ours)
+        assert quad == _four_squares_reference(n, theirs)
+        assert sum(v * v for v in quad) == n
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_four_squares_strips_powers_of_four():
@@ -587,10 +696,11 @@ def _pall_by_sphere_scan(alpha, m):
 @example(coords=(4, 3, 0, 0), mask=3)  # m = 25
 @example(coords=(10, 10, 10, 1), mask=3)  # m = 7 * 43
 @example(coords=(22, 5, 2, 0), mask=15)  # m = 3**3 * 19
+@example(coords=(0, 1, 0, 0), mask=0)  # alpha a unit, m = 1
 def test_pall_matches_the_sphere_scan(coords, mask):
     alpha = HurwitzQuaternion.from_coords(*coords)
     assume(not alpha.is_zero)
-    odd = [p for p in rational_factorize(alpha.norm()) if p % 2]
+    odd = [] if alpha.norm() == 1 else [p for p in rational_factorize(alpha.norm()) if p % 2]
     m = prod(p for i, p in enumerate(odd) if mask >> i & 1)
     assume(m <= 1000 and is_primitive_mod(alpha, m))
     report = pall_right_divisors(alpha, m)
@@ -620,18 +730,43 @@ def test_igama_booleans_coincide_on_a_box():
                     assert res.ideal_trivial == res.coprime, (z, w)
 
 
-_GAUSSIAN_UNITS = [GaussianInteger(*u) for u in ((1, 0), (0, 1), (-1, 0), (0, -1))]
 _small_gaussian = st.builds(GaussianInteger, st.integers(-50, 50), st.integers(-50, 50))
+_I = GaussianInteger(0, 1)
+
+# The four maps of (z, w) that generate the symmetries thm-3-5 walks by.
+_PAIR_SYMMETRIES = {
+    "unit": lambda z, w: (_I * z, _I * w),
+    "1+i": lambda z, w: (z, _I * w),
+    "j": lambda z, w: (z.conjugate(), w.conjugate()),
+    "gamma*j": lambda z, w: (-w, z),
+}
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(z=_small_gaussian, w=_small_gaussian)
-def test_igama_is_invariant_under_gaussian_units(z, w):
-    # gamma -> u*gamma multiplies the left gcd of (i*gamma, gamma) by u.
+@example(z=GaussianInteger(0, 0), w=GaussianInteger(3, 2))
+@example(z=GaussianInteger(-5, 0), w=GaussianInteger(0, 0))
+@example(z=GaussianInteger(6, 3), w=GaussianInteger(3, 0))  # gcd 3, norm 9
+def test_igama_is_invariant_under_each_pair_symmetry(z, w):
     assume((z.norm() + w.norm()) % 2)
     res = igama_check(z, w)
-    for u in _GAUSSIAN_UNITS:
-        assert igama_check(u * z, u * w) == res
+    for name, move in _PAIR_SYMMETRIES.items():
+        assert igama_check(*move(z, w)) == res, name
+
+
+def _pair_orbit_by_closure(pair):
+    # Every image of the coordinate tuple pair under the four symmetries.
+    orbit, todo = {pair}, [pair]
+    while todo:
+        rz, iz, rw, iw = todo.pop()
+        z, w = GaussianInteger(rz, iz), GaussianInteger(rw, iw)
+        for move in _PAIR_SYMMETRIES.values():
+            z2, w2 = move(z, w)
+            image = (z2.re, z2.im, w2.re, w2.im)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def _igama_full_walk():
@@ -655,23 +790,25 @@ def test_gaussian_ideal_suite_runs_igama_once_per_orbit(monkeypatch):
     calls = []
 
     def counted(z, w):
-        calls.append((z, w))
+        calls.append((z.re, z.im, w.re, w.im))
         return igama_check(z, w)
 
     monkeypatch.setattr(checks_module, "igama_check", counted)
     outcome = checks_module.run_check("thm-3-5")
     assert outcome.detail == "3280 odd-norm Gaussian pairs verified exhaustively"
-    assert len(calls) == 3280 // 4
+    assert len(calls) == 62
+    # Each call is the first pair of its orbit in walk order.
+    orbits = [_pair_orbit_by_closure(pair) for pair in calls]
+    assert calls == [min(orbit) for orbit in orbits]
+    assert sum(map(len, orbits)) == 3280
 
 
 @pytest.mark.parametrize("bad", [(1, 2, 3, -1), (-4, 0, 0, 1), (0, 0, 4, -3)])
 def test_gaussian_ideal_suite_fails_where_the_full_walk_does(monkeypatch, bad):
-    # A fault planted on one unit orbit surfaces at the pair where the
-    # full walk first meets that orbit, with the same text.
-    rz, iz, rw, iw = bad
-    orbit = {
-        (rz, iz, rw, iw), (-iz, rz, -iw, rw), (-rz, -iz, -rw, -iw), (iz, -rz, iw, -rw)
-    }
+    # A fault planted on one orbit of the 64 symmetries surfaces at the
+    # pair where the full walk first meets that orbit, with the same text.
+    orbit = _pair_orbit_by_closure(bad)
+    assert checks_module._gaussian_pair_orbit(*bad) == orbit
 
     def planted(z, w):
         res = igama_check(z, w)
@@ -1027,7 +1164,8 @@ def test_factor_attempt_degenerate_and_large():
 
 def _euclid_factor_attempt(n, trials, seed=None):
     # semiprime_factor_attempt with both one-sided gcds run by Euclid on
-    # every trial, drawing from the same seeded samplers in the same order.
+    # every trial, drawing each element in turn through random.Random's
+    # randrange, shuffle and randint and the reference four-squares sampler.
     p, q = rational_factorize(n)
     rng = random.Random(n if seed is None else seed)
     if n <= DEFAULT_ENUM_BOUND:
@@ -1041,7 +1179,7 @@ def _euclid_factor_attempt(n, trials, seed=None):
         sampler = "four-squares"
 
         def draw():
-            coords = list(factor_module._four_squares(n, rng))
+            coords = list(_four_squares_reference(n, rng))
             rng.shuffle(coords)
             return tuple(2 * (v if rng.randint(0, 1) else -v) for v in coords)
 
@@ -1083,6 +1221,7 @@ def _euclid_factor_attempt(n, trials, seed=None):
         (35, 1, range(60)),
         (1147, 1, range(60)),
         (10403, 1, range(200)),
+        (10007**2, 40, [None, 1]),
     ],
 )
 def test_factor_attempt_matches_euclid_per_trial(n, trials, seeds):
