@@ -21,9 +21,9 @@ generator's `getrandbits` stream (see `_randints`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from quatlat import _kernel
 from quatlat.core import (
@@ -58,8 +58,7 @@ AXIS_NAMES = ("1", "i", "j", "k")
 _BASIS_D = tuple(e.doubled for e in BASIS)
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """Result of one verification suite."""
 
     suite: str
@@ -69,13 +68,8 @@ class CheckOutcome:
 
 
 def _randints(rng: random.Random, lo: int, hi: int, count: int = 4) -> list[int]:
-    """`count` draws of rng.randint(lo, hi), each by `_randbelow`'s rule."""
-    getrandbits = rng.getrandbits
-    width = hi - lo + 1
-    out = []
-    for _ in range(count):
-        out.append(lo + _randbelow(getrandbits, width))
-    return out
+    """`count` draws of rng.randint(lo, hi), by `_randbelow`'s rule."""
+    return _randbelow(rng.getrandbits, hi - lo + 1, count, lo)
 
 
 def _random_doubled(rng: random.Random, span: int, hurwitz: bool = False):
@@ -246,21 +240,25 @@ def _check_gaussian_ideal_coprimality():
     """
     checked = 0
     seen = set()
-    for pair in product(range(-4, 5), repeat=4):
-        # A norm's parity is the parity of its coordinates' sum.
-        if sum(pair) % 2 == 0 or pair in seen:
-            continue
-        orbit = _gaussian_pair_orbit(*pair)
-        seen |= orbit
-        rz, iz, rw, iw = pair
-        res = igama_check(GaussianInteger(rz, iz), GaussianInteger(rw, iw))
-        if res.ideal_trivial != res.coprime:
-            return False, (
-                f"z={GaussianInteger(rz, iz)}, w={GaussianInteger(rw, iw)}: "
-                f"ideal_trivial={res.ideal_trivial}, coprime={res.coprime}, "
-                f"gcld norm {res.gcld_norm}"
-            )
-        checked += len(orbit)
+    # A norm's parity is the parity of its coordinates' sum, so iw takes
+    # the values of the other parity from rz + iz + rw: the walk meets
+    # just the box's odd-norm pairs, in lexicographic order.
+    last = (range(-3, 5, 2), range(-4, 5, 2))
+    for rz, iz, rw in product(range(-4, 5), repeat=3):
+        for iw in last[(rz + iz + rw) % 2]:
+            pair = (rz, iz, rw, iw)
+            if pair in seen:
+                continue
+            orbit = _gaussian_pair_orbit(*pair)
+            seen |= orbit
+            res = igama_check(GaussianInteger(rz, iz), GaussianInteger(rw, iw))
+            if res.ideal_trivial != res.coprime:
+                return False, (
+                    f"z={GaussianInteger(rz, iz)}, w={GaussianInteger(rw, iw)}: "
+                    f"ideal_trivial={res.ideal_trivial}, coprime={res.coprime}, "
+                    f"gcld norm {res.gcld_norm}"
+                )
+            checked += len(orbit)
     return True, f"{checked} odd-norm Gaussian pairs verified exhaustively"
 
 

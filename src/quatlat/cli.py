@@ -30,7 +30,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from quatlat.checks import SUITE_IDS, run_all, run_check
 from quatlat.core import (
@@ -54,8 +54,7 @@ from quatlat.factor import (
 from quatlat.lattice import orthogonal_basis, representations
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(NamedTuple):
     """What a dispatch produced: an exit code and the payload text."""
 
     exit_code: int

@@ -16,7 +16,6 @@ carrying the exact denominator is returned instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from quatlat import _kernel
@@ -108,16 +107,39 @@ def cross_general(vectors) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class RationalQuaternion:
     """An exact quaternion with a common denominator, in lowest terms.
 
     Only produced by cross3 on half-odd inputs whose product leaves the
-    Hurwitz order; the denominator then divides 8.
+    Hurwitz order; the denominator then divides 8.  A number rather than
+    a record, like GaussianInteger: immutable and hashable, but not a
+    tuple, so the CLI's JSON shows its str().
     """
 
-    numerators: tuple[int, int, int, int]
-    denominator: int
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: tuple[int, int, int, int], denominator: int):
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalQuaternion is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RationalQuaternion)
+            and self.numerators == other.numerators
+            and self.denominator == other.denominator
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.numerators, self.denominator))
+
+    def __repr__(self) -> str:
+        return (
+            f"RationalQuaternion(numerators={self.numerators!r},"
+            f" denominator={self.denominator!r})"
+        )
 
     def _hurwitz(self) -> HurwitzQuaternion | None:
         n0, n1, n2, n3 = self.numerators

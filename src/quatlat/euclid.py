@@ -18,8 +18,8 @@ Side vocabulary used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as _int_gcd
+from typing import NamedTuple
 
 from quatlat import _kernel
 from quatlat.core import (
@@ -42,8 +42,7 @@ __all__ = [
     "gaussian_gcd",
 ]
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(NamedTuple):
     """Outcome of one-sided division.
 
     side "right" satisfies dividend = divisor * quotient + remainder,
@@ -55,8 +54,7 @@ class DivisionResult:
     side: str
 
 
-@dataclass(frozen=True)
-class GcdResult:
+class GcdResult(NamedTuple):
     """A one-sided gcd together with its Bezout witnesses.
 
     For side "right": gcd == x*a + y*b and gcd right-divides both a

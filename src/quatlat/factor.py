@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -209,7 +208,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _randbelow(getrandbits, width: int) -> int:
+def _randbelow(getrandbits, width: int, count: int | None = None, lo: int = 0):
     """rng.randrange(width), for width >= 1, from rng.getrandbits alone.
 
     As CPython's Random does for randrange, randint and shuffle, it takes
@@ -217,13 +216,20 @@ def _randbelow(getrandbits, width: int) -> int:
     the value and the generator's later state are theirs.  Python
     promises a stable stream only for random(), so the draws of the
     four-squares and montecarlo samplers and of the sampled check
-    suites are defined here.
+    suites are defined here.  With a count (at least 1) it returns a
+    list of count such draws, each plus lo: [rng.randint(lo, lo + width
+    - 1) for _ in range(count)], in one call.
     """
     k = width.bit_length()
-    r = getrandbits(k)
-    while r >= width:
+    out = []
+    while True:
         r = getrandbits(k)
-    return r
+        if r < width:
+            if count is None:
+                return r
+            out.append(lo + r)
+            if len(out) == count:
+                return out
 
 
 def _sqrt_minus_one(p: int, rng: random.Random) -> int:
@@ -440,35 +446,40 @@ def rational_factorize(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimeModel:
-    """An ordered tuple of primes prescribing a factorization shape."""
+class PrimeModel(tuple):
+    """An ordered tuple of primes prescribing a factorization shape.
 
-    primes: tuple[int, ...]
+    The model is the tuple of its primes: it iterates, measures and
+    compares as that tuple, and `primes` gives it back as a plain one.
+    """
 
-    def __post_init__(self):
-        if not self.primes:
+    __slots__ = ()
+
+    def __new__(cls, primes):
+        self = super().__new__(cls, primes)
+        if not self:
             raise PreconditionViolated("a model needs at least one prime")
-        for p in self.primes:
+        for p in self:
             if not miller_rabin(p):
                 raise PreconditionViolated(f"model entry {p} is not prime")
+        return self
 
-    def __iter__(self):
-        return iter(self.primes)
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(self)
 
-    def __len__(self):
-        return len(self.primes)
+    def __repr__(self) -> str:
+        return f"PrimeModel(primes={tuple(self)!r})"
 
     def product(self) -> int:
-        return prod(self.primes)
+        return prod(self)
 
 
 def _as_model(model) -> PrimeModel:
-    return model if isinstance(model, PrimeModel) else PrimeModel(tuple(model))
+    return model if isinstance(model, PrimeModel) else PrimeModel(model)
 
 
-@dataclass(frozen=True)
-class ModelledFactorization:
+class ModelledFactorization(NamedTuple):
     """Factors of a primitive Hurwitz integer, norms matching the model."""
 
     factors: tuple[HurwitzQuaternion, ...]
@@ -502,7 +513,7 @@ def factor_modelled(alpha: HurwitzQuaternion, model) -> ModelledFactorization:
         )
     factors: list[HurwitzQuaternion] = []
     work = alpha
-    for p in reversed(model.primes[1:]):
+    for p in reversed(model[1:]):
         g = _canonical_gcd(work, HurwitzQuaternion.from_integer(p), True)
         if g.norm() != p:
             raise ModelMismatch(
@@ -545,8 +556,7 @@ def unit_migration_equal(
     return eps == ONE
 
 
-@dataclass(frozen=True)
-class PallReport:
+class PallReport(NamedTuple):
     """The Lipschitz right divisors of alpha with a prescribed odd norm."""
 
     alpha: HurwitzQuaternion
@@ -669,8 +679,7 @@ def outer_factor_recovery(
     )
 
 
-@dataclass(frozen=True)
-class PairFractionReport:
+class PairFractionReport(NamedTuple):
     """Share of representation pairs of n = p*q with a nontrivial gcd."""
 
     p: int
@@ -828,8 +837,7 @@ def semiprime_pair_fraction(
     )
 
 
-@dataclass(frozen=True)
-class FactorAttemptReport:
+class FactorAttemptReport(NamedTuple):
     """Outcome of repeated random-pair gcd attempts at factoring n = p*q."""
 
     n: int
@@ -900,7 +908,7 @@ def semiprime_factor_attempt(
     if n <= DEFAULT_ENUM_BOUND:
         sampler = "enumeration"
         pool = _kernel.norm_representations(n, False)
-        elements = [pool[_randbelow(getrandbits, len(pool))] for _ in range(2 * trials)]
+        elements = [pool[i] for i in _randbelow(getrandbits, len(pool), 2 * trials)]
     else:
         sampler = "four-squares"
         elements = []
@@ -909,8 +917,9 @@ def semiprime_factor_attempt(
             for i in (3, 2, 1):  # rng.shuffle(coords)
                 j = _randbelow(getrandbits, i + 1)
                 coords[i], coords[j] = coords[j], coords[i]
+            signs = _randbelow(getrandbits, 2, 4)
             elements.append(
-                tuple(2 * v if _randbelow(getrandbits, 2) else -2 * v for v in coords)
+                tuple(2 * v if keep else -2 * v for v, keep in zip(coords, signs))
             )
     firsts, seconds = elements[::2], elements[1::2]
     # Each trial's outcome is the prime its right gcd reveals and the one
@@ -957,8 +966,7 @@ def semiprime_factor_attempt(
     )
 
 
-@dataclass(frozen=True)
-class OrthogonalPrimesReport:
+class OrthogonalPrimesReport(NamedTuple):
     """Associate structure of orthogonal same-norm Hurwitz primes.
 
     Every orthogonal pair must be associate on at least one side; the

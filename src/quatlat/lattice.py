@@ -21,7 +21,7 @@ rather than be papered over.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from quatlat import _kernel
 from quatlat._kernel.pure import combination_solver, xgcd
@@ -54,8 +54,7 @@ def _check_bound(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class OrthogonalBasis:
+class OrthogonalBasis(NamedTuple):
     """Basis of the Lipschitz vectors orthogonal to a primitive alpha.
 
     permutation records which construction produced it: "ab-cd" for the

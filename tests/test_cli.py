@@ -145,6 +145,34 @@ def test_dispatch_cross_example():
     assert result.payload == "k"
 
 
+def test_cross_json_shows_a_non_hurwitz_result_in_literal_syntax():
+    # Half-odd inputs whose cross product leaves the Hurwitz order: the
+    # result is a RationalQuaternion, and JSON carries its str().
+    argv = ["cross", "--json", "-3/2+3/2i+7/2j+7/2k", "7/2-5/2i-1/2j-5/2k", "1/2+7/2i+1/2j+1/2k"]
+    result = dispatch(argv)
+    assert result.exit_code == 0
+    assert result.payload == (
+        '{"kind": "cross_product", "a": "-3/2+3/2i+7/2j+7/2k",'
+        ' "b": "7/2-5/2i-1/2j-5/2k", "c": "1/2+7/2i+1/2j+1/2k",'
+        ' "result": "(46-10i-63j+87k)/2", "hurwitz": false}'
+    )
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # In a fresh process: pytest itself imports both modules.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import quatlat, quatlat.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_cli_env(), check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
 def test_dispatch_handles_leading_dash_literals():
     result = dispatch(["mul", "-1+3i+j-2k", "1+i"])
     assert result.exit_code == 0

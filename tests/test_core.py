@@ -456,3 +456,48 @@ def test_exported_callables_take_the_pinned_parameters():
             # An exception class on the builtin constructor has none.
             assert issubclass(obj, Exception), name
     assert parameters == _PUBLIC_PARAMETERS
+
+
+def _records():
+    """One instance of every result record, and of RationalQuaternion."""
+    import quatlat
+    from quatlat.checks import CheckOutcome
+    from quatlat.cli import CommandResult
+
+    alpha = HurwitzQuaternion.from_coords(1, 2, 3, 4)
+    beta = HurwitzQuaternion.from_integer(5)
+    pi, rho = HurwitzQuaternion.from_coords(1, 1, 1, 0), HurwitzQuaternion.from_coords(1, 0, 2, 0)
+    return [
+        quatlat.divide(alpha, beta),
+        quatlat.gcd(alpha, beta, "right"),
+        quatlat.cross3(
+            HurwitzQuaternion(-3, 3, 7, 7),
+            HurwitzQuaternion(7, -5, -1, -5),
+            HurwitzQuaternion(1, 7, 1, 1),
+        ),
+        quatlat.orthogonal_basis(alpha),
+        quatlat.PrimeModel((3, 5)),
+        quatlat.factor_modelled(alpha, (2, 3, 5)),
+        quatlat.pall_right_divisors(alpha, 5),
+        quatlat.igama_check(GaussianInteger(1, 2), GaussianInteger(1, 1)),
+        quatlat.outer_factor_recovery(pi, rho),
+        quatlat.semiprime_pair_fraction(3, 5),
+        quatlat.semiprime_factor_attempt(15, 3, seed=1),
+        quatlat.orthogonal_primes_check(3),
+        CheckOutcome("thm-3-5", "description", True, "detail"),
+        CommandResult(0, "k"),
+    ]
+
+
+def test_records_keep_their_repr_and_refuse_assignment():
+    records = _records()
+    assert type(records[2]).__name__ == "RationalQuaternion"
+    for record in records:
+        name = type(record).__name__
+        fields = tuple(inspect.signature(type(record)).parameters)
+        shown = ", ".join(f"{field}={getattr(record, field)!r}" for field in fields)
+        assert repr(record) == f"{name}({shown})"
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], getattr(record, fields[0]))
+        with pytest.raises(AttributeError):
+            record.extra = None

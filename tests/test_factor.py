@@ -493,7 +493,8 @@ def test_rational_factorize():
 
 
 def test_prime_model_validation():
-    assert tuple(PrimeModel((3, 5))) == (3, 5)
+    assert tuple(PrimeModel((3, 5))) == (3, 5) == PrimeModel((3, 5)).primes
+    assert len(PrimeModel((3, 5))) == 2
     with pytest.raises(PreconditionViolated):
         PrimeModel((4, 5))
     with pytest.raises(PreconditionViolated):
