@@ -9,8 +9,8 @@ how often random quaternion pairs betray a factor of a semiprime norm.
 Hot loops run in one pure-Python kernel on plain integer tuples.
 
 The package exports every name in the `__all__` of `core`, `cross`,
-`errors`, `euclid`, `factor` and `lattice`, so a public name is declared
-once, in the module that defines it.
+`errors`, `euclid`, `factor`, `lattice` and `rational`, so a public
+name is declared once, in the module that defines it.
 """
 
 from quatlat.core import *
@@ -19,6 +19,7 @@ from quatlat.errors import *
 from quatlat.euclid import *
 from quatlat.factor import *
 from quatlat.lattice import *
+from quatlat.rational import *
 
 __version__ = "0.1.0"
 
@@ -35,3 +36,4 @@ __all__ += errors.__all__
 __all__ += euclid.__all__
 __all__ += factor.__all__
 __all__ += lattice.__all__
+__all__ += rational.__all__

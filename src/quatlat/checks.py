@@ -42,16 +42,15 @@ from quatlat.euclid import is_multiple
 from quatlat.factor import (
     CONVENTIONS,
     ModelledFactorization,
-    _randbelow,
     factor_modelled,
     igama_check,
     orthogonal_primes_check,
     pall_right_divisors,
-    rational_factorize,
     semiprime_pair_fraction,
     unit_migration_equal,
 )
 from quatlat.lattice import _basis_rows, orthogonality_census, representations
+from quatlat.rational import _randbelow, rational_factorize
 
 BASIS = (ONE, I, J, K)
 AXIS_NAMES = ("1", "i", "j", "k")

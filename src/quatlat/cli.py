@@ -44,14 +44,13 @@ from quatlat.euclid import divide, gcd
 from quatlat.factor import (
     CONVENTIONS,
     factor_modelled,
-    four_squares,
     igama_check,
     pall_right_divisors,
     semiprime_factor_attempt,
     semiprime_pair_fraction,
-    two_squares,
 )
 from quatlat.lattice import orthogonal_basis, representations
+from quatlat.rational import four_squares, two_squares
 
 
 class CommandResult(NamedTuple):

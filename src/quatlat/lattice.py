@@ -33,6 +33,7 @@ from quatlat.errors import (
     PreconditionViolated,
     ZeroInput,
 )
+from quatlat.rational import rational_factorize
 
 __all__ = [
     "OrthogonalBasis",
@@ -169,9 +170,6 @@ def representation_count(n: int) -> int:
         EvenNorm: for even n.
         PreconditionViolated: for n < 1.
     """
-    # Imported here: factor imports this module.
-    from quatlat.factor import rational_factorize
-
     if n % 2 == 0:
         raise EvenNorm(f"representation_count needs odd n, got {n}")
     if n < 1:

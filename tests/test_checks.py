@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import quatlat._kernel
 from quatlat import HurwitzQuaternion, pall_right_divisors
 from quatlat.checks import _randints, run_check
-from quatlat.factor import _randbelow
+from quatlat.rational import _randbelow
 
 # Widths 1, 2^k and 2^k + 1 from any lower end, and the suites' own
 # ranges randint(-span, span - 1) (half-odd coordinates) and

@@ -9,6 +9,7 @@ parse error.
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -644,6 +645,22 @@ def test_cli_replays_the_benchmark_reference_outputs():
         if [code, digest] != expected:
             mismatches.append(key)
     assert mismatches == []
+
+
+def test_every_traced_name_resolves_after_importing_the_cli():
+    # `perfbench/run.py --trace 1` imports quatlat.cli and wraps each
+    # (module, attribute) of the tracer's table; a function that moves
+    # to another module must stay bound under the name the table uses.
+    path = _REFERENCE.parent / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unbound = [
+        f"{module}.{attr}"
+        for _, module, attr in tracer.TRACED
+        if not callable(getattr(sys.modules.get(module), attr, None))
+    ]
+    assert unbound == []
 
 
 def test_gcd_crossover_lies_above_every_replayed_literal():

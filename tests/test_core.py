@@ -5,10 +5,12 @@ checks; algebraic laws run as seeded random sweeps over both parity
 classes.
 """
 
+import ast
 import inspect
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -354,11 +356,11 @@ def test_lipschitz_conjugate_negates_imaginary_parts():
 
 def test_package_exports_each_module_all_once():
     import quatlat
-    from quatlat import core, cross, errors, euclid, factor, lattice
+    from quatlat import core, cross, errors, euclid, factor, lattice, rational
 
     exported = quatlat.__all__
     assert len(exported) == len(set(exported))
-    modules = (core, cross, errors, euclid, factor, lattice)
+    modules = (core, cross, errors, euclid, factor, lattice, rational)
     assert set(exported) == {"__version__", "kernel_backend"}.union(
         *(module.__all__ for module in modules)
     )
@@ -369,6 +371,23 @@ def test_package_exports_each_module_all_once():
     exec("from quatlat import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(exported)
+
+
+def test_no_module_imports_inside_a_function():
+    # Every import sits at the top of its module, so the import graph is
+    # the one the module headers show, with no cycle hidden in a body.
+    import quatlat
+
+    nested = []
+    for path in sorted(Path(quatlat.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert nested == []
 
 
 # The parameter names of every exported callable.  A new parameter, an

@@ -61,12 +61,14 @@ from quatlat import (
     two_squares,
     unit_migration_equal,
 )
+import quatlat._modp as modp_module
 import quatlat.checks as checks_module
 import quatlat.factor as factor_module
+import quatlat.rational as rational_module
 from quatlat._kernel import pure
+from quatlat._modp import _line_keyer, _matrix_mod_p, _minus_one_as_two_squares
 from quatlat.core import canonical_associate, cofactor
 from quatlat.euclid import gaussian_gcd, gcd as quaternion_gcd
-from quatlat.factor import _line_keyer, _matrix_mod_p, _minus_one_as_two_squares
 
 
 def _is_prime_trial(n: int) -> bool:
@@ -139,7 +141,7 @@ def test_miller_rabin_seeds_no_generator(monkeypatch):
             seeds.append(seed)
             super().__init__(seed)
 
-    monkeypatch.setattr(factor_module, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(rational_module, "random", SimpleNamespace(Random=CountingRandom))
     # Caught by base 2.
     assert not miller_rabin((2**61 - 1) * (2**89 - 1))
     assert seeds == []
@@ -177,8 +179,8 @@ _PROVEN_ROWS = (
 
 @pytest.mark.parametrize("limit, k, prime", _PROVEN_ROWS)
 def test_miller_rabin_at_each_proven_limit(limit, k, prime):
-    assert (limit, k) in factor_module._PROVEN_PREFIXES
-    assert factor_module._strong_probable_prime(limit, _SMALL_PRIMES[:k])
+    assert (limit, k) in rational_module._PROVEN_PREFIXES
+    assert rational_module._strong_probable_prime(limit, _SMALL_PRIMES[:k])
     assert not miller_rabin(limit)
     assert miller_rabin(prime)
 
@@ -190,7 +192,7 @@ _STRONG_LUCAS_PSEUDOPRIMES = (
 
 
 def test_strong_lucas_pseudoprimes_pass_the_lucas_test_alone():
-    lucas = factor_module._strong_lucas_probable_prime
+    lucas = rational_module._strong_lucas_probable_prime
     for n in _STRONG_LUCAS_PSEUDOPRIMES:
         assert lucas(n), n
         assert not miller_rabin(n), n
@@ -230,7 +232,7 @@ def test_bpsw_matches_the_proven_bases_below_their_limit(n):
     assume(_BPSW_LOW <= n < _BPSW_HIGH)
     proven = miller_rabin(n)
     assert proven == (
-        gcd(n, prod(_SMALL_PRIMES)) == 1 and factor_module._baillie_psw(n)
+        gcd(n, prod(_SMALL_PRIMES)) == 1 and rational_module._baillie_psw(n)
     )
 
 
@@ -260,7 +262,7 @@ def test_sqrt_minus_one_draws_like_the_two_power_search():
     for seed in (0, 2141, 10**21 + 7):
         new, old = random.Random(seed), random.Random(seed)
         for p in primes:
-            assert factor_module._sqrt_minus_one(p, new) == _sqrt_minus_one_two_powers(p, old)
+            assert rational_module._sqrt_minus_one(p, new) == _sqrt_minus_one_two_powers(p, old)
             assert new.getstate() == old.getstate()
 
 
@@ -309,7 +311,7 @@ def test_two_squares_by_euclid_matches_the_gaussian_gcd():
         assert a * a + b * b == p
         assert two_squares(p) == expected
         for seed in range(4):
-            assert factor_module._two_squares_prime(p, random.Random(seed)) == expected
+            assert rational_module._two_squares_prime(p, random.Random(seed)) == expected
 
 
 def test_two_squares_rejects_other_inputs():
@@ -408,7 +410,7 @@ def _four_squares_reference(n, rng):
         n //= 4
         scale *= 2
     if n < 1000:
-        quad = factor_module._four_squares_brute(n)
+        quad = rational_module._four_squares_brute(n)
     else:
         quad = _four_squares_random_reference(n, rng)
     return tuple(sorted(scale * v for v in quad))
@@ -435,7 +437,7 @@ def _times_four_to_the(e):
 def test_four_squares_draws_match_the_randint_reference(n, seed, draws):
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(draws):
-        quad = factor_module._four_squares(n, ours)
+        quad = rational_module._four_squares(n, ours)
         assert quad == _four_squares_reference(n, theirs)
         assert sum(v * v for v in quad) == n
     assert ours.getstate() == theirs.getstate()
@@ -469,8 +471,42 @@ def test_pollard_brent_splits_semiprimes():
     rng = random.Random(2417)
     for _ in range(60):
         p, q = _semiprime_factors(rng, (rng.randint(10, 30), rng.randint(10, 30)))
-        assert factor_module._pollard_brent(p * q) in (p, q), (p, q)
+        assert rational_module._pollard_brent(p * q) in (p, q), (p, q)
         assert rational_factorize(p * q) == sorted((p, q))
+
+
+def _wheel_factorize(n: int) -> list[int]:
+    # The trial division rational_factorize ran before it shared
+    # miller_rabin's table of primes below 341: 2, 3 and 5, then a
+    # 2-4 wheel from 7 while d^2 <= n and d < 1000.  What it leaves is
+    # taken as prime, which holds when every prime factor of n but the
+    # largest is below 1000.
+    out = []
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    d, step = 7, 4
+    while d * d <= n and d < 1000:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += step
+        step = 6 - step
+    return out + [n] if n > 1 else out
+
+
+def test_rational_factorize_matches_the_old_wheel():
+    # Every n below 2*10^5, and the powers and products of the primes
+    # between 341 and 1000 that the table no longer divides by, so they
+    # reach Pollard-Brent.
+    for n in range(2, 200_000):
+        assert rational_factorize(n) == _wheel_factorize(n), n
+    mid = [p for p in range(341, 1000) if _is_prime_trial(p)]
+    products = [p**e for p in mid for e in (2, 3, 4)]
+    products += [p * q for i, p in enumerate(mid) for q in mid[i + 1 :]]
+    for n in products:
+        assert rational_factorize(n) == _wheel_factorize(n), n
 
 
 def test_rational_factorize():
@@ -1235,13 +1271,13 @@ def test_factor_attempt_keys_each_drawn_element_once(monkeypatch):
     # 9991 = 97 * 103 has a pool of 81,536 representations; only the
     # 2 * trials drawn elements get matrices, one per prime.
     calls = []
-    real = factor_module._matrix_mod_p
+    real = modp_module._matrix_mod_p
 
     def counted(u, p, x, y):
         calls.append(u)
         return real(u, p, x, y)
 
-    monkeypatch.setattr(factor_module, "_matrix_mod_p", counted)
+    monkeypatch.setattr(modp_module, "_matrix_mod_p", counted)
     report = semiprime_factor_attempt(9991, trials=10, seed=5)
     assert report == _euclid_factor_attempt(9991, 10, 5)
     assert 0 < len(calls) <= 2 * 2 * 10
