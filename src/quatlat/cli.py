@@ -494,14 +494,16 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every parser of the grammar by its command words, the top-level one by ()."""
     parser = _ArgumentParser(
         prog="quatlat",
         description="Exact arithmetic for Lipschitz and Hurwitz quaternions.",
     )
+    parsers = {(): parser}
     groups = {(): parser.add_subparsers(dest="command", required=True)}
     for words, help_text, arguments, handler in _COMMANDS:
-        p = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        p = parsers[words] = groups[words[:-1]].add_parser(words[-1], help=help_text)
         if handler is None:
             groups[words] = p.add_subparsers(
                 dest=f"{words[-1]}_command", required=True
@@ -510,11 +512,11 @@ def _build_parser() -> argparse.ArgumentParser:
         for name, keywords in (_JSON, *arguments):
             p.add_argument(name, **keywords)
         p.set_defaults(handler=handler)
-    return parser
+    return parsers
 
 
-_PARSER = _build_parser()
-_WORDS = {words for words, *_ in _COMMANDS}
+_PARSERS = _build_parser()
+_PARSER = _PARSERS[()]
 # Every option with its add_argument keywords; argparse itself adds --help.
 _OPTIONS = dict(
     [("--help", {"action": "help"}), _JSON]
@@ -522,16 +524,15 @@ _OPTIONS = dict(
 )
 
 
-def _preprocess(argv: list[str]) -> list[str]:
-    """Reorder argv so literals with a leading '-' parse as positionals.
+def _preprocess(argv: list[str]) -> tuple[tuple[str, ...], list[str], list[str]]:
+    """Split argv into its command words, its options and its positionals.
 
     Quaternion literals like "-1+3i+j-2k" would otherwise be taken for
-    options.  Every token that starts with '--', and '-h', is an option:
-    options are pulled in front, each known option that takes a value
-    joined to it with '='.  The leading command words stay first, and
-    everything else goes behind an explicit '--' separator.  So a
-    misspelt option reaches argparse, not the literal parser.  An argv
-    that already uses '--' is respected.
+    options.  Every token that starts with '--', and '-h', is an option,
+    each known option that takes a value joined to it with '='; so a
+    misspelt option reaches argparse, not the literal parser.  The
+    command words are the leading tokens that name a parser in _PARSERS,
+    () if none.  After an explicit '--' every token is a positional.
     """
     options: list[str] = []
     tail: list[str] = []
@@ -547,20 +548,24 @@ def _preprocess(argv: list[str]) -> list[str]:
             options.append(token)
         else:
             tail.append(token)
-    heads: list[str] = []
-    while tail and (*heads, tail[0]) in _WORDS:
-        heads.append(tail.pop(0))
-    return heads + options + (["--", *tail] if tail else [])
+    words: tuple[str, ...] = ()
+    while tail and (*words, tail[0]) in _PARSERS:
+        words += (tail.pop(0),)
+    return words, options, tail
 
 
 def dispatch(argv) -> CommandResult:
-    """Parse argv, run the subcommand, and map errors to exit codes."""
-    argv = _preprocess(list(argv))
-    cut = argv.index("--") if "--" in argv else len(argv)
-    as_json = "--json" in argv[:cut]
+    """Parse argv, run the subcommand, and map errors to exit codes.
+
+    argv is parsed once, by the parser its command words name.  The
+    top-level parser reads argv that names no command (no argv, an
+    unknown word, `quatlat --help`) and reports the tokens left over.
+    """
+    words, options, positionals = _preprocess(list(argv))
+    as_json = "--json" in options
     unknown = [
         token
-        for token in argv[:cut]
+        for token in options
         if token.startswith("--") and token.split("=", 1)[0] not in _OPTIONS
     ]
     try:
@@ -568,7 +573,11 @@ def dispatch(argv) -> CommandResult:
             # Reported first: a subcommand would otherwise complain of a
             # missing positional that the option only seemed to take.
             _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
-        args = _PARSER.parse_args(argv)
+        args, extras = _PARSERS[words].parse_known_args(
+            options + (["--", *positionals] if positionals else [])
+        )
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     except UsageError as exc:
         return CommandResult(2, _error_payload(exc, True) if as_json else "")
     except SystemExit as exc:

@@ -23,10 +23,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quatlat
-from quatlat import euclid
+from quatlat import cli, euclid
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
 from quatlat.checks import SUITE_IDS, run_check
-from quatlat.cli import _COMMANDS, _PARSER, dispatch, main, parse_gaussian, parse_quaternion
+from quatlat.cli import _COMMANDS, _PARSER, _PARSERS, dispatch, main, parse_gaussian, parse_quaternion
 from quatlat.factor import CONVENTIONS
 from conftest import random_hurwitz
 
@@ -492,6 +492,7 @@ def _subcommands(parser):
 
 
 def _parser_for(words):
+    # Walks the argparse tree, independently of the _PARSERS table.
     parser = _PARSER
     for word in words:
         parser = _subcommands(parser)[word]
@@ -521,10 +522,23 @@ _SAMPLES = {
 }
 
 
+def _sample_argvs(words):
+    """Three spellings of the _SAMPLES argv of words, each with --json."""
+    positionals, values = _SAMPLES[words]
+    spaced = [token for option in values.items() for token in option]
+    joined = [f"{name}={value}" for name, value in values.items()]
+    return [
+        [*words, *spaced, *positionals, "--json"],
+        [*words, *joined, *positionals, "--json"],
+        [*words, *positionals, *spaced, "--json"],
+    ]
+
+
 @pytest.mark.parametrize("row", _COMMANDS, ids=lambda row: " ".join(row[0]))
 def test_parser_matches_command_table(row):
     words, _, arguments, handler = row
     parser = _parser_for(words)
+    assert _PARSERS[words] is parser
     if handler is None:
         assert [(*words, word) for word in _subcommands(parser)] == [
             other for other, *_ in _COMMANDS if other[:-1] == words
@@ -536,22 +550,84 @@ def test_parser_matches_command_table(row):
     assert [a.dest for a in parser._actions if not a.option_strings] == [
         n for n in names if not n.startswith("--")
     ]
-    positionals, values = _SAMPLES[words]
-    assert set(values) == {
+    assert set(_SAMPLES[words][1]) == {
         name for name, keywords in arguments if name.startswith("--") and "action" not in keywords
     }
-    spaced = [token for option in values.items() for token in option]
-    joined = [f"{name}={value}" for name, value in values.items()]
-    forms = [
-        [*words, *spaced, *positionals],
-        [*words, *joined, *positionals],
-        [*words, *positionals, *spaced],
-    ]
-    results = {dispatch([*argv, "--json"]) for argv in forms}
+    results = {dispatch(argv) for argv in _sample_argvs(words)}
     assert len(results) == 1
     (result,) = results
     assert result.exit_code == 0
     assert json.loads(result.payload)["kind"] != "error"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Each namespace ArgumentParser.parse_known_args returns, in order."""
+    namespaces = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        namespace, extras = parse_known_args(self, *args, **kwargs)
+        namespaces.append(namespace)
+        return namespace, extras
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    return namespaces
+
+
+@pytest.mark.parametrize("words", _SAMPLES, ids=" ".join)
+def test_each_sample_argv_is_parsed_once(words, parses):
+    for argv in _sample_argvs(words):
+        parses.clear()
+        assert dispatch(argv).exit_code == 0
+        assert len(parses) == 1, argv
+
+
+@pytest.mark.parametrize("words", _SAMPLES, ids=" ".join)
+def test_routed_namespace_matches_the_top_level_parse(words, parses):
+    for argv in _sample_argvs(words):
+        parses.clear()
+        dispatch(argv)
+        heads, options, positionals = cli._preprocess(argv)
+        expected = vars(_PARSER.parse_args([*heads, *options, "--", *positionals]))
+        del expected["command"]
+        expected.pop("experiment_command", None)
+        assert vars(parses[-1]) == expected, argv
+
+
+class _TopLevelRoute(dict):
+    """_PARSERS as seen when the top-level parser's parse_args reads every argv."""
+
+    def __getitem__(self, words):
+        return argparse.Namespace(
+            parse_known_args=lambda rest: (_PARSER.parse_args([*words, *rest]), [])
+        )
+
+
+_USAGE_ERRORS = [
+    ["mul", "1", "i", "j"],
+    ["divmod", "--side", "left", "1"],
+    ["gcd", "--side", "up", "1", "i"],
+    ["foursq", "x"],
+    ["divmod", "-h"],
+    ["experiment", "-h"],
+    ["-h"],
+    [],
+    ["frob", "1"],
+    ["experiment"],
+    ["experiment", "frob"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "empty")
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_usage_errors_match_the_top_level_parse(argv, as_json, capsys, monkeypatch):
+    argv = [*argv, "--json"] if as_json else argv
+    routed = (dispatch(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_PARSERS", _TopLevelRoute(_PARSERS))
+    assert (dispatch(argv), *capsys.readouterr()) == routed
+    assert routed[0].exit_code == (0 if "-h" in argv else 2)
+    assert routed[1] or routed[2]
 
 
 def test_choices_are_declared_by_the_library():
