@@ -158,15 +158,14 @@ def parse_gaussian(text: str) -> GaussianInteger:
 
 def _run_foursq(args):
     parts = four_squares(args.n, seed=args.seed)
-    text = f"{args.n} = " + " + ".join(f"{x}^2" for x in parts)
     doc = {"kind": "four_squares", "n": args.n, "seed": args.seed, "parts": parts}
-    return doc, text, 0
+    return doc, lambda: f"{args.n} = " + " + ".join(f"{x}^2" for x in parts), 0
 
 
 def _run_twosq(args):
     a, b = two_squares(args.p)
     doc = {"kind": "two_squares", "p": args.p, "parts": (a, b)}
-    return doc, f"{args.p} = {a}^2 + {b}^2", 0
+    return doc, lambda: f"{args.p} = {a}^2 + {b}^2", 0
 
 
 def _literal_row(word, help_text, kind, function, names):
@@ -180,7 +179,7 @@ def _literal_row(word, help_text, kind, function, names):
     def run(args):
         literals = {name: parse_quaternion(getattr(args, name)) for name in names}
         result = function(*literals.values())
-        return {"kind": kind, **literals, "result": result}, str(result), 0
+        return {"kind": kind, **literals, "result": result}, lambda: str(result), 0
 
     return (word,), help_text, tuple((name, {}) for name in names), run
 
@@ -198,7 +197,7 @@ def _run_cross(args):
         "result": result,
         "hurwitz": isinstance(result, HurwitzQuaternion),
     }
-    return doc, str(result), 0
+    return doc, lambda: str(result), 0
 
 
 def _run_gcd(args):
@@ -214,7 +213,7 @@ def _run_gcd(args):
         "x": res.x,
         "y": res.y,
     }
-    return doc, str(res.gcd), 0
+    return doc, lambda: str(res.gcd), 0
 
 
 def _run_divmod(args):
@@ -229,8 +228,7 @@ def _run_divmod(args):
         "quotient": res.quotient,
         "remainder": res.remainder,
     }
-    text = f"quotient = {res.quotient}\nremainder = {res.remainder}"
-    return doc, text, 0
+    return doc, lambda: f"quotient = {res.quotient}\nremainder = {res.remainder}", 0
 
 
 def _run_orthobasis(args):
@@ -243,7 +241,7 @@ def _run_orthobasis(args):
         "basis": betas,
         "permutation": basis.permutation,
     }
-    return doc, "\n".join(str(beta) for beta in betas), 0
+    return doc, lambda: "\n".join(str(beta) for beta in betas), 0
 
 
 def _run_reps(args):
@@ -255,7 +253,7 @@ def _run_reps(args):
         "count": len(reps),
         "representations": reps,
     }
-    return doc, "\n".join(str(r) for r in reps), 0
+    return doc, lambda: "\n".join(str(r) for r in reps), 0
 
 
 def _run_pall(args):
@@ -269,7 +267,7 @@ def _run_pall(args):
         "divisors": rep.divisors,
         "left_associated": rep.left_associated,
     }
-    return doc, "\n".join(str(d) for d in rep.divisors), 0
+    return doc, lambda: "\n".join(str(d) for d in rep.divisors), 0
 
 
 def _parse_model(text: str) -> tuple[int, ...]:
@@ -289,7 +287,7 @@ def _run_factor(args):
         "model": model,
         "factors": fac.factors,
     }
-    return doc, "\n".join(str(f) for f in fac.factors), 0
+    return doc, lambda: "\n".join(str(f) for f in fac.factors), 0
 
 
 def _run_igama(args):
@@ -304,12 +302,11 @@ def _run_igama(args):
         "coprime": res.coprime,
         "gcld_norm": res.gcld_norm,
     }
-    text = (
+    return doc, lambda: (
         f"ideal_trivial={'true' if res.ideal_trivial else 'false'} "
         f"coprime={'true' if res.coprime else 'false'} "
         f"gcld_norm={res.gcld_norm}"
-    )
-    return doc, text, 0
+    ), 0
 
 
 def _run_fraction(args):
@@ -326,13 +323,12 @@ def _run_fraction(args):
         "predicted_fraction": rep.predicted_fraction,
         "matches_prediction": rep.matches_prediction,
     }
-    text = (
+    return doc, lambda: (
         f"n={rep.n} pairs={rep.total_pairs} "
         f"nontrivial={rep.nontrivial_pairs} fraction={rep.fraction} "
         f"predicted={rep.predicted_fraction} "
         f"match={'true' if rep.matches_prediction else 'false'}"
-    )
-    return doc, text, 0
+    ), 0
 
 
 def _run_montecarlo(args):
@@ -356,7 +352,7 @@ def _run_montecarlo(args):
         "rate_either": rep.rate("either"),
         "factors_found": rep.factors_found,
     }
-    lines = [
+    return doc, lambda: "\n".join((
         f"n = {rep.n} = {rep.p} * {rep.q}",
         f"trials = {rep.trials}, sampler = {rep.sampler}",
         f"right: {rep.successes_right} successes, rate {rep.rate('right')}",
@@ -364,21 +360,12 @@ def _run_montecarlo(args):
         f"either: {rep.successes_either} successes, rate {rep.rate('either')}",
         "factors found: "
         + (", ".join(str(f) for f in rep.factors_found) or "none"),
-    ]
-    return doc, "\n".join(lines), 0
+    )), 0
 
 
 def _run_check(args):
     outcomes = run_all() if args.suite == "all" else [run_check(args.suite)]
-    width = max(len(name) for name in SUITE_IDS)
-    lines = []
-    for outcome in outcomes:
-        tag = "PASS" if outcome.passed else "FAIL"
-        lines.append(f"{tag} {outcome.suite.ljust(width)}  {outcome.description}")
-        if not outcome.passed:
-            lines.append(f"     {outcome.detail}")
     passed = sum(1 for outcome in outcomes if outcome.passed)
-    lines.append(f"{passed} of {len(outcomes)} checks passed")
     doc = {
         "kind": "check_report",
         # Always None: perfbench/reference.json digests it (ROADMAP item 1).
@@ -394,7 +381,19 @@ def _run_check(args):
             for outcome in outcomes
         ],
     }
-    return doc, "\n".join(lines), 0 if passed == len(outcomes) else 1
+
+    def text():
+        width = max(len(name) for name in SUITE_IDS)
+        lines = []
+        for outcome in outcomes:
+            tag = "PASS" if outcome.passed else "FAIL"
+            lines.append(f"{tag} {outcome.suite.ljust(width)}  {outcome.description}")
+            if not outcome.passed:
+                lines.append(f"     {outcome.detail}")
+        lines.append(f"{passed} of {len(outcomes)} checks passed")
+        return "\n".join(lines)
+
+    return doc, text, 0 if passed == len(outcomes) else 1
 
 
 class UsageError(Exception):
@@ -418,9 +417,10 @@ _SEED = ("--seed", _INT)
 
 # The CLI grammar, one row per subcommand: its words, its help, its
 # arguments in declaration order as (name, add_argument keywords), and its
-# handler.  A row with no handler is a group of the rows that extend its
-# words; _literal_row builds the rows that apply one function to literals.
-# Every subcommand also takes --json.
+# handler.  A handler returns its JSON document, a function that renders
+# its text output, and its exit code.  A row with no handler is a group of
+# the rows that extend its words; _literal_row builds the rows that apply
+# one function to literals.  Every subcommand also takes --json.
 _COMMANDS = (
     (("foursq",), "four-squares decomposition", (("n", _INT), _SEED), _run_foursq),
     (("twosq",), "two squares for p = 1 mod 4", (("p", _INT),), _run_twosq),
@@ -517,6 +517,17 @@ def _build_parser() -> dict[tuple[str, ...], argparse.ArgumentParser]:
 
 _PARSERS = _build_parser()
 _PARSER = _PARSERS[()]
+# Each subcommand's handler, its arguments by name (--json first) as
+# (namespace attribute, keywords), and the names of its positionals.
+_ROWS = {
+    words: (
+        handler,
+        {name: (name.lstrip("-"), keywords) for name, keywords in (_JSON, *arguments)},
+        [name for name, _ in arguments if not name.startswith("-")],
+    )
+    for words, _, arguments, handler in _COMMANDS
+    if handler
+}
 # Every option with its add_argument keywords; argparse itself adds --help.
 _OPTIONS = dict(
     [("--help", {"action": "help"}), _JSON]
@@ -532,7 +543,8 @@ def _preprocess(argv: list[str]) -> tuple[tuple[str, ...], list[str], list[str]]
     each known option that takes a value joined to it with '='; so a
     misspelt option reaches argparse, not the literal parser.  The
     command words are the leading tokens that name a parser in _PARSERS,
-    () if none.  After an explicit '--' every token is a positional.
+    () if none.  After an explicit '--' every token, '--' too, is a
+    positional.  _table_parse reads valid argv from it; argparse, the rest.
     """
     options: list[str] = []
     tail: list[str] = []
@@ -554,30 +566,68 @@ def _preprocess(argv: list[str]) -> tuple[tuple[str, ...], list[str], list[str]]
     return words, options, tail
 
 
+def _table_parse(words, options, positionals):
+    """The namespace the parser of words makes of this split, or None.
+
+    Reads the row's add_argument keywords: action (store_true), type,
+    choices, required and default.  None leaves help and errors to argparse.
+    """
+    handler, arguments, names = _ROWS.get(words, (None, None, ()))
+    if handler is None or len(positionals) != len(names):
+        return None
+    given = dict(zip(names, positionals))
+    for token in options:
+        name, joined, value = token.partition("=")
+        keywords = arguments.get(name, (None, None))[1]
+        if keywords is None or bool(joined) == ("action" in keywords):
+            return None
+        given[name] = value if joined else True
+    args = argparse.Namespace(handler=handler)
+    for name, (attribute, keywords) in arguments.items():
+        if name not in given:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default", False if "action" in keywords else None)
+        elif "type" in keywords:
+            try:
+                value = keywords["type"](given[name])
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        else:
+            value = given[name]
+        if name in given and value not in keywords.get("choices", (value,)):
+            return None
+        setattr(args, attribute, value)
+    return args
+
+
 def dispatch(argv) -> CommandResult:
     """Parse argv, run the subcommand, and map errors to exit codes.
 
-    argv is parsed once, by the parser its command words name.  The
-    top-level parser reads argv that names no command (no argv, an
-    unknown word, `quatlat --help`) and reports the tokens left over.
+    Valid argv is read from its _COMMANDS row, with no argparse call.
+    argparse serves help and usage errors: the parser the command words
+    name, or the top-level parser for argv that names no command, which
+    reports the tokens left over.  Only the format asked for is rendered.
     """
     words, options, positionals = _preprocess(list(argv))
     as_json = "--json" in options
-    unknown = [
-        token
-        for token in options
-        if token.startswith("--") and token.split("=", 1)[0] not in _OPTIONS
-    ]
+    args = _table_parse(words, options, positionals)
     try:
-        if unknown:
-            # Reported first: a subcommand would otherwise complain of a
-            # missing positional that the option only seemed to take.
-            _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
-        args, extras = _PARSERS[words].parse_known_args(
-            options + (["--", *positionals] if positionals else [])
-        )
-        if extras:
-            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+        if args is None:
+            unknown = [
+                token
+                for token in options
+                if token.startswith("--") and token.split("=", 1)[0] not in _OPTIONS
+            ]
+            if unknown:
+                # Reported first: a subcommand would otherwise complain of a
+                # missing positional that the option only seemed to take.
+                _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
+            args, extras = _PARSERS[words].parse_known_args(
+                options + (["--", *positionals] if positionals else [])
+            )
+            if extras:
+                _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     except UsageError as exc:
         return CommandResult(2, _error_payload(exc, True) if as_json else "")
     except SystemExit as exc:
@@ -588,7 +638,7 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(2, _error_payload(exc, as_json))
     except QuatlatError as exc:
         return CommandResult(1, _error_payload(exc, as_json))
-    return CommandResult(code, json.dumps(_json_value(doc)) if as_json else text)
+    return CommandResult(code, json.dumps(_json_value(doc)) if as_json else text())
 
 
 def _json_value(value):

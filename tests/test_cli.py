@@ -16,8 +16,9 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -562,37 +563,47 @@ def test_parser_matches_command_table(row):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """Each namespace ArgumentParser.parse_known_args returns, in order."""
-    namespaces = []
+    """Each parser whose parse_known_args is called, in call order."""
+    parsers = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
     def recording(self, *args, **kwargs):
-        namespace, extras = parse_known_args(self, *args, **kwargs)
-        namespaces.append(namespace)
-        return namespace, extras
+        parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
-    return namespaces
+    return parsers
 
 
 @pytest.mark.parametrize("words", _SAMPLES, ids=" ".join)
 def test_each_sample_argv_is_parsed_once(words, parses):
+    # Once, from the _COMMANDS table: a valid argv makes no argparse call.
     for argv in _sample_argvs(words):
         parses.clear()
         assert dispatch(argv).exit_code == 0
-        assert len(parses) == 1, argv
+        assert parses == [], argv
 
 
 @pytest.mark.parametrize("words", _SAMPLES, ids=" ".join)
-def test_routed_namespace_matches_the_top_level_parse(words, parses):
+def test_routed_namespace_matches_the_top_level_parse(words, monkeypatch):
+    # The namespace the handler receives, as the table parse hands it over.
+    received = []
+    table_parse = cli._table_parse
+
+    def recording(*split):
+        args = table_parse(*split)
+        received.append(dict(vars(args)))
+        return args
+
+    monkeypatch.setattr(cli, "_table_parse", recording)
     for argv in _sample_argvs(words):
-        parses.clear()
-        dispatch(argv)
+        received.clear()
+        assert dispatch(argv).exit_code == 0, argv
         heads, options, positionals = cli._preprocess(argv)
         expected = vars(_PARSER.parse_args([*heads, *options, "--", *positionals]))
         del expected["command"]
         expected.pop("experiment_command", None)
-        assert vars(parses[-1]) == expected, argv
+        assert received == [expected], argv
 
 
 class _TopLevelRoute(dict):
@@ -602,6 +613,14 @@ class _TopLevelRoute(dict):
         return argparse.Namespace(
             parse_known_args=lambda rest: (_PARSER.parse_args([*words, *rest]), [])
         )
+
+
+@contextmanager
+def _argparse_only():
+    """dispatch as it runs when the top-level parser reads every argv."""
+    with mock.patch.object(cli, "_table_parse", lambda *split: None):
+        with mock.patch.object(cli, "_PARSERS", _TopLevelRoute(_PARSERS)):
+            yield
 
 
 _USAGE_ERRORS = [
@@ -621,13 +640,124 @@ _USAGE_ERRORS = [
 
 @pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "empty")
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-def test_usage_errors_match_the_top_level_parse(argv, as_json, capsys, monkeypatch):
+def test_usage_errors_match_the_top_level_parse(argv, as_json, capsys, parses):
     argv = [*argv, "--json"] if as_json else argv
     routed = (dispatch(argv), *capsys.readouterr())
-    monkeypatch.setattr(cli, "_PARSERS", _TopLevelRoute(_PARSERS))
-    assert (dispatch(argv), *capsys.readouterr()) == routed
+    assert parses  # argparse reports every usage error
+    with _argparse_only():
+        assert (dispatch(argv), *capsys.readouterr()) == routed
     assert routed[0].exit_code == (0 if "-h" in argv else 2)
     assert routed[1] or routed[2]
+
+
+def test_a_later_double_dash_is_a_literal():
+    # After a bare '--' every token is a positional, a later '--' too, so
+    # it reaches the literal parser as `norm -- --` does.
+    message = "expected a coefficient or axis at position 1 of '--'"
+    for argv in (["mul", "--", "1", "--"], ["norm", "--", "--"]):
+        assert dispatch(argv) == (2, f"ParseError: {message}")
+        doc = json.loads(dispatch(["--json", *argv]).payload)
+        assert doc == {"kind": "error", "error": "ParseError", "message": message}
+
+
+def test_every_command_keyword_is_read_by_the_table_parse():
+    # _table_parse reads these add_argument keywords, and only argparse
+    # reads help; any other (nargs, metavar, dest) would part the two.
+    # It takes an option's attribute to be its name without '--', and
+    # leaves a default as it is, where argparse would convert a string.
+    for words, _, arguments, _ in _COMMANDS:
+        for name, keywords in (cli._JSON, *arguments):
+            assert set(keywords) <= {"action", "type", "choices", "required", "default", "help"}
+            assert keywords.get("action", "store_true") == "store_true", (words, name)
+            assert "-" not in name.removeprefix("--"), (words, name)
+            assert not ("type" in keywords and isinstance(keywords.get("default"), str))
+
+
+def _outcome(argv):
+    """dispatch(argv), or the name of what it raised, and its stdout and stderr.
+
+    argparse hands a handler [] for a '--' after the first positional
+    (Python 3.11 strips it), which a literal or an int handler then trips on.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = dispatch(argv)
+        except (AttributeError, TypeError) as exc:
+            result = type(exc).__name__
+    return result, out.getvalue(), err.getvalue()
+
+
+_OPTION_VALUES = [*CONVENTIONS, "up", "3,5", "3,x", "7", "-2", "x", ""]
+_LEAVES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(
+        ["1+i", "-1+3i+j-2k", "1/2-1/2i+1/2j+1/2k", "2i", "1+q", "", "-h", "--", "frob", "thm-3-5"]
+    ),
+)
+_TOKENS = st.one_of(
+    st.sampled_from(sorted({word for words, *_ in _COMMANDS for word in words})),
+    st.sampled_from(sorted(cli._OPTIONS)),
+    st.builds("{}={}".format, st.sampled_from(sorted(cli._OPTIONS)), st.sampled_from(_OPTION_VALUES)),
+    _LEAVES,
+)
+
+
+@st.composite
+def _row_argvs(draw):
+    """A row's words, then its arguments and a few stray tokens in any order.
+
+    Each positional gets a leaf, and each option is left out, given bare,
+    or given a value joined by '=' or as the next token; mostly as the
+    row declares it.
+    """
+    words, _, arguments, _ = draw(st.sampled_from(_COMMANDS))
+    chunks = [[draw(_LEAVES)] for name, _ in arguments if not name.startswith("-")]
+    for name, keywords in (cli._JSON, *arguments):
+        if name.startswith("--"):
+            value = draw(
+                st.sampled_from(keywords.get("choices") or ["3,5"])
+                | st.integers(-3, 40).map(str)
+                | st.sampled_from(_OPTION_VALUES)
+            )
+            joined, spaced = [f"{name}={value}"], [name, value]
+            if "action" in keywords:
+                spellings = [[], [name], [name], joined]
+            else:
+                spellings = [[], [name], joined, joined, spaced, spaced]
+            chunks.append(draw(st.sampled_from(spellings)))
+    chunks += [[token] for token in draw(st.just([]) | st.lists(_TOKENS, max_size=1))]
+    return [*words, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
+_ARGV = st.one_of(
+    _row_argvs(),
+    _row_argvs(),
+    st.builds(
+        lambda words, rest: [*words, *rest],
+        st.sampled_from([(), *(words for words, *_ in _COMMANDS)]),
+        st.lists(_TOKENS, max_size=6),
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(_ARGV)
+@example(["divmod", "--side=left", "--", "1", "--"])
+@example(["gcd", "--side", "right", "-1+3i", "--json", "i"])
+@example(["experiment", "fraction", "3", "5", "--convention=either"])
+def test_dispatch_matches_the_argparse_route(argv):
+    actual = _outcome(argv)
+    with _argparse_only():
+        expected = _outcome(argv)
+    if expected[0] == "AttributeError":
+        # argparse strips a later literal '--' and hands the handler [];
+        # the table parse hands it '--', and the literal parser rejects it.
+        assert "--" in cli._preprocess(argv)[2][1:]
+        assert actual[0].exit_code == 2 and "ParseError" in actual[0].payload
+        assert actual[1:] == ("", "")
+    else:
+        assert actual == expected
 
 
 def test_choices_are_declared_by_the_library():
