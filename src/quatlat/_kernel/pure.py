@@ -11,8 +11,9 @@ the enumeration loops tight.
 Two entries carry most of the library's enumeration:
 
 - The box census `count_orthogonality_failures` first tries a
-  Gram-determinant certificate that the basis spans the whole
-  orthogonal lattice; when it holds, the orthogonal points of the box
+  vector-product certificate that the basis spans the whole orthogonal
+  lattice: alpha has content 1 and the cross product of the three rows
+  is +-alpha.  When it holds, the orthogonal points of the box
   are only counted, as one coefficient of a Kronecker-packed integer
   product (`_count_orthogonal`), and none can fail.  Without the
   certificate it walks the box and solves for each point with
@@ -311,16 +312,14 @@ def combination_solver(basis):
 def _spans_orthogonal_lattice(alpha, basis):
     """Whether basis provably spans every integer q with q . alpha = 0.
 
-    True when alpha has integer content 1, every row is orthogonal to
-    alpha, and the Gram determinant of the rows equals alpha . alpha;
-    `count_orthogonality_failures` gives the argument.
+    True when alpha has integer content 1 and cross4 of the rows is
+    +-alpha; `count_orthogonality_failures` shows that this suffices.
+    It is the Gram criterion in vector-product terms: by Cauchy-Binet
+    the rows' Gram determinant is |cross4(rows)|^2, so rows orthogonal
+    to alpha with Gram determinant alpha . alpha have their cross on
+    Q*alpha, of alpha's length, and conversely.
     """
-    if gcd(*alpha) != 1:
-        return False
-    if any(qdot4(row, alpha) for row in basis):
-        return False
-    gram = [[qdot4(u, v) for v in basis] for u in basis]
-    return _det3(*gram) == qdot4(alpha, alpha)
+    return gcd(*alpha) == 1 and cross4(*basis) in (tuple(alpha), qneg(alpha))
 
 
 def _count_orthogonal(alpha, q_bound):
@@ -363,18 +362,17 @@ def count_orthogonality_failures(alpha, basis, q_bound):
 
     When `_spans_orthogonal_lattice` holds, no q can fail, and only the
     count is computed, exactly, by `_count_orthogonal` as one integer
-    product.  The argument that none can fail:
-    M = {q in Z^4 : q . alpha = 0} is a primitive rank-3 sublattice of
-    the unimodular Z^4, and for alpha of integer content 1 its
-    orthogonal complement there is Z*alpha.  Complementary primitive
-    sublattices of a unimodular lattice have equal Gram determinants,
-    so M's is alpha . alpha.  Rows lying in M span a sublattice of
-    index k, with Gram determinant k^2 times that of M.  Rows with Gram
-    determinant alpha . alpha therefore have k = 1: they span all of M,
-    not only its points in the box.  Otherwise (a broken or scaled
-    basis, content > 1, a zero basis) the box is walked point by point
-    by `_walk_orthogonality_failures`, the only path that counts
-    failures.
+    product.  The argument that none can fail: the cross of the rows is
+    orthogonal to each, so cross4(rows) = +-alpha puts the rows in
+    M = {q in Z^4 : q . alpha = 0}, independent as alpha != 0.  For q
+    in M, det(rows stacked over q) = cross4(rows) . q = 0, so
+    q = sum(r_i * row_i) with rational r_i.  Putting q in place of row
+    i multiplies the cross by r_i and gives an integer vector, so
+    r_i * alpha is integral and, alpha having content 1, r_i is an
+    integer: the rows span all of M, not only its points in the box.
+    Otherwise (a broken or scaled basis, content > 1, a zero basis) the
+    box is walked point by point by `_walk_orthogonality_failures`, the
+    only path that counts failures.
     """
     if _spans_orthogonal_lattice(alpha, basis):
         return _count_orthogonal(alpha, q_bound), 0

@@ -401,7 +401,18 @@ class UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports usage errors to stderr as argparse does, then raises."""
+    """Reports usage errors to stderr as argparse does, then raises.
+
+    An argument whose only string is '--' takes it as its value, where
+    Python 3.11's argparse strips it and hands the handler [].
+    """
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         try:

@@ -192,9 +192,10 @@ def cross3(
 
 
 def triple_scalar(u1, u2, u3, v) -> int:
-    """Determinant of four stacked 4-vectors: cross(u1,u2,u3) . v."""
-    rows = [_as_int_vector(x, 4) for x in (u1, u2, u3, v)]
-    return det_int(rows)
+    """Determinant of four stacked 4-vectors: cross4(u1, u2, u3) . v,
+    its cofactor expansion along the last row."""
+    r1, r2, r3, r4 = (_as_int_vector(x, 4) for x in (u1, u2, u3, v))
+    return _kernel.qdot4(_kernel.cross4(r1, r2, r3), r4)
 
 
 def _dot_int(u: HurwitzQuaternion, v: HurwitzQuaternion) -> int:

@@ -75,6 +75,9 @@ class OrthogonalBasis(NamedTuple):
 def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
     """Explicit basis of the orthogonal lattice of a primitive alpha.
 
+    Lemma 4.2 as a vector-product identity: cross3(beta1, beta2, beta3)
+    is -alpha for "ab-cd" and alpha for "a=b=0" and "c=d=0".
+
     Raises:
         ZeroInput: for alpha = 0.
         NotLipschitz: for half-odd alpha.

@@ -660,6 +660,32 @@ def test_a_later_double_dash_is_a_literal():
         assert doc == {"kind": "error", "error": "ParseError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pall", "--", "1+i", "{}"],
+        ["experiment", "fraction", "--", "3", "{}"],
+        ["experiment", "montecarlo", "15", "--trials", "{}"],
+        ["divmod", "--side={}", "1", "i"],
+    ],
+    ids=lambda argv: " ".join(argv).format("--"),
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_double_dash_value_is_a_usage_error(argv, as_json, capsys):
+    # Python 3.11's argparse strips '--' when it is an argument's only
+    # string and hands the handler [], which crashed it.  '--' must be
+    # rejected as 'x' is, with the same usage text.
+    argv = [*argv, "--json"] if as_json else argv
+    result, out, err = dispatch([t.format("x") for t in argv]), *capsys.readouterr()
+    assert result.exit_code == 2 and "'x'" in err
+    expected = (
+        result._replace(payload=result.payload.replace("'x'", "'--'")),
+        out,
+        err.replace("'x'", "'--'"),
+    )
+    assert (dispatch([t.format("--") for t in argv]), *capsys.readouterr()) == expected
+
+
 def test_every_command_keyword_is_read_by_the_table_parse():
     # _table_parse reads these add_argument keywords, and only argparse
     # reads help; any other (nargs, metavar, dest) would part the two.
@@ -674,21 +700,14 @@ def test_every_command_keyword_is_read_by_the_table_parse():
 
 
 def _outcome(argv):
-    """dispatch(argv), or the name of what it raised, and its stdout and stderr.
-
-    argparse hands a handler [] for a '--' after the first positional
-    (Python 3.11 strips it), which a literal or an int handler then trips on.
-    """
+    """dispatch(argv) with its stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            result = dispatch(argv)
-        except (AttributeError, TypeError) as exc:
-            result = type(exc).__name__
+        result = dispatch(argv)
     return result, out.getvalue(), err.getvalue()
 
 
-_OPTION_VALUES = [*CONVENTIONS, "up", "3,5", "3,x", "7", "-2", "x", ""]
+_OPTION_VALUES = [*CONVENTIONS, "up", "3,5", "3,x", "7", "-2", "x", "", "--"]
 _LEAVES = st.one_of(
     st.integers(-3, 40).map(str),
     st.sampled_from(
@@ -746,18 +765,12 @@ _ARGV = st.one_of(
 @example(["divmod", "--side=left", "--", "1", "--"])
 @example(["gcd", "--side", "right", "-1+3i", "--json", "i"])
 @example(["experiment", "fraction", "3", "5", "--convention=either"])
+@example(["pall", "--", "1+i", "--"])
+@example(["experiment", "fraction", "--", "3", "--"])
 def test_dispatch_matches_the_argparse_route(argv):
     actual = _outcome(argv)
     with _argparse_only():
-        expected = _outcome(argv)
-    if expected[0] == "AttributeError":
-        # argparse strips a later literal '--' and hands the handler [];
-        # the table parse hands it '--', and the literal parser rejects it.
-        assert "--" in cli._preprocess(argv)[2][1:]
-        assert actual[0].exit_code == 2 and "ParseError" in actual[0].payload
-        assert actual[1:] == ("", "")
-    else:
-        assert actual == expected
+        assert _outcome(argv) == actual
 
 
 def test_choices_are_declared_by_the_library():

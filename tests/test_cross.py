@@ -110,7 +110,10 @@ def test_triple_scalar_is_the_defining_pairing():
         w = random_lipschitz(rng, 20)
         x = random_lipschitz(rng, 20)
         c = cross3(u, v, w)
+        # cross3 and triple_scalar both run cross4; det_int, Bareiss
+        # elimination on the stacked rows, shares no code with it.
         assert inner_product(c, x) == triple_scalar(u, v, w, x)
+        assert triple_scalar(u, v, w, x) == det_int([y.coords for y in (u, v, w, x)])
         assert triple_scalar(u, v, w, u) == 0
         assert triple_scalar(u, v, w, v) == 0
         assert triple_scalar(u, v, w, w) == 0

@@ -4,10 +4,11 @@ enumeration.
 The census oracle is a plain four-deep loop over the coordinate box
 computing dot products directly, so the lattice kernel is checked
 against an implementation that shares none of its code.  The census's
-Gram-determinant certificate and its count, one coefficient of a
+vector-product certificate and its count, one coefficient of a
 Kronecker-packed integer product, are held to the point walk, as
 Hypothesis properties over dense alphas in [-8, 8]^4 and wide ones in
-[-60, 60]^4 with zero coordinates.
+[-60, 60]^4 with zero coordinates; the certificate is also held to the
+Gram-determinant criterion it replaced, kept here as the reference.
 The sphere walk is held to the triple loop it replaced, kept here as
 the oracle, and to Jacobi's four-square counts.
 """
@@ -15,10 +16,11 @@ the oracle, and to Jacobi's four-square counts.
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quatlat import _kernel, lattice
 from quatlat._kernel import count_orthogonality_failures, pure
@@ -32,6 +34,8 @@ from quatlat import (
     PreconditionViolated,
     ZeroInput,
     ZERO,
+    cross3,
+    det_int,
     gram_norm,
     in_orthogonal_lattice,
     inner_product,
@@ -269,6 +273,82 @@ def test_broken_bases_fall_back_to_the_walk(alpha, q_bound, row, factor, kind):
     assert not pure._spans_orthogonal_lattice(alpha, rows)
     got = pure.count_orthogonality_failures(alpha, rows, q_bound)
     assert got == pure._walk_orthogonality_failures(alpha, rows, q_bound)
+
+
+def _gram_certificate(alpha, basis):
+    """The Gram criterion that the census certificate replaced.
+
+    alpha has content 1, every row is orthogonal to it, and the rows'
+    Gram determinant is alpha . alpha.
+    """
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    if gcd(*alpha) != 1 or any(dot(row, alpha) for row in basis):
+        return False
+    return det_int([[dot(u, v) for v in basis] for u in basis]) == dot(alpha, alpha)
+
+
+def _content_one_rows(alpha):
+    """orthogonal_basis's rows for any integer alpha of content 1.
+
+    orthogonal_basis refuses all-odd alphas, which 2 divides in the
+    Hurwitz order; its construction needs only integer content 1.
+    """
+    with mock.patch.object(lattice, "is_primitive", lambda h: True):
+        return lattice._basis_rows(HurwitzQuaternion.from_coords(*alpha))[0]
+
+
+_certificate_alphas = st.one_of(
+    _primitive_coords,
+    st.tuples(*[st.sampled_from(range(-9, 10, 2))] * 4),
+    st.builds(lambda c, k: tuple(k * x for x in c), _primitive_coords, st.sampled_from((2, 3))),
+)
+_small_rows = st.tuples(*[st.tuples(*[st.integers(-3, 3)] * 4)] * 3)
+
+
+@settings(_census_settings, max_examples=300)
+@given(
+    _certificate_alphas,
+    st.sampled_from(("true", "unimodular", "scaled", "content", "rotated", "random", "zero")),
+    st.integers(0, 2),
+    st.sampled_from((-1, 2, 3)),
+    st.permutations(range(3)),
+    st.integers(-3, 3),
+    _small_rows,
+)
+@example((2, 4, 6, 10), "content", 0, 2, [0, 1, 2], 0, ((0, 0, 0, 0),) * 3)
+@example((3, -3, 3, 9), "content", 2, 2, [0, 1, 2], 0, ((0, 0, 0, 0),) * 3)
+def test_certificate_is_the_gram_criterion(alpha, kind, row, factor, order, k, random_rows):
+    # alpha: primitive, with zero coordinates, all odd, or of content 2 or 3.
+    # The rows are the true basis of alpha's primitive part, transformed.
+    content = gcd(*alpha)
+    rows = list(_content_one_rows(tuple(x // content for x in alpha)))
+    if kind == "unimodular":
+        rows = [rows[i] for i in order]
+        rows[0] = tuple(-x - k * y for x, y in zip(rows[0], rows[1]))
+    elif kind == "scaled":
+        rows[row] = tuple(factor * x for x in rows[row])
+    elif kind == "content":
+        # The cross is +-alpha, so only the content test can reject it.
+        rows[row] = tuple(-content * x for x in rows[row])
+    elif kind == "rotated":
+        rows = [r[row + 1:] + r[:row + 1] for r in rows]
+    elif kind == "random":
+        rows = random_rows
+    elif kind == "zero":
+        rows[row] = (0, 0, 0, 0)
+    assert pure._spans_orthogonal_lattice(alpha, rows) == _gram_certificate(alpha, rows)
+
+
+@_census_settings
+@given(_primitive_coords)
+def test_basis_rows_cross_to_minus_alpha(alpha):
+    # Lemma 4.2 as a vector-product identity, with orthogonal_basis's sign.
+    h = HurwitzQuaternion.from_coords(*alpha)
+    b = orthogonal_basis(h)
+    assert cross3(b.beta1, b.beta2, b.beta3) == (-h if b.permutation == "ab-cd" else h)
 
 
 # Primitive alphas with sum(|alpha_i|) at 48 and 49, wider than any
