@@ -11,8 +11,9 @@ overflow, and booleans stay native.  Handlers put raw values in their
 documents and `dispatch` applies that rule once, in `_json_value`.
 
 Exit codes: 0 on success, 1 on a domain error (the error class name
-prefixes the message) or when the reader closes stdout early, 2 on
-parse or usage errors.  Under `--json` every error, a usage error
+prefixes the message), on output holding an integer longer than
+sys.get_int_max_str_digits(), or when the reader closes stdout early,
+2 on parse or usage errors.  Under `--json` every error, a usage error
 included, prints an object of kind "error".  Identical argv plus seed
 always produce byte-identical output.
 
@@ -39,7 +40,7 @@ from quatlat.core import (
     inner_product,
 )
 from quatlat.cross import cross3
-from quatlat.errors import MixedParity, ParseError, QuatlatError
+from quatlat.errors import MixedParity, ParseError, PreconditionViolated, QuatlatError
 from quatlat.euclid import divide, gcd
 from quatlat.factor import (
     CONVENTIONS,
@@ -60,7 +61,8 @@ class CommandResult(NamedTuple):
     payload: str
 
 
-_NUM = re.compile(r"[0-9]+")
+# One term: a sign, the digits of a coefficient, and the rest of a /n.
+_TERM = re.compile(r"([+-]?)([0-9]*)(/[0-9]*)?")
 _BLANK = " \t\n\r\x0b\x0c"  # ASCII whitespace, the only padding a literal may carry
 
 
@@ -78,7 +80,8 @@ def _scan_terms(
     count in text as given.
 
     Raises:
-        ParseError: on any grammar violation, with the position.
+        ParseError: on any grammar violation, with the position, and on
+            a coefficient longer than sys.get_int_max_str_digits().
     """
     end = len(text.rstrip(_BLANK))
     pos = len(text) - len(text.lstrip(_BLANK))
@@ -88,47 +91,53 @@ def _scan_terms(
     whole = 2 if halves else 1
     first = True
     while pos < end:
-        sign = 1
-        if text[pos] == "+":
-            pos += 1
-        elif text[pos] == "-":
-            sign = -1
-            pos += 1
-        elif not first:
+        m = _TERM.match(text, pos, end)
+        sign, digits, half = m.groups()
+        if not (sign or first):
             raise ParseError(
                 f"expected '+' or '-' at position {pos} of {text!r}", pos
             )
         first = False
-        m = _NUM.match(text, pos, end)
-        coefficient = None
-        scale = whole
-        if m:
-            coefficient = int(m.group())
-            pos = m.end()
-            if halves and pos < end and text[pos] == "/":
-                pos += 1
-                dm = _NUM.match(text, pos, end)
-                if not dm or dm.group() != "2":
+        if not digits:
+            coefficient = whole
+            pos = m.end(1)
+        else:
+            try:
+                coefficient = int(digits)
+            except ValueError:
+                pos = m.start(2)
+                raise ParseError(
+                    f"coefficient longer than {sys.get_int_max_str_digits()}"
+                    f" digits at position {pos} of {text!r}",
+                    pos,
+                ) from None
+            # The /n counts only in a half; otherwise the scan stops at it.
+            if half and halves:
+                if half != "/2":
+                    pos = m.start(3) + 1
                     raise ParseError(
                         f"only the denominator 2 is allowed, at position"
                         f" {pos} of {text!r}",
                         pos,
                     )
-                scale = 1
-                pos = dm.end()
+                pos = m.end(3)
+            else:
+                coefficient *= whole
+                pos = m.end(2)
         axis = 0
         if pos < end and text[pos] in axes:
             axis = axes.index(text[pos]) + 1
             pos += 1
-        if coefficient is None and axis == 0:
+        elif not digits:
             raise ParseError(
                 f"expected a coefficient or {axis_word} at position {pos}"
                 f" of {text!r}",
                 pos,
             )
-        if coefficient is None:
-            coefficient = 1
-        totals[axis] += sign * scale * coefficient
+        if sign == "-":
+            totals[axis] -= coefficient
+        else:
+            totals[axis] += coefficient
     return totals
 
 
@@ -649,7 +658,16 @@ def dispatch(argv) -> CommandResult:
         return CommandResult(2, _error_payload(exc, as_json))
     except QuatlatError as exc:
         return CommandResult(1, _error_payload(exc, as_json))
-    return CommandResult(code, json.dumps(_json_value(doc)) if as_json else text())
+    try:
+        payload = json.dumps(_json_value(doc)) if as_json else text()
+    except ValueError:
+        # str() refuses an int longer than the interpreter's digit limit.
+        error = PreconditionViolated(
+            "the output holds an integer longer than"
+            f" {sys.get_int_max_str_digits()} digits"
+        )
+        return CommandResult(1, _error_payload(error, as_json))
+    return CommandResult(code, payload)
 
 
 def _json_value(value):
@@ -660,6 +678,8 @@ def _json_value(value):
     quaternion reads in the literal syntax and no JSON reader meets an
     integer it cannot hold.
     """
+    if type(value) is HurwitzQuaternion:  # the commonest leaf, tested first
+        return str(value)
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, dict):

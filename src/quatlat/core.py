@@ -182,26 +182,18 @@ class HurwitzQuaternion:
         return f"HurwitzQuaternion{self._d!r}"
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for val, axis in zip(self._d, ("", "i", "j", "k")):
-            if val == 0:
-                continue
-            if val % 2 == 0:
-                co = val // 2
-                if axis and co == 1:
-                    text = axis
-                elif axis and co == -1:
-                    text = "-" + axis
-                else:
-                    text = f"{co}{axis}"
-            else:
-                text = f"{val}/2{axis}"
-            if parts and not text.startswith("-"):
-                parts.append("+")
-            parts.append(text)
-        return "".join(parts)
+        d0, d1, d2, d3 = self._d
+        if d0 & 1:
+            # Half-odd: all four coordinates are odd, so none is zero.
+            return f"{d0}/2{d1:+}/2i{d2:+}/2j{d3:+}/2k"
+        terms = [f"{d0 // 2}"] if d0 else []
+        if d1:
+            terms.append("i" if d1 == 2 else "-i" if d1 == -2 else f"{d1 // 2}i")
+        if d2:
+            terms.append("j" if d2 == 2 else "-j" if d2 == -2 else f"{d2 // 2}j")
+        if d3:
+            terms.append("k" if d3 == 2 else "-k" if d3 == -2 else f"{d3 // 2}k")
+        return "+".join(terms).replace("+-", "-") or "0"
 
 
 ZERO = HurwitzQuaternion(0, 0, 0, 0)

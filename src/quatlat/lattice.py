@@ -1,9 +1,9 @@
 """Orthogonal sublattices of the Lipschitz order and norm enumerations.
 
-For a primitive Lipschitz quaternion alpha = a + bi + cj + dk the rank-3
-lattice of Lipschitz vectors orthogonal to alpha has an explicit basis
-assembled from two extended-gcd identities, one on the coordinate pair
-(a, b) and one on (c, d):
+For a Lipschitz quaternion alpha = a + bi + cj + dk with gcd(a, b, c, d)
+= 1 the rank-3 lattice of Lipschitz vectors orthogonal to alpha has an
+explicit basis assembled from two extended-gcd identities, one on the
+coordinate pair (a, b) and one on (c, d):
 
     beta1 = g2*(x0 + y0*i) - g1*(z0 + t0*i)*j
     beta2 = (b - a*i) / g1
@@ -11,8 +11,8 @@ assembled from two extended-gcd identities, one on the coordinate pair
 
 with g1 = gcd(a, b) = a*x0 + b*y0 and g2 = gcd(c, d) = c*z0 + d*t0.
 When one coordinate pair vanishes the construction degenerates and a
-substitute basis is returned instead (the other pair is then coprime,
-by primitivity).  Membership testing runs both the inner-product
+substitute basis is returned instead (the other pair is then
+coprime).  Membership testing runs both the inner-product
 characterization and exact integer linear algebra and insists they
 agree, so a completeness failure of the formula would surface loudly
 rather than be papered over.
@@ -21,11 +21,12 @@ rather than be papered over.
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd
 from typing import NamedTuple
 
 from quatlat import _kernel
 from quatlat._kernel.pure import combination_solver, xgcd
-from quatlat.core import HurwitzQuaternion, is_primitive
+from quatlat.core import HurwitzQuaternion
 from quatlat.errors import (
     BoundExceeded,
     EvenNorm,
@@ -56,7 +57,7 @@ def _check_bound(n: int) -> None:
 
 
 class OrthogonalBasis(NamedTuple):
-    """Basis of the Lipschitz vectors orthogonal to a primitive alpha.
+    """Basis of the Lipschitz vectors orthogonal to alpha, gcd(a, b, c, d) = 1.
 
     permutation records which construction produced it: "ab-cd" for the
     generic two-pair formula, "a=b=0" or "c=d=0" for the degenerate
@@ -73,15 +74,17 @@ class OrthogonalBasis(NamedTuple):
 
 
 def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
-    """Explicit basis of the orthogonal lattice of a primitive alpha.
+    """Explicit basis of the orthogonal lattice of alpha = a+bi+cj+dk.
 
     Lemma 4.2 as a vector-product identity: cross3(beta1, beta2, beta3)
-    is -alpha for "ab-cd" and alpha for "a=b=0" and "c=d=0".
+    is -alpha for "ab-cd" and alpha for "a=b=0" and "c=d=0".  alpha must
+    be Lipschitz with gcd(a, b, c, d) = 1; an all-odd alpha such as
+    1+i+j+3k qualifies, though 2 divides it in the Hurwitz order.
 
     Raises:
         ZeroInput: for alpha = 0.
         NotLipschitz: for half-odd alpha.
-        NotPrimitive: when an integer > 1 divides alpha.
+        NotPrimitive: when gcd(a, b, c, d) > 1.
     """
     rows, permutation = _basis_rows(alpha)
     beta1, beta2, beta3 = (HurwitzQuaternion.from_coords(*row) for row in rows)
@@ -93,7 +96,7 @@ def _basis_rows(alpha: HurwitzQuaternion):
     if alpha.is_zero:
         raise ZeroInput("the orthogonal lattice of 0 is not rank 3")
     a, b, c, d = alpha.coords
-    if not is_primitive(alpha):
+    if gcd(a, b, c, d) != 1:
         raise NotPrimitive(f"{alpha} has content > 1")
     if a == 0 and b == 0:
         return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, d, -c)), "a=b=0"
@@ -109,12 +112,13 @@ def _basis_rows(alpha: HurwitzQuaternion):
 
 
 def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> bool:
-    """Whether q lies in the orthogonal lattice of the primitive alpha.
+    """Whether q lies in the orthogonal lattice of alpha.
 
     Decides by the inner-product characterization (q Lipschitz with
     q . alpha = 0) and independently by solving for integer basis
     coefficients; the two must agree, anything else reports a broken
-    basis rather than silently picking a side.
+    basis rather than silently picking a side.  alpha must meet the
+    precondition of orthogonal_basis, and raises as it does.
     """
     rows = _basis_rows(alpha)[0]
     if not q.is_lipschitz:
@@ -137,7 +141,8 @@ def orthogonality_census(
     Counts Lipschitz q with coordinates in [-q_bound, q_bound]
     orthogonal to alpha, and how many of those fail to be integer
     combinations of orthogonal_basis(alpha).  A correct basis gives
-    (count, 0).
+    (count, 0).  alpha must meet the precondition of orthogonal_basis,
+    and raises as it does.
     """
     return _kernel.count_orthogonality_failures(
         alpha.coords, _basis_rows(alpha)[0], q_bound

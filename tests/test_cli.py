@@ -14,9 +14,11 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +31,7 @@ from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity
 from quatlat.checks import SUITE_IDS, run_check
 from quatlat.cli import _COMMANDS, _PARSER, _PARSERS, dispatch, main, parse_gaussian, parse_quaternion
 from quatlat.factor import CONVENTIONS
+from quatlat.lattice import orthogonal_basis
 from conftest import random_hurwitz
 
 
@@ -50,11 +53,36 @@ _quaternions = st.builds(
 )
 
 
+def _format_reference(u):
+    """HurwitzQuaternion.__str__ before the direct formatter, kept verbatim."""
+    if u.is_zero:
+        return "0"
+    parts = []
+    for val, axis in zip(u.doubled, ("", "i", "j", "k")):
+        if val == 0:
+            continue
+        if val % 2 == 0:
+            co = val // 2
+            if axis and co == 1:
+                text = axis
+            elif axis and co == -1:
+                text = "-" + axis
+            else:
+                text = f"{co}{axis}"
+        else:
+            text = f"{val}/2{axis}"
+        if parts and not text.startswith("-"):
+            parts.append("+")
+        parts.append(text)
+    return "".join(parts)
+
+
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(_quaternions)
 @example(ZERO)
 @example(OMEGA)
 def test_parse_inverts_format(u):
+    assert str(u) == _format_reference(u)
     assert parse_quaternion(str(u)) == u
 
 
@@ -62,6 +90,7 @@ def test_parse_inverts_format(u):
 @given(st.builds(GaussianInteger, _coord, _coord))
 @example(GaussianInteger(0, 0))
 def test_parse_gaussian_inverts_format(z):
+    assert str(z) == _format_reference(HurwitzQuaternion.from_coords(z.re, z.im, 0, 0))
     assert parse_gaussian(str(z)) == z
 
 
@@ -131,6 +160,176 @@ def test_literals_may_carry_ascii_padding():
         with pytest.raises(ParseError) as info:
             parse_quaternion(blank)
         assert info.value.position == 0
+
+
+_NUM = re.compile(r"[0-9]+")
+
+
+def _scan_terms_reference(text, axes, halves, literal, axis_word):
+    """The literal scanner before one regex match per term, kept verbatim."""
+    end = len(text.rstrip(cli._BLANK))
+    pos = len(text) - len(text.lstrip(cli._BLANK))
+    if pos >= end:
+        raise ParseError(f"empty {literal} literal", 0)
+    totals = [0] * (len(axes) + 1)
+    whole = 2 if halves else 1
+    first = True
+    while pos < end:
+        sign = 1
+        if text[pos] == "+":
+            pos += 1
+        elif text[pos] == "-":
+            sign = -1
+            pos += 1
+        elif not first:
+            raise ParseError(
+                f"expected '+' or '-' at position {pos} of {text!r}", pos
+            )
+        first = False
+        m = _NUM.match(text, pos, end)
+        coefficient = None
+        scale = whole
+        if m:
+            coefficient = int(m.group())
+            pos = m.end()
+            if halves and pos < end and text[pos] == "/":
+                pos += 1
+                dm = _NUM.match(text, pos, end)
+                if not dm or dm.group() != "2":
+                    raise ParseError(
+                        f"only the denominator 2 is allowed, at position"
+                        f" {pos} of {text!r}",
+                        pos,
+                    )
+                scale = 1
+                pos = dm.end()
+        axis = 0
+        if pos < end and text[pos] in axes:
+            axis = axes.index(text[pos]) + 1
+            pos += 1
+        if coefficient is None and axis == 0:
+            raise ParseError(
+                f"expected a coefficient or {axis_word} at position {pos}"
+                f" of {text!r}",
+                pos,
+            )
+        if coefficient is None:
+            coefficient = 1
+        totals[axis] += sign * scale * coefficient
+    return totals
+
+
+def _scan_outcome(scan, text, mode):
+    """scan's totals for text, or its exception's type, message and position."""
+    try:
+        return scan(text, *mode)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+_SCAN_MODES = {
+    "quaternion": ("ijk", True, "quaternion", "axis"),
+    "gaussian": ("i", False, "Gaussian", "'i'"),
+}
+_LITERAL_CHARS = "0123456789+-/ijk \t\n\r\x0b\x0c\u3000\u0663\uff11x"
+_literal_texts = st.one_of(
+    st.text(st.sampled_from(_LITERAL_CHARS), max_size=16),
+    _quaternions.map(str),
+    st.builds(GaussianInteger, _coord, _coord).map(str),
+)
+# A literal, or any text, with one character put in, dropped or replaced.
+_near_literals = st.builds(
+    lambda text, at, cut, char: text[:at] + char + text[at + cut:],
+    _literal_texts,
+    st.integers(0, 40),
+    st.integers(0, 1),
+    st.sampled_from(_LITERAL_CHARS),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_literal_texts | _near_literals, st.sampled_from(sorted(_SCAN_MODES)))
+@example("1/2+3/22i", "quaternion")
+@example("1/2i/2", "quaternion")
+@example("1/2+1/2i", "gaussian")
+@example("3i2", "quaternion")
+@example("+/2", "quaternion")
+@example(" -7/ ", "quaternion")
+def test_scan_matches_the_two_match_reference(text, mode):
+    assert _scan_outcome(cli._scan_terms, text, _SCAN_MODES[mode]) == _scan_outcome(
+        _scan_terms_reference, text, _SCAN_MODES[mode]
+    )
+
+
+def test_json_value_of_every_leaf_kind_is_pinned():
+    basis = orthogonal_basis(HurwitzQuaternion.from_coords(1, 1, 1, 3))
+    doc = {
+        "kind": "pinned",
+        "flag": True,
+        "off": False,
+        "none": None,
+        "word": "ab-cd",
+        "n": -12,
+        "big": 2**70,
+        "fraction": Fraction(-3, 4),
+        "whole": Fraction(4, 2),
+        "basis": basis,
+        "nested": [[1, (2, OMEGA)], [], [None, [False]]],
+        "pair": (GaussianInteger(2, -1), "x"),
+        "q": HurwitzQuaternion(-7, 1, -1, -3),
+        "zero": ZERO,
+    }
+    assert json.dumps(cli._json_value(doc)) == (
+        '{"kind": "pinned", "flag": true, "off": false, "none": null, "word": "ab-cd",'
+        ' "n": "-12", "big": "1180591620717411303424", "fraction": "-3/4", "whole": "2",'
+        ' "basis": ["i-j", "1-i", "3j-k", "ab-cd"],'
+        ' "nested": [["1", ["2", "1/2+1/2i+1/2j+1/2k"]], [], [null, [false]]],'
+        ' "pair": ["2-i", "x"], "q": "-7/2+1/2i-1/2j-3/2k", "zero": "0"}'
+    )
+
+
+# One digit past the interpreter's limit on int <-> str conversion.
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_OVERLONG = "1" + "0" * _DIGIT_LIMIT
+
+
+@pytest.mark.parametrize(
+    "argv, literal, position",
+    [
+        (["norm", _OVERLONG], _OVERLONG, 0),
+        (["mul", "1", f"2-{_OVERLONG}k"], f"2-{_OVERLONG}k", 2),
+        (["igama", f" {_OVERLONG}i", "1"], f" {_OVERLONG}i", 1),
+    ],
+    ids=["norm", "mul", "igama"],
+)
+def test_an_overlong_coefficient_is_a_parse_error(argv, literal, position):
+    message = (
+        f"coefficient longer than {_DIGIT_LIMIT} digits at position {position} of {literal!r}"
+    )
+    assert dispatch(argv) == (2, f"ParseError: {message}")
+    doc = json.loads(dispatch([*argv, "--json"]).payload)
+    assert doc == {"kind": "error", "error": "ParseError", "message": message}
+    parse = parse_gaussian if argv[0] == "igama" else parse_quaternion
+    with pytest.raises(ParseError) as info:
+        parse(literal)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "9" * (_DIGIT_LIMIT // 2 + 1), "9" * (_DIGIT_LIMIT // 2 + 1)],
+        ["norm", f"1+{'9' * (_DIGIT_LIMIT // 2 + 1)}j"],
+        ["mul", "9" * _DIGIT_LIMIT, "2"],
+    ],
+    ids=["mul", "norm", "scalar"],
+)
+def test_an_overlong_result_is_a_precondition_error(argv):
+    # The inputs are within the digit limit; a printed result is not.
+    message = f"the output holds an integer longer than {_DIGIT_LIMIT} digits"
+    assert dispatch(argv) == (1, f"PreconditionViolated: {message}")
+    doc = json.loads(dispatch([*argv, "--json"]).payload)
+    assert doc == {"kind": "error", "error": "PreconditionViolated", "message": message}
 
 
 def _no_bare_numbers(value) -> bool:
@@ -314,15 +513,16 @@ def test_reps_counts():
 
 
 def test_orthobasis_output():
-    result = dispatch(["orthobasis", "-1+3i+j-2k"])
-    assert result.exit_code == 0
-    lines = result.payload.splitlines()
-    assert len(lines) == 3
-    alpha = HurwitzQuaternion.from_coords(-1, 3, 1, -2)
     from quatlat import inner_product
 
-    for line in lines:
-        assert inner_product(alpha, parse_quaternion(line)) == 0
+    # 1+i+j+3k: integer content 1, though 2 divides it in the Hurwitz order.
+    for literal in ("-1+3i+j-2k", "1+i+j+3k"):
+        result = dispatch(["orthobasis", literal])
+        assert result.exit_code == 0
+        lines = result.payload.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert inner_product(parse_quaternion(literal), parse_quaternion(line)) == 0
     doc = json.loads(dispatch(["orthobasis", "--json", "-1+3i+j-2k"]).payload)
     assert doc["kind"] == "orthogonal_basis"
     assert _no_bare_numbers(doc)
@@ -767,6 +967,7 @@ _ARGV = st.one_of(
 @example(["experiment", "fraction", "3", "5", "--convention=either"])
 @example(["pall", "--", "1+i", "--"])
 @example(["experiment", "fraction", "--", "3", "--"])
+@example(["norm", _OVERLONG, "--json"])
 def test_dispatch_matches_the_argparse_route(argv):
     actual = _outcome(argv)
     with _argparse_only():

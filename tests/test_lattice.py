@@ -17,7 +17,6 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -39,7 +38,6 @@ from quatlat import (
     gram_norm,
     in_orthogonal_lattice,
     inner_product,
-    is_primitive,
     kernel_backend,
     orthogonal_basis,
     orthogonality_census,
@@ -192,7 +190,7 @@ _census_settings = settings(derandomize=True, deadline=None)
 _primitive_coords = st.one_of(
     st.tuples(*[st.integers(-8, 8)] * 4),
     st.tuples(*[st.one_of(st.just(0), st.integers(-60, 60))] * 4),
-).filter(lambda c: any(c) and is_primitive(HurwitzQuaternion.from_coords(*c)))
+).filter(lambda c: gcd(*c) == 1)
 _small_boxes = st.integers(0, 6)
 
 
@@ -290,16 +288,6 @@ def _gram_certificate(alpha, basis):
     return det_int([[dot(u, v) for v in basis] for u in basis]) == dot(alpha, alpha)
 
 
-def _content_one_rows(alpha):
-    """orthogonal_basis's rows for any integer alpha of content 1.
-
-    orthogonal_basis refuses all-odd alphas, which 2 divides in the
-    Hurwitz order; its construction needs only integer content 1.
-    """
-    with mock.patch.object(lattice, "is_primitive", lambda h: True):
-        return lattice._basis_rows(HurwitzQuaternion.from_coords(*alpha))[0]
-
-
 _certificate_alphas = st.one_of(
     _primitive_coords,
     st.tuples(*[st.sampled_from(range(-9, 10, 2))] * 4),
@@ -324,7 +312,7 @@ def test_certificate_is_the_gram_criterion(alpha, kind, row, factor, order, k, r
     # alpha: primitive, with zero coordinates, all odd, or of content 2 or 3.
     # The rows are the true basis of alpha's primitive part, transformed.
     content = gcd(*alpha)
-    rows = list(_content_one_rows(tuple(x // content for x in alpha)))
+    rows = list(_true_rows(tuple(x // content for x in alpha)))
     if kind == "unimodular":
         rows = [rows[i] for i in order]
         rows[0] = tuple(-x - k * y for x, y in zip(rows[0], rows[1]))
@@ -344,6 +332,7 @@ def test_certificate_is_the_gram_criterion(alpha, kind, row, factor, order, k, r
 
 @_census_settings
 @given(_primitive_coords)
+@example((1, 1, 1, 3))
 def test_basis_rows_cross_to_minus_alpha(alpha):
     # Lemma 4.2 as a vector-product identity, with orthogonal_basis's sign.
     h = HurwitzQuaternion.from_coords(*alpha)
