@@ -24,6 +24,7 @@ from quatlat.errors import (
     NotLipschitz,
     PreconditionViolated,
     ZeroInput,
+    _shown,
 )
 
 __all__ = [
@@ -66,17 +67,18 @@ class HurwitzQuaternion:
             MixedParity: unless the four entries are all even or all odd.
         """
         if (d0 ^ d1) & 1 or (d0 ^ d2) & 1 or (d0 ^ d3) & 1:
+            coords = ", ".join(map(_shown, (d0, d1, d2, d3)))
             raise MixedParity(
-                f"doubled coordinates ({d0}, {d1}, {d2}, {d3}) are neither "
-                "all even nor all odd"
+                f"doubled coordinates ({coords}) are neither all even nor all odd"
             )
         self._d = (d0, d1, d2, d3)
 
-    @classmethod
-    def _raw(cls, d) -> "HurwitzQuaternion":
+    @staticmethod
+    def _raw(d) -> "HurwitzQuaternion":
         # Trusted constructor for values produced by the kernel, which
-        # preserves parity by construction.
-        self = object.__new__(cls)
+        # preserves parity by construction.  A staticmethod: no bound
+        # method is made per call.
+        self = object.__new__(HurwitzQuaternion)
         self._d = d
         return self
 
@@ -259,6 +261,7 @@ def cofactor(
 
     Raises:
         DivisionByZero: when d is zero.
+        ValueError: unless side is "left" or "right".
     """
     _check_side(side)
     n = d.norm()
@@ -278,6 +281,9 @@ def is_associate(u: HurwitzQuaternion, v: HurwitzQuaternion, side: str) -> bool:
     equal norms the exact quotient of u by v has norm 1, so it is a unit
     exactly when it is a Hurwitz integer, which `cofactor` decides.  Zero
     is an associate of zero only.
+
+    Raises:
+        ValueError: unless side is "left" or "right".
     """
     _check_side(side)
     if u.norm() != v.norm():
@@ -288,7 +294,11 @@ def is_associate(u: HurwitzQuaternion, v: HurwitzQuaternion, side: str) -> bool:
 
 
 def associates(u: HurwitzQuaternion, side: str) -> Iterator[HurwitzQuaternion]:
-    """All 24 products of u with a unit on the named side."""
+    """All 24 products of u with a unit on the named side.
+
+    Raises:
+        ValueError: at the first item, unless side is "left" or "right".
+    """
     _check_side(side)
     ud = u.doubled
     for e in UNITS:
@@ -318,6 +328,9 @@ def canonical_associate(
     out; for most u there is one.  For nonzero u the 24 associates are
     distinct, so the smallest, and its unit, are unique.  Zero keeps
     the first unit, UNITS[0].
+
+    Raises:
+        ValueError: unless side is "left" or "right".
     """
     _check_side(side)
     canon, unit = _canonical(u.doubled, side == "left")

@@ -3,7 +3,13 @@
 Every domain error derives from QuatlatError so callers (and the CLI) can
 catch the whole family at once.  ParseError additionally carries the input
 position at which scanning a quaternion literal failed.
+
+Argument errors outside the domain raise a plain ValueError, which
+QuatlatError does not catch: a `side` other than "left" or "right", an
+unknown pair-fraction `convention`, a negative or non-integer power.
 """
+
+import sys
 
 __all__ = [
     "QuatlatError",
@@ -24,8 +30,17 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """str(value) for an error message, or a stand-in where str() raises
+    ValueError, on an integer past sys.get_int_max_str_digits()."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a number of more than {sys.get_int_max_str_digits()} digits>"
+
+
 class QuatlatError(Exception):
-    """Base class for all errors raised by quatlat."""
+    """Base class for quatlat's domain errors; see the module docstring."""
 
 
 class MixedParity(QuatlatError):

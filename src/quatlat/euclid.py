@@ -86,13 +86,13 @@ def divide(
 
     Raises:
         DivisionByZero: when divisor is zero.
+        ValueError: unless side is "left" or "right".
     """
     _check_side(side)
-    if divisor.is_zero:
+    d = divisor._d
+    if d == _ZERO:
         raise DivisionByZero("quaternion division by zero")
-    q, r = _kernel.qdivmod(
-        dividend.doubled, divisor.doubled, side == "right", lipschitz_only
-    )
+    q, r = _kernel.qdivmod(dividend._d, d, side == "right", lipschitz_only)
     return DivisionResult(
         HurwitzQuaternion._raw(q), HurwitzQuaternion._raw(r), side
     )
@@ -144,6 +144,7 @@ def gcd(
 
     Raises:
         BothZero: when both arguments are zero.
+        ValueError: unless side is "left" or "right".
     """
     _check_side(side)
     if a.is_zero and b.is_zero:
@@ -282,6 +283,10 @@ def is_multiple(
 
     With lipschitz_cofactor=True membership is in d*L or L*d instead:
     the cofactor must have integer coordinates.
+
+    Raises:
+        DivisionByZero: when d is zero.
+        ValueError: unless side is "left" or "right".
     """
     m = cofactor(a, d, side)
     if m is None:

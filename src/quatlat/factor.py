@@ -367,6 +367,7 @@ def semiprime_pair_fraction(
     Raises:
         PreconditionViolated: unless p and q are distinct odd primes.
         BoundExceeded: when p*q exceeds DEFAULT_ENUM_BOUND.
+        ValueError: unless convention is one of CONVENTIONS.
     """
     if convention not in CONVENTIONS:
         raise ValueError(

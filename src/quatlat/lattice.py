@@ -33,6 +33,7 @@ from quatlat.errors import (
     NotPrimitive,
     PreconditionViolated,
     ZeroInput,
+    _shown,
 )
 from quatlat.rational import rational_factorize
 
@@ -97,7 +98,7 @@ def _basis_rows(alpha: HurwitzQuaternion):
         raise ZeroInput("the orthogonal lattice of 0 is not rank 3")
     a, b, c, d = alpha.coords
     if gcd(a, b, c, d) != 1:
-        raise NotPrimitive(f"{alpha} has content > 1")
+        raise NotPrimitive(f"{_shown(alpha)} has content > 1")
     if a == 0 and b == 0:
         return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, d, -c)), "a=b=0"
     if c == 0 and d == 0:

@@ -27,7 +27,7 @@ _RANGES = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=400)
 @given(seed=st.integers(0, 2**64), bounds=_RANGES, count=st.integers(1, 6))
 @example(seed=0, bounds=(5, 5), count=4)
 @example(seed=7101, bounds=(-30, 29), count=4)

@@ -332,6 +332,41 @@ def test_an_overlong_result_is_a_precondition_error(argv):
     assert doc == {"kind": "error", "error": "PreconditionViolated", "message": message}
 
 
+# A = 5*10^(limit - 1) has exactly as many digits as the limit allows;
+# 2A, a sum of two terms or a doubled coordinate, has one more.
+_A = "5" + "0" * (_DIGIT_LIMIT - 1)
+_ELIDED = f"<a number of more than {_DIGIT_LIMIT} digits>"
+
+
+@pytest.mark.parametrize(
+    "argv, short, code, error, message",
+    [
+        (
+            ["orthobasis", f"{_A}+{_A}"],
+            ["orthobasis", "2+2i"],
+            1,
+            "NotPrimitive",
+            f"{_ELIDED} has content > 1",
+        ),
+        (
+            ["mul", f"1/2+{_A}i", "1"],
+            ["mul", "1/2+2i", "1"],
+            2,
+            "MixedParity",
+            f"doubled coordinates (1, {_ELIDED}, 0, 0) are neither all even nor all odd",
+        ),
+    ],
+    ids=["orthobasis", "mul"],
+)
+def test_an_overlong_value_is_elided_from_an_error_message(argv, short, code, error, message):
+    # The error the short twin raises, with the over-long integer elided.
+    short_code, short_payload = dispatch(short)
+    assert short_code == code and short_payload.startswith(f"{error}: ")
+    assert dispatch(argv) == (code, f"{error}: {message}")
+    doc = json.loads(dispatch([*argv, "--json"]).payload)
+    assert doc == {"kind": "error", "error": error, "message": message}
+
+
 def _no_bare_numbers(value) -> bool:
     if isinstance(value, dict):
         return all(_no_bare_numbers(v) for v in value.values())

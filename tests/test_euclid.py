@@ -14,14 +14,15 @@ that carries both witnesses, the minimum over all 24 associates, the
 integer extended Euclid `pure.xgcd`, and the object-level gcd wrapper
 that multiplied out all 24 associates and recovered y with `cofactor`.
 Hypothesis properties hold the contracts at doubled coordinates up to
-2^40.
+2^40, and `pure.qdivmod`, whose products are written out inline, to
+the two-candidate reference up to 2^200.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatlat import (
     ONE,
@@ -283,7 +284,7 @@ _gaussian_coord = st.one_of(st.integers(-50, 50), st.integers(-(2**100), 2**100)
 _gaussian = st.builds(GaussianInteger, _gaussian_coord, _gaussian_coord)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(_gaussian, _gaussian)
 def test_gaussian_gcd_matches_object_loop(z, w):
     zero = GaussianInteger(0, 0)
@@ -488,6 +489,46 @@ def test_division_ties_follow_the_reference():
     # Ties are decided both ways: the even quotient is not always the
     # lexicographically smaller one.
     assert winners == {True, False}
+
+
+# Doubled coordinates up to 2^200, either parity, with small entries
+# drawn often so that magnitudes mix within and across the two tuples.
+_wide = 2**199
+_wide_coord = st.one_of(st.integers(-3, 3), st.integers(-_wide, _wide - 1))
+_wide_doubled = st.builds(
+    lambda coords, odd: tuple(2 * c + odd for c in coords),
+    st.tuples(*[_wide_coord] * 4),
+    st.integers(0, 1),
+)
+# Ties as `_tied_pairs` builds them: b = 2c and a = c*w or w*c, w
+# half-odd or Lipschitz with two even and two odd integer coordinates.
+_tie_c = (2**150 + 1, -3, 5, -(2**120) - 1)
+_tie_b = tuple(2 * x for x in _tie_c)
+_tie_w = (7, -1, 2**90 + 1, 3)
+_tie_w_lipschitz = (4, 2, 2 * (2**80 + 1), -8)
+# Zero remainders: a = b*q or a = q*b, q half-odd or (for the
+# Lipschitz-only division) Lipschitz.
+_exact_b = (2**101, 6, -(2**60), 4)
+_exact_q = (-5, 2**70 + 1, 1, -3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    _wide_doubled,
+    _wide_doubled.filter(lambda b: b != _Z4),
+    st.booleans(),
+    st.booleans(),
+)
+@example(pure.qmul(_tie_c, _tie_w), _tie_b, True, False)
+@example(pure.qmul(_tie_w, _tie_c), _tie_b, False, False)
+@example(pure.qmul(_tie_c, _tie_w_lipschitz), _tie_b, True, False)
+@example(pure.qmul(_tie_w_lipschitz, _tie_c), _tie_b, False, False)
+@example(pure.qmul(_exact_b, _exact_q), _exact_b, True, False)
+@example(pure.qmul(_exact_q, _exact_b), _exact_b, False, False)
+@example(pure.qmul((2, -4, 2**71, 6), _exact_b), _exact_b, False, True)
+def test_qdivmod_matches_the_two_candidate_reference(a, b, right_quotient, lipschitz_only):
+    want = _ref_qdivmod(a, b, right_quotient, lipschitz_only)
+    assert pure.qdivmod(a, b, right_quotient, lipschitz_only) == want
 
 
 def _assert_reduced_witnesses(a, b, res):

@@ -422,7 +422,7 @@ def _times_four_to_the(e):
     return m.map(lambda m: 4**e * m)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     n=st.integers(0, 12).flatmap(_times_four_to_the),
     seed=st.integers(0, 2**64),
@@ -587,7 +587,7 @@ def _prime_of_norm(p, seed, unit):
 _MODEL_PRIMES = (3, 5, 7, 13, 65537, 1000003)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     norms=st.lists(st.sampled_from(_MODEL_PRIMES), min_size=2, max_size=4),
     seed=st.integers(0, 2**32),
@@ -603,7 +603,7 @@ def test_factor_modelled_matches_the_public_gcd(norms, seed, units):
         assert factor_modelled(alpha, model).factors == _factor_by_public_gcd(alpha, model)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     norms=st.lists(st.sampled_from(_MODEL_PRIMES), min_size=2, max_size=2, unique=True),
     seed=st.integers(0, 2**32),
@@ -724,7 +724,7 @@ def _pall_by_sphere_scan(alpha, m):
 
 # m is the product of the odd primes of N(alpha), with multiplicity, that
 # mask selects by position in the sorted factorization.
-@settings(max_examples=150, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(coords=st.tuples(*[st.integers(-30, 30)] * 4), mask=st.integers(0, 63))
 @example(coords=(-1, 3, 1, -2), mask=0)  # m = 1
 @example(coords=(-1, 3, 1, -2), mask=3)  # m = 15
