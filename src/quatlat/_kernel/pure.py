@@ -17,19 +17,15 @@ Two entries carry most of the library's enumeration:
   are only counted, as one coefficient of a Kronecker-packed integer
   product (`_count_orthogonal`), and none can fail.  Without the
   certificate it walks the box and solves for each point with
-  `combination_solver`, which `lattice.in_orthogonal_lattice` shares.
+  `combination_solver`.  `lattice.in_orthogonal_lattice` reads the same
+  certificate, so it is the one test of whether a basis spans.
 - The sphere walk `norm_representations` files the pairs (c, d) by
   c^2 + d^2 and meets them with the pairs (a, b), in O(n + output)
   rather than the O(n^1.5) of a triple loop that solves for d.
 
 Every Euclid step is one `qdivmod` frame: its numerator, rounding and
 remainder are written out, not built from `qnorm`, `qconj`, `qmul` and
-`qsub`.  On a 2-core host that cut a call by 17-26% over the three
-coordinate bands of perfbench's `arith` pool (timeit), and `arith`
-`op_p50_ms` by 11-13% (0.00502 -> 0.00447 ms at seed 3101,
-0.00508 -> 0.00441 ms at seed 5077).  A gcd's own frame now costs
-more than its divisions: a traced `arith` round spends about 0.027 s
-in `euclid.gcd`'s self time against 0.006 s in `qdivmod`'s.
+`qsub`, because that call is the inner step of every gcd.
 """
 
 from math import gcd, isqrt
@@ -289,14 +285,6 @@ def count_nontrivial_gcd_pairs(reps, n):
     return right_ct, left_ct, either_ct, k * k
 
 
-def _det3(p, q, r):
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
-
-
 def _cross3(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -313,11 +301,17 @@ def combination_solver(basis):
     first nonsingular 3x3 column minor, in the order (0,1,2), (0,1,3),
     (0,2,3), (1,2,3), its determinant and its adjugate are found once;
     each query then takes three dot products and checks the remaining
-    coordinate.  A singular basis admits only q = 0.
+    coordinate.  A singular basis admits only q = 0.  Its one caller is
+    `_walk_orthogonality_failures`, which only a basis without the
+    spanning certificate of `_spans_orthogonal_lattice` reaches.
     """
+    # r_k * det is q's minor part dotted with the cross product of the
+    # other two minor rows; those cross products are the adjugate, and
+    # det is m0 . (m1 x m2).
     for pick in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         m0, m1, m2 = ((row[pick[0]], row[pick[1]], row[pick[2]]) for row in basis)
-        det = _det3(m0, m1, m2)
+        c00, c01, c02 = _cross3(m1, m2)
+        det = m0[0] * c00 + m0[1] * c01 + m0[2] * c02
         if det:
             break
     else:
@@ -325,11 +319,7 @@ def combination_solver(basis):
     p0, p1, p2 = pick
     rest = 6 - p0 - p1 - p2
     b0, b1, b2 = (row[rest] for row in basis)
-    # r_k * det is q's minor part dotted with the cross product of the
-    # other two minor rows; those cross products are the adjugate.
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
-        _cross3(m1, m2), _cross3(m2, m0), _cross3(m0, m1)
-    )
+    (c10, c11, c12), (c20, c21, c22) = _cross3(m2, m0), _cross3(m0, m1)
 
     def solve(q):
         v0, v1, v2 = q[p0], q[p1], q[p2]

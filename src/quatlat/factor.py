@@ -38,6 +38,7 @@ from quatlat.errors import (
     ModelMismatch,
     NotPrimitive,
     PreconditionViolated,
+    _shown,
 )
 from quatlat.euclid import _canonical_gcd, gaussian_gcd, is_multiple
 from quatlat.lattice import DEFAULT_ENUM_BOUND, _check_bound, representations
@@ -126,10 +127,10 @@ def factor_modelled(alpha: HurwitzQuaternion, model) -> ModelledFactorization:
     """
     model = _as_model(model)
     if not is_primitive(alpha):
-        raise NotPrimitive(f"{alpha} is not primitive")
+        raise NotPrimitive(f"{_shown(alpha)} is not primitive")
     if model.product() != alpha.norm():
         raise ModelMismatch(
-            f"model product {model.product()} != norm {alpha.norm()}"
+            f"model product {_shown(model.product())} != norm {_shown(alpha.norm())}"
         )
     factors: list[HurwitzQuaternion] = []
     work = alpha
@@ -137,7 +138,7 @@ def factor_modelled(alpha: HurwitzQuaternion, model) -> ModelledFactorization:
         g = _canonical_gcd(work, HurwitzQuaternion.from_integer(p), True)
         if g.norm() != p:
             raise ModelMismatch(
-                f"right gcd with {p} has norm {g.norm()}, expected {p}"
+                f"right gcd with {p} has norm {_shown(g.norm())}, expected {p}"
             )
         factors.append(g)
         work = cofactor(work, g, "right")
@@ -216,9 +217,9 @@ def pall_right_divisors(alpha: HurwitzQuaternion, m: int) -> PallReport:
     if m % 2 == 0:
         raise BadResidueClass(f"m must be odd, got {m}")
     if alpha.norm() % m:
-        raise PreconditionViolated(f"{m} does not divide norm {alpha.norm()}")
+        raise PreconditionViolated(f"{m} does not divide norm {_shown(alpha.norm())}")
     if not is_primitive_mod(alpha, m):
-        raise NotPrimitive(f"{alpha} is not primitive modulo {m}")
+        raise NotPrimitive(f"{_shown(alpha)} is not primitive modulo {m}")
     g = _canonical_gcd(alpha, HurwitzQuaternion.from_integer(m), True).doubled
     associates = sorted(_kernel.qmul(e, g) for e in _UNIT_DOUBLED)
     divisors = tuple(
@@ -253,7 +254,7 @@ def igama_check(z: GaussianInteger, w: GaussianInteger) -> IgamaResult:
     """
     n = z.norm() + w.norm()
     if n % 2 == 0:
-        raise EvenNorm(f"gamma must have odd norm, got {n}")
+        raise EvenNorm(f"gamma must have odd norm, got {_shown(n)}")
     # Associates share a norm, so the uncanonicalized kernel gcd will do.
     gamma = embed_gaussian_pair(z, w).doubled
     g_norm = _kernel.qnorm(_kernel.qgcd(_kernel.qmul(I.doubled, gamma), gamma, False))
@@ -286,7 +287,7 @@ def outer_factor_recovery(
     if not (miller_rabin(np_) and miller_rabin(nr)):
         raise PreconditionViolated("both arguments must be Hurwitz primes")
     if not is_primitive(pi * rho):
-        raise NotPrimitive(f"{pi * rho} is imprimitive")
+        raise NotPrimitive(f"{_shown(pi * rho)} is imprimitive")
     twisted = pi * I * rho
     plain = pi * rho
     gl = _canonical_gcd(twisted, plain, False)

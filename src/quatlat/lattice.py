@@ -12,10 +12,10 @@ coordinate pair (a, b) and one on (c, d):
 with g1 = gcd(a, b) = a*x0 + b*y0 and g2 = gcd(c, d) = c*z0 + d*t0.
 When one coordinate pair vanishes the construction degenerates and a
 substitute basis is returned instead (the other pair is then
-coprime).  Membership testing runs both the inner-product
-characterization and exact integer linear algebra and insists they
-agree, so a completeness failure of the formula would surface loudly
-rather than be papered over.
+coprime).  Membership and the box census both rest on one certificate
+that the basis spans the whole lattice, the vector-product identity
+cross3(beta1, beta2, beta3) = +-alpha with content 1, so a basis that
+fails it is reported loudly rather than papered over.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import gcd
 from typing import NamedTuple
 
 from quatlat import _kernel
-from quatlat._kernel.pure import combination_solver, xgcd
+from quatlat._kernel.pure import _spans_orthogonal_lattice, xgcd
 from quatlat.core import HurwitzQuaternion
 from quatlat.errors import (
     BoundExceeded,
@@ -115,23 +115,21 @@ def _basis_rows(alpha: HurwitzQuaternion):
 def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> bool:
     """Whether q lies in the orthogonal lattice of alpha.
 
-    Decides by the inner-product characterization (q Lipschitz with
-    q . alpha = 0) and independently by solving for integer basis
-    coefficients; the two must agree, anything else reports a broken
-    basis rather than silently picking a side.  alpha must meet the
-    precondition of orthogonal_basis, and raises as it does.
+    The answer is the inner-product characterization: q is Lipschitz
+    with q . alpha = 0.  The basis spans exactly those q when it carries
+    the vector-product certificate `_spans_orthogonal_lattice` (proved
+    in `count_orthogonality_failures`); a basis without it raises
+    RuntimeError at every q rather than answer for a lattice it may not
+    span.  alpha must meet the precondition of orthogonal_basis, and
+    raises as it does.
     """
     rows = _basis_rows(alpha)[0]
-    if not q.is_lipschitz:
-        return False
-    by_dot = _kernel.qdot4(alpha.doubled, q.doubled) == 0
-    by_combination = combination_solver(rows)(q.coords) is not None
-    if by_dot != by_combination:
+    if not _spans_orthogonal_lattice(alpha.coords, rows):
         raise RuntimeError(
-            f"orthogonal basis of {alpha} is inconsistent at {q}: "
-            f"inner product says {by_dot}, basis solve says {by_combination}"
+            f"orthogonal basis of {_shown(alpha)} is inconsistent:"
+            " cross3 of its rows is not +-alpha"
         )
-    return by_dot
+    return q.is_lipschitz and _kernel.qdot4(alpha.doubled, q.doubled) == 0
 
 
 def orthogonality_census(

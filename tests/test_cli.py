@@ -336,6 +336,8 @@ def test_an_overlong_result_is_a_precondition_error(argv):
 # 2A, a sum of two terms or a doubled coordinate, has one more.
 _A = "5" + "0" * (_DIGIT_LIMIT - 1)
 _ELIDED = f"<a number of more than {_DIGIT_LIMIT} digits>"
+# 2 * 10^2199, 2,200 digits: within the limit, its square is not.
+_HUGE = "2" + "0" * 2199
 
 
 @pytest.mark.parametrize(
@@ -355,8 +357,30 @@ _ELIDED = f"<a number of more than {_DIGIT_LIMIT} digits>"
             "MixedParity",
             f"doubled coordinates (1, {_ELIDED}, 0, 0) are neither all even nor all odd",
         ),
+        # Norms of a 2,200-digit input, past the limit though it is not.
+        (
+            ["pall", f"{_HUGE}+i", "3"],
+            ["pall", "2+i", "3"],
+            1,
+            "PreconditionViolated",
+            f"3 does not divide norm {_ELIDED}",
+        ),
+        (
+            ["igama", f"{_HUGE}+i", "1"],
+            ["igama", "2+i", "1"],
+            1,
+            "EvenNorm",
+            f"gamma must have odd norm, got {_ELIDED}",
+        ),
+        (
+            ["factor", f"{_HUGE}+i", "--model", "3"],
+            ["factor", "2+i", "--model", "3"],
+            1,
+            "ModelMismatch",
+            f"model product 3 != norm {_ELIDED}",
+        ),
     ],
-    ids=["orthobasis", "mul"],
+    ids=["orthobasis", "mul", "pall", "igama", "factor"],
 )
 def test_an_overlong_value_is_elided_from_an_error_message(argv, short, code, error, message):
     # The error the short twin raises, with the over-long integer elided.
@@ -365,6 +389,54 @@ def test_an_overlong_value_is_elided_from_an_error_message(argv, short, code, er
     assert dispatch(argv) == (code, f"{error}: {message}")
     doc = json.loads(dispatch([*argv, "--json"]).payload)
     assert doc == {"kind": "error", "error": error, "message": message}
+
+
+# Every subcommand with a literal positional (one declared with no keywords).
+_LITERAL_ROWS = [
+    row for row in _COMMANDS
+    if row[3] and any(not name.startswith("-") and not kw for name, kw in row[2])
+]
+_ERROR_NAMES = {
+    cls.__name__
+    for cls in vars(quatlat.errors).values()
+    if isinstance(cls, type) and issubclass(cls, quatlat.QuatlatError)
+}
+
+
+def _huge_argv(row):
+    """The row's words with every literal f"{_HUGE}+i", every other
+    positional and required option its first choice or 3."""
+    argv = list(row[0])
+    for name, keywords in row[2]:
+        if not keywords:
+            value = f"{_HUGE}+i"
+        elif name.startswith("-") and not keywords.get("required"):
+            continue
+        else:
+            value = keywords.get("choices", ("3",))[0]
+        argv += [name, value] if name.startswith("-") else [value]
+    return argv
+
+
+def test_the_huge_literal_guard_covers_every_literal_command():
+    names = {row[0][0] for row in _LITERAL_ROWS}
+    assert names >= {"mul", "norm", "conj", "dot", "cross", "gcd", "divmod",
+                     "orthobasis", "pall", "factor", "igama"}
+    assert not names & {"foursq", "twosq", "experiment", "reps", "check"}
+
+
+@pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
+@pytest.mark.parametrize("row", _LITERAL_ROWS, ids=lambda row: " ".join(row[0]))
+def test_a_huge_literal_never_escapes_dispatch(row, as_json):
+    # A result or error message may hold a value past the digit limit
+    # even when every input is within it; dispatch must still answer.
+    result = dispatch(_huge_argv(row) + ["--json"] * as_json)
+    assert type(result) is cli.CommandResult
+    if result.exit_code:
+        if as_json:
+            assert json.loads(result.payload)["kind"] == "error"
+        else:
+            assert result.payload.split(":", 1)[0] in _ERROR_NAMES
 
 
 def _no_bare_numbers(value) -> bool:

@@ -386,8 +386,12 @@ def test_membership_reports_a_broken_basis(monkeypatch):
     rows, permutation = lattice._basis_rows(alpha)
     broken = (tuple(2 * x for x in rows[0]),) + rows[1:]
     monkeypatch.setattr(lattice, "_basis_rows", lambda a: (broken, permutation))
-    with pytest.raises(RuntimeError, match="inconsistent"):
-        in_orthogonal_lattice(alpha, HurwitzQuaternion.from_coords(*rows[0]))
+    # Every query raises: a member, zero, a Lipschitz non-member and a
+    # half-odd q alike.
+    for q in (HurwitzQuaternion.from_coords(*rows[0]), ZERO,
+              HurwitzQuaternion.from_coords(1, 0, 0, 0), OMEGA):
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            in_orthogonal_lattice(alpha, q)
 
 
 def test_membership_examples():
@@ -397,6 +401,16 @@ def test_membership_examples():
     assert in_orthogonal_lattice(alpha, ZERO)
     assert not in_orthogonal_lattice(alpha, HurwitzQuaternion.from_coords(1, 0, 0, 0))
     assert not in_orthogonal_lattice(alpha, OMEGA)
+
+
+def test_membership_reads_the_certificate_not_the_solver(monkeypatch):
+    def refuse(basis):
+        raise AssertionError("membership solved for basis coefficients")
+
+    # In lattice's namespace too, should it ever import the name.
+    for module in (pure, lattice):
+        monkeypatch.setattr(module, "combination_solver", refuse, raising=False)
+    test_membership_examples()
 
 
 def test_membership_agrees_with_inner_product():
