@@ -10,14 +10,13 @@ the enumeration loops tight.
 
 Two entries carry most of the library's enumeration:
 
-- The box census `count_orthogonality_failures` first tries a
-  vector-product certificate that the basis spans the whole orthogonal
-  lattice: alpha has content 1 and the cross product of the three rows
-  is +-alpha.  When it holds, the orthogonal points of the box
-  are only counted, as one coefficient of a Kronecker-packed integer
-  product (`_count_orthogonal`), and none can fail.  Without the
-  certificate it walks the box and solves for each point with
-  `combination_solver`.  `lattice.in_orthogonal_lattice` reads the same
+- The box census `count_orthogonality_failures` accepts only a basis
+  with the vector-product certificate that it spans the whole
+  orthogonal lattice: alpha has content 1 and the cross product of the
+  three rows is +-alpha.  Its orthogonal box points are then only
+  counted, as one coefficient of a Kronecker-packed integer product
+  (`_count_orthogonal`), and none can fail; a basis without the
+  certificate raises.  `lattice.in_orthogonal_lattice` reads the same
   certificate, so it is the one test of whether a basis spans.
 - The sphere walk `norm_representations` files the pairs (c, d) by
   c^2 + d^2 and meets them with the pairs (a, b), in O(n + output)
@@ -285,54 +284,6 @@ def count_nontrivial_gcd_pairs(reps, n):
     return right_ct, left_ct, either_ct, k * k
 
 
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def combination_solver(basis):
-    """Exact solver for integer combinations of three integer 4-vectors.
-
-    Returns a function mapping a 4-vector q to the integers (r0, r1, r2)
-    with r0*basis[0] + r1*basis[1] + r2*basis[2] == q, or to None.  The
-    first nonsingular 3x3 column minor, in the order (0,1,2), (0,1,3),
-    (0,2,3), (1,2,3), its determinant and its adjugate are found once;
-    each query then takes three dot products and checks the remaining
-    coordinate.  A singular basis admits only q = 0.  Its one caller is
-    `_walk_orthogonality_failures`, which only a basis without the
-    spanning certificate of `_spans_orthogonal_lattice` reaches.
-    """
-    # r_k * det is q's minor part dotted with the cross product of the
-    # other two minor rows; those cross products are the adjugate, and
-    # det is m0 . (m1 x m2).
-    for pick in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        m0, m1, m2 = ((row[pick[0]], row[pick[1]], row[pick[2]]) for row in basis)
-        c00, c01, c02 = _cross3(m1, m2)
-        det = m0[0] * c00 + m0[1] * c01 + m0[2] * c02
-        if det:
-            break
-    else:
-        return lambda q: None if any(q) else (0, 0, 0)
-    p0, p1, p2 = pick
-    rest = 6 - p0 - p1 - p2
-    b0, b1, b2 = (row[rest] for row in basis)
-    (c10, c11, c12), (c20, c21, c22) = _cross3(m2, m0), _cross3(m0, m1)
-
-    def solve(q):
-        v0, v1, v2 = q[p0], q[p1], q[p2]
-        r0, x0 = divmod(c00 * v0 + c01 * v1 + c02 * v2, det)
-        r1, x1 = divmod(c10 * v0 + c11 * v1 + c12 * v2, det)
-        r2, x2 = divmod(c20 * v0 + c21 * v1 + c22 * v2, det)
-        if x0 or x1 or x2 or r0 * b0 + r1 * b1 + r2 * b2 != q[rest]:
-            return None
-        return r0, r1, r2
-
-    return solve
-
-
 def _spans_orthogonal_lattice(alpha, basis):
     """Whether basis provably spans every integer q with q . alpha = 0.
 
@@ -364,7 +315,7 @@ def _count_orthogonal(alpha, q_bound):
     is fixed by the other m - 1, so every coefficient is at most
     n^(m - 1) < 2^k for k the bit length of n^(m - 1).
     """
-    if q_bound < 0:  # an empty box, as for the walk
+    if q_bound < 0:  # an empty box
         return 0
     weights = [abs(a) for a in alpha if a]
     total = sum(weights)
@@ -382,59 +333,26 @@ def count_orthogonality_failures(alpha, basis, q_bound):
     alpha is a nonzero integer 4-vector, basis three integer 4-vectors.
     Returns (orthogonal_count, failure_count): how many integer q with
     coordinates in [-q_bound, q_bound] satisfy q . alpha = 0, and how
-    many of those are not integer combinations of the basis rows.
+    many of those are not integer combinations of the basis rows.  The
+    pair is the shape `lattice.orthogonality_census` returns.
 
-    When `_spans_orthogonal_lattice` holds, no q can fail, and only the
-    count is computed, exactly, by `_count_orthogonal` as one integer
-    product.  The argument that none can fail: the cross of the rows is
-    orthogonal to each, so cross4(rows) = +-alpha puts the rows in
+    Only a basis with the certificate `_spans_orthogonal_lattice` is
+    accepted, so failure_count is 0 by proof, and the count is computed
+    exactly by `_count_orthogonal` as one integer product.  A basis
+    without it (a broken or scaled basis, content > 1, a zero basis)
+    raises RuntimeError at every q_bound.  The argument that none can
+    fail: the cross of the rows is orthogonal to each, so
+    cross4(rows) = +-alpha puts the rows in
     M = {q in Z^4 : q . alpha = 0}, independent as alpha != 0.  For q
     in M, det(rows stacked over q) = cross4(rows) . q = 0, so
     q = sum(r_i * row_i) with rational r_i.  Putting q in place of row
     i multiplies the cross by r_i and gives an integer vector, so
     r_i * alpha is integral and, alpha having content 1, r_i is an
     integer: the rows span all of M, not only its points in the box.
-    Otherwise (a broken or scaled basis, content > 1, a zero basis) the
-    box is walked point by point by `_walk_orthogonality_failures`, the
-    only path that counts failures.
     """
-    if _spans_orthogonal_lattice(alpha, basis):
-        return _count_orthogonal(alpha, q_bound), 0
-    return _walk_orthogonality_failures(alpha, basis, q_bound)
-
-
-def _walk_orthogonality_failures(alpha, basis, q_bound):
-    """Exhaustively check a claimed basis of the orthogonal lattice of alpha.
-
-    Same contract as `count_orthogonality_failures`.  Every orthogonal
-    q in the box is tested for being an integer combination of the
-    basis rows; the box is walked on three coordinates and
-    q . alpha = 0 solved for the fourth, the one where |alpha_i| is
-    largest.
-    """
-    solve = combination_solver(basis)
-    s = max(range(4), key=lambda i: abs(alpha[i]))
-    a_s = alpha[s]
-    i, j, k = (m for m in range(4) if m != s)
-    a_i, a_j, a_k = alpha[i], alpha[j], alpha[k]
-    span = range(-q_bound, q_bound + 1)
-    # Third-coordinate values keyed by a_k*z mod a_s, so each (x, y)
-    # visits only the z that make a_s divide a_i*x + a_j*y + a_k*z.
-    by_residue = {}
-    for z in span:
-        by_residue.setdefault(a_k * z % a_s, []).append((z, a_k * z))
-    q = [0, 0, 0, 0]
-    orthogonal = failures = 0
-    for x in span:
-        q[i] = x
-        for y in span:
-            q[j] = y
-            t_xy = a_i * x + a_j * y
-            for z, t_z in by_residue.get(-t_xy % a_s, ()):
-                w = -(t_xy + t_z) // a_s
-                if -q_bound <= w <= q_bound:
-                    q[k], q[s] = z, w
-                    orthogonal += 1
-                    if solve(q) is None:
-                        failures += 1
-    return orthogonal, failures
+    if not _spans_orthogonal_lattice(alpha, basis):
+        raise RuntimeError(
+            "orthogonal basis is inconsistent: cross4 of its rows is not"
+            " +-alpha of content 1"
+        )
+    return _count_orthogonal(alpha, q_bound), 0

@@ -117,7 +117,7 @@ class HurwitzQuaternion:
             NotLipschitz: for half-odd elements.
         """
         if self._d[0] % 2:
-            raise NotLipschitz(f"{self} has half-odd coordinates")
+            raise NotLipschitz(f"{_shown(self)} has half-odd coordinates")
         d = self._d
         return (d[0] // 2, d[1] // 2, d[2] // 2, d[3] // 2)
 

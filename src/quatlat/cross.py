@@ -20,7 +20,7 @@ from math import gcd
 
 from quatlat import _kernel
 from quatlat.core import HurwitzQuaternion, _exact_quotient
-from quatlat.errors import DimensionMismatch, NotLipschitz
+from quatlat.errors import DimensionMismatch, NotLipschitz, _shown
 
 __all__ = [
     "RationalQuaternion",
@@ -152,7 +152,7 @@ class RationalQuaternion:
     def to_hurwitz(self) -> HurwitzQuaternion:
         h = self._hurwitz()
         if h is None:
-            raise NotLipschitz(f"{self} is not a Hurwitz integer")
+            raise NotLipschitz(f"{_shown(self)} is not a Hurwitz integer")
         return h
 
     def __str__(self) -> str:

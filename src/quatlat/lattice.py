@@ -139,9 +139,12 @@ def orthogonality_census(
 
     Counts Lipschitz q with coordinates in [-q_bound, q_bound]
     orthogonal to alpha, and how many of those fail to be integer
-    combinations of orthogonal_basis(alpha).  A correct basis gives
-    (count, 0).  alpha must meet the precondition of orthogonal_basis,
-    and raises as it does.
+    combinations of orthogonal_basis(alpha).  The failures are 0 by
+    proof: the basis must carry the vector-product certificate
+    `_spans_orthogonal_lattice` (proved in
+    `count_orthogonality_failures`), and one without it raises
+    RuntimeError rather than be counted.  alpha must meet the
+    precondition of orthogonal_basis, and raises as it does.
     """
     return _kernel.count_orthogonality_failures(
         alpha.coords, _basis_rows(alpha)[0], q_bound

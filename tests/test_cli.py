@@ -338,6 +338,10 @@ _A = "5" + "0" * (_DIGIT_LIMIT - 1)
 _ELIDED = f"<a number of more than {_DIGIT_LIMIT} digits>"
 # 2 * 10^2199, 2,200 digits: within the limit, its square is not.
 _HUGE = "2" + "0" * 2199
+# Three halves of 10^limit - 1: every written term is within the limit,
+# the doubled real coordinate 3 * (10^limit - 1) is one digit past it.
+_NINES = "9" * _DIGIT_LIMIT
+_HALF_ODD_HUGE = f"{_NINES}/2+{_NINES}/2+{_NINES}/2+1/2i+1/2j+1/2k"
 
 
 @pytest.mark.parametrize(
@@ -403,13 +407,13 @@ _ERROR_NAMES = {
 }
 
 
-def _huge_argv(row):
-    """The row's words with every literal f"{_HUGE}+i", every other
+def _huge_argv(row, literal):
+    """The row's words with every literal the given one, every other
     positional and required option its first choice or 3."""
     argv = list(row[0])
     for name, keywords in row[2]:
         if not keywords:
-            value = f"{_HUGE}+i"
+            value = literal
         elif name.startswith("-") and not keywords.get("required"):
             continue
         else:
@@ -430,13 +434,14 @@ def test_the_huge_literal_guard_covers_every_literal_command():
 def test_a_huge_literal_never_escapes_dispatch(row, as_json):
     # A result or error message may hold a value past the digit limit
     # even when every input is within it; dispatch must still answer.
-    result = dispatch(_huge_argv(row) + ["--json"] * as_json)
-    assert type(result) is cli.CommandResult
-    if result.exit_code:
-        if as_json:
-            assert json.loads(result.payload)["kind"] == "error"
-        else:
-            assert result.payload.split(":", 1)[0] in _ERROR_NAMES
+    for literal in (f"{_HUGE}+i", _HALF_ODD_HUGE):
+        result = dispatch(_huge_argv(row, literal) + ["--json"] * as_json)
+        assert type(result) is cli.CommandResult
+        if result.exit_code:
+            if as_json:
+                assert json.loads(result.payload)["kind"] == "error"
+            else:
+                assert result.payload.split(":", 1)[0] in _ERROR_NAMES
 
 
 def _no_bare_numbers(value) -> bool:
