@@ -14,8 +14,8 @@ discrepancy in its detail text.  All random sweeps use fixed seeds so
 repeated runs print identical output.  The sampled suites (thm-3-2,
 cor-3-3, lemma-4-2, thm-4-3, thm-4-4) work on doubled tuples through the
 `quatlat._kernel` namespace and build quaternion objects only for
-failure texts and printed witnesses; their draws are defined by the
-generator's `getrandbits` stream (see `_randints`).
+failure texts and printed witnesses.  Their draws and those of thm-2-1
+and thm-2-2 follow the generator's `getrandbits` stream (see `_randbelow`).
 """
 
 from __future__ import annotations
@@ -69,6 +69,23 @@ class CheckOutcome(NamedTuple):
 def _randints(rng: random.Random, lo: int, hi: int, count: int = 4) -> list[int]:
     """`count` draws of rng.randint(lo, hi), by `_randbelow`'s rule."""
     return _randbelow(rng.getrandbits, hi - lo + 1, count, lo)
+
+
+def _choice(rng: random.Random, seq):
+    """rng.choice(seq), by `_randbelow`'s rule."""
+    return seq[_randbelow(rng.getrandbits, len(seq))]
+
+
+def _sample(rng: random.Random, population, k: int) -> list:
+    """rng.sample(population, k) for len(population) <= 21, by
+    `_randbelow`'s rule: CPython 3.11's swaps through a copy of the pool."""
+    pool = list(population)
+    picked = []
+    for n in range(len(pool), len(pool) - k, -1):
+        j = _randbelow(rng.getrandbits, n)
+        picked.append(pool[j])
+        pool[j] = pool[n - 1]
+    return picked
 
 
 def _random_doubled(rng: random.Random, span: int, hurwitz: bool = False):
@@ -274,9 +291,9 @@ def _check_unique_factorization():
     models = 0
     migrations = 0
     for _ in range(40):
-        count = rng.choice((2, 3))
-        norms = rng.sample(primes, count)
-        pieces = [rng.choice(spheres[p]) for p in norms]
+        count = _choice(rng, (2, 3))
+        norms = _sample(rng, primes, count)
+        pieces = [_choice(rng, spheres[p]) for p in norms]
         alpha = pieces[0]
         for piece in pieces[1:]:
             alpha = alpha * piece
@@ -298,7 +315,7 @@ def _check_unique_factorization():
             models += 1
         twisted = list(base.factors)
         for idx in range(len(twisted) - 1):
-            eps = rng.choice(UNITS)
+            eps = _choice(rng, UNITS)
             twisted[idx] = twisted[idx] * eps
             twisted[idx + 1] = eps.conjugate() * twisted[idx + 1]
         twin = ModelledFactorization(tuple(twisted), base.model)
@@ -333,7 +350,7 @@ def _check_eight_right_divisors():
         odd_primes = [p for p in rational_factorize(alpha.norm()) if p % 2]
         if not odd_primes:
             continue
-        m = rng.choice(odd_primes)
+        m = _choice(rng, odd_primes)
         if not is_primitive_mod(alpha, m):
             continue
         reports.append(pall_right_divisors(alpha, m))

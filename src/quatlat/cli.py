@@ -380,15 +380,7 @@ def _run_check(args):
         # Always None: perfbench/reference.json digests it (ROADMAP item 1).
         "bound": None,
         "passed": passed == len(outcomes),
-        "suites": [
-            {
-                "suite": outcome.suite,
-                "description": outcome.description,
-                "passed": outcome.passed,
-                "detail": outcome.detail,
-            }
-            for outcome in outcomes
-        ],
+        "suites": [outcome._asdict() for outcome in outcomes],
     }
 
     def text():

@@ -432,9 +432,13 @@ class GaussianInteger:
         return self.norm() == 1
 
     def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
+        if not isinstance(other, GaussianInteger):
+            return NotImplemented
         return GaussianInteger(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianInteger") -> "GaussianInteger":
+        if not isinstance(other, GaussianInteger):
+            return NotImplemented
         return GaussianInteger(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianInteger":

@@ -98,10 +98,9 @@ def divide(
     )
 
 
-# Public gcds reduce modulo the gcd of the norms only from this norm up:
-# below it the reduction buys nothing, and small arguments keep the
-# plain loop's witnesses, which perfbench/reference.json digests for the
-# CLI's gcd and factor literals.
+# Public gcds reduce modulo the gcd of the norms from this norm up.  The
+# reduced path is faster at every size, with the same gcd; the plain loop
+# runs below it only because perfbench/reference.json digests its witnesses.
 _REDUCE_FROM = 1 << 32
 
 _ONE = (2, 0, 0, 0)
@@ -127,7 +126,8 @@ def gcd(
     in [-m, m) keeps the parity of a, and Ha + Hb = Ha' + Hm + Hb'.
     The loop runs on (a', m), then on that gcd and b'.  The left gcd is
     the mirror image: aH + bH, m = a*(s*conj(a)) + b*(t*conj(b)),
-    a = m*c_a + a'.
+    a = m*c_a + a'.  Below 2**32 the plain loop runs on (a, b), only so
+    that the CLI prints the witnesses its benchmark outputs record.
 
     The loop tracks only the witness x, starting on the reduced path
     from the coefficients of a in m and in a - m*c_a.  There x is then
@@ -150,19 +150,7 @@ def gcd(
     if a.is_zero and b.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     na, nb = a.norm(), b.norm()
-    return _gcd(a, b, side, na, nb, min(na, nb) >= _REDUCE_FROM)
-
-
-def _gcd(
-    a: HurwitzQuaternion,
-    b: HurwitzQuaternion,
-    side: str,
-    na: int,
-    nb: int,
-    reduce: bool,
-) -> GcdResult:
-    """`gcd` of a and b, of norms na and nb, on the reduced path or the
-    plain loop, as reduce says."""
+    reduce = min(na, nb) >= _REDUCE_FROM
     right = side == "right"
     a, b = a.doubled, b.doubled
     if reduce:
@@ -222,15 +210,13 @@ def _bezout(na, nb):
     """(m, s) with m = gcd(na, nb) and s*na = m modulo nb, for na, nb >= 0.
 
     s is the coefficient of na that `pure.xgcd(na, nb)` returns: the
-    inverse of na/m modulo nb/m in (-nb/2m, nb/2m], 0 when nb = m and
-    1 when nb = 0.
+    inverse of na/m modulo nb/m in (-nb/2m, nb/2m], 0 when nb = m (the
+    inverse modulo 1, as `pow` gives it) and 1 when nb = 0.
     """
     m = _int_gcd(na, nb)
     if nb == 0:
         return m, 1
     k = nb // m
-    if k == 1:
-        return m, 0
     s = pow(na // m, -1, k)
     return m, s - k if 2 * s > k else s
 

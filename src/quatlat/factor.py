@@ -273,21 +273,20 @@ def outer_factor_recovery(
 ) -> OuterFactorRecovery:
     """Whether one-sided gcds of (pi*i*rho, pi*rho) recover pi and rho.
 
-    pi and rho must be Hurwitz primes of distinct odd norms with
-    primitive product.  Expected: the left gcd is a right associate of
-    pi and the right gcd is a left associate of rho.
+    pi and rho must be Hurwitz primes of distinct odd norms.  Their
+    product is then primitive: an integer m >= 2 dividing pi*rho would
+    give m^2 | N(pi*rho) = pq, for distinct odd primes p and q.
+    Expected: the left gcd is a right associate of pi and the right gcd
+    is a left associate of rho.
 
     Raises:
         PreconditionViolated: when the norms are not distinct odd primes.
-        NotPrimitive: when pi * rho is imprimitive.
     """
     np_, nr = pi.norm(), rho.norm()
     if np_ == nr or np_ % 2 == 0 or nr % 2 == 0:
         raise PreconditionViolated("norms must be distinct and odd")
     if not (miller_rabin(np_) and miller_rabin(nr)):
         raise PreconditionViolated("both arguments must be Hurwitz primes")
-    if not is_primitive(pi * rho):
-        raise NotPrimitive(f"{_shown(pi * rho)} is imprimitive")
     twisted = pi * I * rho
     plain = pi * rho
     gl = _canonical_gcd(twisted, plain, False)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import quatlat._kernel
 from quatlat import HurwitzQuaternion, pall_right_divisors
-from quatlat.checks import _randints, run_check
+from quatlat.checks import _choice, _randints, _sample, run_check
 from quatlat.rational import _randbelow
 
 # Widths 1, 2^k and 2^k + 1 from any lower end, and the suites' own
@@ -45,6 +45,32 @@ def test_randints_draws_what_randint_draws(seed, bounds, count):
         ordered[i], ordered[j] = ordered[j], ordered[i]
     theirs.shuffle(shuffled)
     assert ordered == shuffled
+    assert ours.random() == theirs.random()
+
+
+# thm-2-1 chooses from the 24 units and from Hurwitz spheres of prime
+# norm p <= 13, which have 24(p + 1) <= 336 elements.
+_POPULATIONS = st.integers(1, 336).map(lambda n: tuple(range(100, 100 + n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**64), population=_POPULATIONS, count=st.integers(1, 4))
+@example(seed=7103, population=(3, 5, 7, 11, 13), count=3)
+def test_choice_draws_what_choice_draws(seed, population, count):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        assert _choice(ours, population) == theirs.choice(population)
+    assert ours.random() == theirs.random()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(seed=st.integers(0, 2**64), size=st.integers(1, 21), k=st.integers(0, 21))
+@example(seed=7103, size=5, k=3)
+def test_sample_draws_what_sample_draws(seed, size, k):
+    population = tuple(range(100, 100 + size))
+    k = min(k, size)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _sample(ours, population, k) == theirs.sample(population, k)
     assert ours.random() == theirs.random()
 
 
@@ -172,3 +198,8 @@ def test_pall_walks_no_sphere(monkeypatch):
     monkeypatch.setattr(quatlat._kernel, "norm_representations", walk)
     report = pall_right_divisors(HurwitzQuaternion.from_coords(-1, 3, 1, -2), 15)
     assert report.count == 8 and report.left_associated
+
+
+def test_an_unknown_suite_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown check suite 'nope'"):
+        run_check("nope")

@@ -1111,6 +1111,24 @@ def test_check_json_document():
     assert _no_bare_numbers(doc)
 
 
+def test_check_all_reports_every_suite_in_order():
+    outcomes = [run_check(suite) for suite in SUITE_IDS]
+    assert [o.suite for o in outcomes if not o.passed] == ["frac-1"]
+    width = max(len(suite) for suite in SUITE_IDS)
+    lines = []
+    for o in outcomes:
+        lines.append(f"{'PASS' if o.passed else 'FAIL'} {o.suite.ljust(width)}  {o.description}")
+        if not o.passed:
+            lines.append(f"     {o.detail}")
+    lines.append("9 of 10 checks passed")
+    assert dispatch(["check", "all"]) == (1, "\n".join(lines))
+    result = dispatch(["check", "all", "--json"])
+    assert result.exit_code == 1
+    doc = json.loads(result.payload)
+    assert (doc["kind"], doc["bound"], doc["passed"]) == ("check_report", None, False)
+    assert doc["suites"] == [o._asdict() for o in outcomes]
+
+
 # Each suite's verdict and detail text, frozen.  The suites draw from fixed
 # seeds, so any change in what one of them checks shows here.
 _SUITE_REPORTS = {

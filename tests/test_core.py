@@ -8,6 +8,7 @@ classes.
 import ast
 import inspect
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from quatlat import (
     ONE,
     UNITS,
     ZERO,
+    DivisionByZero,
     GaussianInteger,
     HurwitzQuaternion,
     I,
@@ -27,12 +29,17 @@ from quatlat import (
     K,
     MixedParity,
     NotLipschitz,
+    PreconditionViolated,
     associates,
     canonical_associate,
+    cofactor,
     content,
+    divide,
     embed_gaussian_pair,
+    gcd,
     inner_product,
     is_associate,
+    is_multiple,
     is_primitive,
     is_primitive_mod,
     units,
@@ -297,6 +304,48 @@ def test_content_is_the_largest_exact_integer_divisor(u, scale):
     assert content(u) == best
 
 
+# Every function with a side argument, called on a valid pair.
+_SIDED = {
+    "divide": lambda side: divide(ONE, I, side),
+    "gcd": lambda side: gcd(ONE, I, side),
+    "cofactor": lambda side: cofactor(ONE, I, side),
+    "is_associate": lambda side: is_associate(ONE, I, side),
+    "associates": lambda side: next(associates(ONE, side)),
+    "canonical_associate": lambda side: canonical_associate(ONE, side),
+    "is_multiple": lambda side: is_multiple(ONE, I, side),
+}
+
+
+@pytest.mark.parametrize("name", list(_SIDED))
+def test_a_side_other_than_left_or_right_is_refused(name):
+    call = _SIDED[name]
+    for side in ("left", "right"):
+        call(side)
+    for side in ("up", "Right", ""):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            call(side)
+
+
+def test_associates_refuses_a_bad_side_at_the_first_item():
+    items = associates(ONE, "up")
+    with pytest.raises(ValueError):
+        next(items)
+
+
+def test_divisibility_by_zero_is_refused():
+    for side in ("left", "right"):
+        with pytest.raises(DivisionByZero):
+            cofactor(ONE, ZERO, side)
+        with pytest.raises(DivisionByZero):
+            is_multiple(ONE, ZERO, side)
+
+
+def test_powers_are_nonnegative_integers():
+    for exponent in (-1, 0.5):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ONE ** exponent
+
+
 def test_primitivity_mod_an_odd_modulus():
     alpha = HurwitzQuaternion.from_coords(-1, 3, 1, -2)
     assert is_primitive_mod(alpha, 3)
@@ -304,6 +353,9 @@ def test_primitivity_mod_an_odd_modulus():
     assert is_primitive_mod(alpha, 15)
     assert not is_primitive_mod(HurwitzQuaternion.from_coords(0, 3, 0, 0), 3)
     assert not is_primitive_mod(HurwitzQuaternion.from_coords(3, 6, 9, 3), 3)
+    for m in (0, -3):
+        with pytest.raises(PreconditionViolated):
+            is_primitive_mod(alpha, m)
 
 
 def test_gaussian_integers_behave():
@@ -315,6 +367,25 @@ def test_gaussian_integers_behave():
     assert (z + w) == GaussianInteger(3, 4)
     assert GaussianInteger(0, 1).is_unit
     assert not z.is_unit
+
+
+def test_gaussian_integers_refuse_other_operands():
+    # Each operator returns NotImplemented, as HurwitzQuaternion's do,
+    # so Python raises TypeError on either side.
+    z = GaussianInteger(1, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        for pair in ((z, 1), (1, z)):
+            with pytest.raises(TypeError):
+                op(*pair)
+
+
+def test_gaussian_integers_are_immutable_and_hash_like_their_pair():
+    z = GaussianInteger(1, 2)
+    with pytest.raises(AttributeError, match="immutable"):
+        z.re = 5
+    assert z.re == 1
+    assert hash(z) == hash((1, 2)) == hash(GaussianInteger(1, 2))
+    assert len({z, GaussianInteger(1, 2), GaussianInteger(2, 1)}) == 2
 
 
 def test_gaussian_pair_embedding():

@@ -148,6 +148,16 @@ def test_half_odd_triples_can_leave_the_order():
     assert str(r).endswith(f"/{r.denominator}")
 
 
+def test_rational_quaternions_compare_and_hash_by_value():
+    r = RationalQuaternion((1, 2, 3, 5), 4)
+    assert r == RationalQuaternion((1, 2, 3, 5), 4)
+    assert r != RationalQuaternion((1, 2, 3, 5), 8)
+    assert r != RationalQuaternion((1, 2, 3, 6), 4)
+    assert r != ((1, 2, 3, 5), 4)
+    assert hash(r) == hash(((1, 2, 3, 5), 4)) == hash(RationalQuaternion((1, 2, 3, 5), 4))
+    assert len({r, RationalQuaternion((1, 2, 3, 5), 4), RationalQuaternion((1, 2, 3, 5), 8)}) == 2
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(st.tuples(*[st.integers(-12, 12)] * 4), st.integers(1, 8))
 def test_rational_is_hurwitz_matches_its_fractions(numerators, denominator):
@@ -310,6 +320,17 @@ def test_det_int_is_zero_on_singular_matrices():
         for row in rows:
             row[n // 2] = 0
         assert det_int(rows) == 0
+
+
+def test_cross_products_reject_malformed_vectors():
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        cross_general([])
+    with pytest.raises(DimensionMismatch, match="length 3"):
+        cross_general([(1, 2, 3), (4, 5)])
+    with pytest.raises(DimensionMismatch, match="length 4, got 3"):
+        triple_scalar((1, 0, 0), I, J, K)
+    with pytest.raises(DimensionMismatch, match="ints"):
+        triple_scalar((1, 0, 0, 0.5), I, J, K)
 
 
 def test_det_int_rejects_non_square_input():

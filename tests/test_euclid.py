@@ -20,6 +20,7 @@ the two-candidate reference up to 2^200.
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -396,7 +397,8 @@ def _oracle_reduced_euclid(a, b, right):
 
 
 def _oracle_gcd(a, b, side, reduce):
-    """`euclid._gcd` as it was on HurwitzQuaternion objects.
+    """`euclid.gcd` on the path reduce names, as it was on
+    HurwitzQuaternion objects.
 
     The canonical associate is the minimum over all 24 units, and y is
     the `cofactor` of b in g - x*a (g - a*x on the left).
@@ -418,9 +420,15 @@ def _oracle_gcd(a, b, side, reduce):
     return canon.doubled, x.doubled, y.doubled
 
 
+def _gcd_on_path(a, b, side, reduce):
+    """Public `gcd` forced onto the reduced path or the plain loop."""
+    with mock.patch.object(euclid, "_REDUCE_FROM", 0 if reduce else float("inf")):
+        return gcd(a, b, side)
+
+
 def _assert_gcd_matches_the_oracle(a, b, side):
     for reduce in (False, True):
-        res = euclid._gcd(a, b, side, a.norm(), b.norm(), reduce)
+        res = _gcd_on_path(a, b, side, reduce)
         assert res.side == side
         got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
         assert got == _oracle_gcd(a, b, side, reduce), (a, b, side, reduce)
@@ -589,12 +597,35 @@ def test_reduced_gcd_with_a_zero_argument(other, side):
     # (other, ZERO) and its nb = m guard for (ZERO, other).
     for a, b in ((other, ZERO), (ZERO, other)):
         _assert_gcd_matches_the_oracle(a, b, side)
-        res = euclid._gcd(a, b, side, a.norm(), b.norm(), True)
+        res = _gcd_on_path(a, b, side, True)
         assert is_associate(res.gcd, other, "left" if side == "right" else "right")
         if side == "right":
             assert res.x * a + res.y * b == res.gcd
         else:
             assert a * res.x + b * res.y == res.gcd
+
+
+@pytest.mark.parametrize("side", ("right", "left"))
+def test_the_reduced_path_starts_at_the_threshold(side):
+    # The smaller norm decides: 2^32 - 1 runs the plain loop, 2^32 the
+    # reduced path, whichever argument carries it.  The two paths give
+    # the same gcd and different witnesses on every pair here.
+    assert euclid._REDUCE_FROM == 2**32
+    below = HurwitzQuaternion.from_coords(65535, 362, 5, 1)
+    at = HurwitzQuaternion.from_coords(2**16, 0, 0, 0)
+    assert (below.norm(), at.norm()) == (2**32 - 1, 2**32)
+    larger = (
+        HurwitzQuaternion.from_coords(70001, -3, 2, 9),  # a unit gcd
+        HurwitzQuaternion.from_coords(2**17, 2**16, 6, 0),  # gcd of norm 4 with at
+    )
+    for b in larger:
+        assert b.norm() > 2**32
+        for small, reduce in ((below, False), (at, True)):
+            for pair in ((small, b), (b, small)):
+                plain = _gcd_on_path(*pair, side, False)
+                reduced = _gcd_on_path(*pair, side, True)
+                assert plain.gcd == reduced.gcd and plain != reduced
+                assert gcd(*pair, side) == (reduced if reduce else plain), (pair, side)
 
 
 def test_canonical_associate_is_the_brute_force_minimum():
@@ -683,8 +714,8 @@ _reduced_pairs = st.one_of(
 @given(_reduced_pairs, _sides)
 def test_reduced_gcd_matches_the_plain_loop_property(pair, side):
     a, b = pair
-    res = euclid._gcd(a, b, side, a.norm(), b.norm(), True)
-    assert res.gcd == euclid._gcd(a, b, side, a.norm(), b.norm(), False).gcd
+    res = _gcd_on_path(a, b, side, True)
+    assert res.gcd == _gcd_on_path(a, b, side, False).gcd
     _assert_reduced_witnesses(a, b, res)
 
 

@@ -660,6 +660,31 @@ def test_unit_migration_rejects_broken_twins():
         unit_migration_equal(base, ModelledFactorization(base.factors, PrimeModel((5, 3))))
 
 
+def test_unit_migration_checks_each_factor_norm():
+    base = factor_modelled(HurwitzQuaternion.from_coords(-1, 3, 1, -2), (3, 5))
+    off = ModelledFactorization((base.factors[0], base.factors[1] * 2), base.model)
+    for pair in ((base, off), (off, base)):
+        with pytest.raises(ModelMismatch, match="norms"):
+            unit_migration_equal(*pair)
+
+
+def test_unit_migration_is_more_than_an_equal_product():
+    # Both chains multiply to 3, but no unit e has 1+i-j = (1+i+j)*e:
+    # that quotient is not even a Hurwitz integer.
+    model = PrimeModel((3, 3))
+    f = ModelledFactorization(
+        (HurwitzQuaternion.from_coords(1, 1, 1, 0), HurwitzQuaternion.from_coords(1, -1, -1, 0)),
+        model,
+    )
+    g = ModelledFactorization(
+        (HurwitzQuaternion.from_coords(1, 1, -1, 0), HurwitzQuaternion.from_coords(1, -1, 1, 0)),
+        model,
+    )
+    assert f.product() == g.product() == HurwitzQuaternion.from_integer(3)
+    assert not unit_migration_equal(f, g)
+    assert not unit_migration_equal(g, f)
+
+
 def test_pall_divisor_counts_are_eight():
     alpha = HurwitzQuaternion.from_coords(-1, 3, 1, -2)
     for m in (1, 3, 5, 15):
