@@ -14,8 +14,9 @@ Two entries carry most of the library's enumeration:
   with the vector-product certificate that it spans the whole
   orthogonal lattice: alpha has content 1 and the cross product of the
   three rows is +-alpha.  Its orthogonal box points are then only
-  counted, as one coefficient of a Kronecker-packed integer product
-  (`_count_orthogonal`), and none can fail; a basis without the
+  counted, as one coefficient of a Kronecker-packed product that
+  `_count_orthogonal` builds by one exact division per nonzero
+  coordinate, and none can fail; a basis without the
   certificate raises.  `lattice.in_orthogonal_lattice` reads the same
   certificate, so it is the one test of whether a basis spans.
 - The sphere walk `norm_representations` files the pairs (c, d) by
@@ -308,12 +309,22 @@ def _count_orthogonal(alpha, q_bound):
     (X^(|alpha_i| n) - 1) / (X^|alpha_i| - 1) = sum over s < n of
     X^(|alpha_i| s); a zero alpha_i contributes the constant factor n,
     applied after the extraction.  Kronecker substitution evaluates the
-    product of the m nonzero factors at X = 2^k as one exact integer
-    product and reads the coefficient with a shift and a mask.  No
-    carry crosses a k-bit slot: each coefficient counts the points of
-    [0, 2B]^m on one hyperplane, and a coordinate with nonzero weight
-    is fixed by the other m - 1, so every coefficient is at most
-    n^(m - 1) < 2^k for k the bit length of n^(m - 1).
+    product of the m nonzero factors at X = 2^k and reads the
+    coefficient with a shift and a mask.  No carry crosses a k-bit
+    slot: each coefficient counts the points of [0, 2B]^m on one
+    hyperplane, and a coordinate with nonzero weight is fixed by the
+    other m - 1, so every coefficient is at most n^(m - 1) < 2^k for k
+    the bit length of n^(m - 1).
+
+    Each factor is folded in without being built: with w = |alpha_i|,
+    packed becomes ((packed << k*w*n) - packed) // (2^(k*w) - 1), one
+    shift, one subtraction and one division by an integer of k*w bits,
+    linear in the size of packed where a full product is not.  The
+    division is exact, and gives the integer the product would, because
+    2^(k*w) - 1 divides 2^(k*w*n) - 1 = (2^(k*w))^n - 1, so the
+    numerator packed * (2^(k*w*n) - 1) is packed times an integer
+    multiple of the divisor.  The weights are folded in alpha's order;
+    sorting them first measured slower.
     """
     if q_bound < 0:  # an empty box
         return 0
@@ -322,8 +333,8 @@ def _count_orthogonal(alpha, q_bound):
     n = 2 * q_bound + 1
     k = (n ** (len(weights) - 1)).bit_length()
     packed = 1
-    for a in weights:
-        packed *= ((1 << k * a * n) - 1) // ((1 << k * a) - 1)
+    for w in weights:
+        packed = ((packed << k * w * n) - packed) // ((1 << k * w) - 1)
     return (packed >> k * q_bound * total & (1 << k) - 1) * n ** (4 - len(weights))
 
 
@@ -338,10 +349,10 @@ def count_orthogonality_failures(alpha, basis, q_bound):
 
     Only a basis with the certificate `_spans_orthogonal_lattice` is
     accepted, so failure_count is 0 by proof, and the count is computed
-    exactly by `_count_orthogonal` as one integer product.  A basis
-    without it (a broken or scaled basis, content > 1, a zero basis)
-    raises RuntimeError at every q_bound.  The argument that none can
-    fail: the cross of the rows is orthogonal to each, so
+    exactly by `_count_orthogonal` from one Kronecker-packed integer.  A
+    basis without it (a broken or scaled basis, content > 1, a zero
+    basis) raises RuntimeError at every q_bound.  The argument that none
+    can fail: the cross of the rows is orthogonal to each, so
     cross4(rows) = +-alpha puts the rows in
     M = {q in Z^4 : q . alpha = 0}, independent as alpha != 0.  For q
     in M, det(rows stacked over q) = cross4(rows) . q = 0, so

@@ -322,14 +322,7 @@ def _run_fraction(args):
     rep = semiprime_pair_fraction(args.p, args.q, args.convention)
     doc = {
         "kind": "pair_fraction",
-        "p": rep.p,
-        "q": rep.q,
-        "n": rep.n,
-        "convention": rep.convention,
-        "total_pairs": rep.total_pairs,
-        "nontrivial_pairs": rep.nontrivial_pairs,
-        "fraction": rep.fraction,
-        "predicted_fraction": rep.predicted_fraction,
+        **rep._asdict(),
         "matches_prediction": rep.matches_prediction,
     }
     return doc, lambda: (

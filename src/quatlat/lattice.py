@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BOUND = 10_000  # the largest norm a sphere walk touches
+# The largest (2 * q_bound + 1) * sum(|alpha_i|) a box census packs.
+_CENSUS_BOUND = 1_000_000
 
 
 def _check_bound(n: int) -> None:
@@ -145,10 +147,26 @@ def orthogonality_census(
     `count_orthogonality_failures`), and one without it raises
     RuntimeError rather than be counted.  alpha must meet the
     precondition of orthogonal_basis, and raises as it does.
+
+    The count packs the box into one integer of about
+    k * (2 * q_bound + 1) * sum(|alpha_i|) bits, so the census refuses
+    a box with (2 * q_bound + 1) * sum(|alpha_i|) above 1,000,000
+    before it allocates anything.  Within that bound k is at most 54,
+    and the largest integer packed is about 6.8 MB.
+
+    Raises:
+        BoundExceeded: when (2 * q_bound + 1) * sum(|alpha_i|) exceeds
+            1,000,000.
     """
-    return _kernel.count_orthogonality_failures(
-        alpha.coords, _basis_rows(alpha)[0], q_bound
-    )
+    rows = _basis_rows(alpha)[0]
+    coords = alpha.coords
+    span = (2 * q_bound + 1) * sum(map(abs, coords))
+    if span > _CENSUS_BOUND:
+        raise BoundExceeded(
+            f"(2 * q_bound + 1) * sum(|alpha_i|) = {_shown(span)} exceeds"
+            f" the census bound {_CENSUS_BOUND}"
+        )
+    return _kernel.count_orthogonality_failures(coords, rows, q_bound)
 
 
 def representations(n: int, hurwitz: bool = False) -> list[HurwitzQuaternion]:

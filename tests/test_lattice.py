@@ -11,7 +11,8 @@ Hypothesis properties over dense alphas in [-8, 8]^4 and wide ones in
 vector-product certificate must be refused, and rational elimination
 shows that such bases miss box points; the certificate is also held
 to the Gram-determinant criterion it replaced, kept here as the
-reference.
+reference, and the packed integer, built by one exact division per
+nonzero coordinate, to the repunit product it replaced.
 The sphere walk is held to the triple loop it replaced, kept here as
 the oracle, and to Jacobi's four-square counts.
 """
@@ -400,6 +401,52 @@ def test_negative_bound_is_an_empty_box(coords, q_bound):
     assert not pure._spans_orthogonal_lattice(coords, broken)
     with pytest.raises(RuntimeError, match="inconsistent"):
         count_orthogonality_failures(coords, broken, q_bound)
+
+
+def _repunit_product_count(alpha, q_bound):
+    """`pure._count_orthogonal` as it was before its exact divisions:
+    each repunit (2^(k*w*n) - 1) / (2^(k*w) - 1) built, then multiplied
+    into the packed integer."""
+    if q_bound < 0:
+        return 0
+    weights = [abs(a) for a in alpha if a]
+    total = sum(weights)
+    n = 2 * q_bound + 1
+    k = (n ** (len(weights) - 1)).bit_length()
+    packed = 1
+    for a in weights:
+        packed *= ((1 << k * a * n) - 1) // ((1 << k * a) - 1)
+    return (packed >> k * q_bound * total & (1 << k) - 1) * n ** (4 - len(weights))
+
+
+@_census_settings
+@given(
+    st.lists(st.integers(-60, 60).filter(bool), min_size=1, max_size=4),
+    st.permutations(range(4)),
+    st.integers(-2, 40),
+)
+def test_count_matches_the_repunit_product(weights, order, q_bound):
+    alpha = tuple((weights + [0] * 3)[i] for i in order)
+    expected = _repunit_product_count(alpha, q_bound)
+    assert pure._count_orthogonal(alpha, q_bound) == expected
+
+
+def test_census_refuses_a_box_too_large_to_pack(monkeypatch):
+    # The bound is on (2 * q_bound + 1) * sum(|alpha_i|), checked before
+    # the kernel packs anything: at q_bound = 10^12 the packed integer
+    # would have about 10^14 bits.  The widest box of (0, 0, 0, 1)
+    # within the bound packs 999,999 bits.
+    alpha = HurwitzQuaternion.from_coords(0, 0, 0, 1)
+    assert orthogonality_census(alpha, 499_999) == (999_999**3, 0)
+    assert orthogonality_census(alpha, -10**12) == (0, 0)
+
+    def never(*args):
+        raise AssertionError("the kernel ran on an oversized box")
+
+    monkeypatch.setattr(_kernel, "count_orthogonality_failures", never)
+    for coords, q_bound in (((1, 2, 3, 4), 10**12), ((0, 0, 0, 1), 500_000)):
+        with pytest.raises(BoundExceeded, match="census bound 1000000"):
+            orthogonality_census(HurwitzQuaternion.from_coords(*coords), q_bound)
 
 
 def test_membership_reports_a_broken_basis(monkeypatch):
