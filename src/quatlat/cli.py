@@ -41,7 +41,7 @@ from quatlat.core import (
 )
 from quatlat.cross import cross3
 from quatlat.errors import MixedParity, ParseError, PreconditionViolated, QuatlatError
-from quatlat.euclid import divide, gcd
+from quatlat.euclid import _cli_gcd, divide
 from quatlat.factor import (
     CONVENTIONS,
     factor_modelled,
@@ -212,7 +212,7 @@ def _run_cross(args):
 def _run_gcd(args):
     a = parse_quaternion(args.a)
     b = parse_quaternion(args.b)
-    res = gcd(a, b, args.side)
+    res = _cli_gcd(a, b, args.side)
     doc = {
         "kind": "gcd",
         "side": args.side,

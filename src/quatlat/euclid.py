@@ -13,7 +13,9 @@ Side vocabulary used throughout:
   divisor: a = b*q + r.  ``side="left"`` solves a = q*b + r.
 * ``gcd(a, b, side="right")`` is the greatest common right divisor (the
   generator of the left ideal H*a + H*b); ``side="left"`` the greatest
-  common left divisor (generator of a*H + b*H).
+  common left divisor (generator of a*H + b*H).  At every size it runs
+  Euclid's loop on a and b reduced modulo gcd(N(a), N(b)), and every
+  doubled entry of its witness x is at most N(b)/N(g) in size.
 """
 
 from __future__ import annotations
@@ -98,9 +100,7 @@ def divide(
     )
 
 
-# Public gcds reduce modulo the gcd of the norms from this norm up.  The
-# reduced path is faster at every size, with the same gcd; the plain loop
-# runs below it only because perfbench/reference.json digests its witnesses.
+# `_cli_gcd` runs the plain loop below this norm.
 _REDUCE_FROM = 1 << 32
 
 _ONE = (2, 0, 0, 0)
@@ -115,28 +115,27 @@ def gcd(
     gcd(a, 0) is the canonical associate of a.  A unit gcd means the
     pair generates the whole order on that side.
 
-    When min(N(a), N(b)) >= 2**32 the loop runs on reduced
-    generators of the same ideal.  For a right gcd, the generator of
-    the left ideal Ha + Hb: N(a) = conj(a)*a lies in Ha and N(b) in
-    Hb, so with s*N(a) + t*N(b) = m = gcd(N(a), N(b)) the integer
+    The loop runs on reduced generators of the same ideal, at every
+    size.  For a right gcd, the generator of the left ideal Ha + Hb:
+    N(a) = conj(a)*a lies in Ha and N(b) in Hb, so with
+    s*N(a) + t*N(b) = m = gcd(N(a), N(b)) the integer
     m = (s*conj(a))*a + (t*conj(b))*b lies in Ha + Hb.  Only s is
     needed: the inverse of N(a)/m modulo N(b)/m, taken in C by `pow`
-    and centred on 0 (see `_bezout`).  m is central,
-    so a = c_a*m + a' with c_a Lipschitz and every doubled entry of a'
-    in [-m, m) keeps the parity of a, and Ha + Hb = Ha' + Hm + Hb'.
-    The loop runs on (a', m), then on that gcd and b'.  The left gcd is
-    the mirror image: aH + bH, m = a*(s*conj(a)) + b*(t*conj(b)),
-    a = m*c_a + a'.  Below 2**32 the plain loop runs on (a, b), only so
-    that the CLI prints the witnesses its benchmark outputs record.
+    and centred on 0 (see `_bezout`).  m is central, so a = c_a*m + a'
+    with c_a Lipschitz and every doubled entry of a' in [-m, m) keeps
+    the parity of a, and Ha + Hb = Ha' + Hm + Hb'.  The loop runs on
+    (a', m), then on that gcd and b'; a zero argument has norm 0, so m
+    is the other norm.  The left gcd is the mirror image: aH + bH,
+    m = a*(s*conj(a)) + b*(t*conj(b)), a = m*c_a + a'.
 
-    The loop tracks only the witness x, starting on the reduced path
-    from the coefficients of a in m and in a - m*c_a.  There x is then
-    reduced modulo N(b1)*H, N(b1) = N(b)/N(g), keeping its parity:
-    with a = a1*g and b = b1*g, N(b1)*a = (a1*conj(b1))*b, so adding
-    N(b1)*H to x moves only y (for a left gcd, a = g*a1, b = g*b1 and
-    a*N(b1) = b*(conj(b1)*a1)).  Every doubled entry of x is then at
-    most N(b)/N(g) in size.  Once g is canonicalized (the closed form
-    of `canonical_associate`), y is recovered by one exact division:
+    The loop tracks only the witness x, starting from the coefficients
+    of a in m and in a - m*c_a.  x is then reduced modulo N(b1)*H,
+    N(b1) = N(b)/N(g), keeping its parity: with a = a1*g and b = b1*g,
+    N(b1)*a = (a1*conj(b1))*b, so adding N(b1)*H to x moves only y (for
+    a left gcd, a = g*a1, b = g*b1 and a*N(b1) = b*(conj(b1)*a1)).  So
+    for every nonzero b, at every size, each doubled entry of x is at
+    most N(b)/N(g) in size.  Once g is canonicalized (the closed form of
+    `canonical_associate`), y is recovered by one exact division:
     y*b = g - x*a for a right gcd, so y = (g - x*a) * conj(b) / N(b),
     and b*y = g - a*x for a left gcd, so y = conj(b) * (g - a*x) / N(b).
     For b = 0, y = 0.  All of this runs on doubled tuples; the
@@ -150,23 +149,57 @@ def gcd(
     if a.is_zero and b.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
     na, nb = a.norm(), b.norm()
-    reduce = min(na, nb) >= _REDUCE_FROM
     right = side == "right"
     a, b = a.doubled, b.doubled
-    if reduce:
-        r, x = _reduced_euclid(a, b, na, nb, right)
-    else:
-        r, x = _euclid(a, _ONE, b, _ZERO, right)
-    # Canonicalize on the generating side: unit*g generates the same
-    # left ideal, g*unit the same right ideal.
+    m, s = _bezout(na, nb)
+    a0, a1, a2, a3 = a
+    x = (s * a0, -s * a1, -s * a2, -s * a3)  # s*conj(a), the witness of m
+    r = (2 * m, 0, 0, 0)
+    if m != 1:  # else a unit gcd: m itself generates the ideal
+        ca, a_m = _split(a, m)
+        cb, b_m = _split(b, m)
+        # The witnesses of a' = a - c_a*m and b' = b - c_b*m (a - m*c_a and
+        # b - m*c_b on the left).
+        if right:
+            x_a, x_b = _kernel.qmul(ca, x), _kernel.qmul(cb, x)
+        else:
+            x_a, x_b = _kernel.qmul(x, ca), _kernel.qmul(x, cb)
+        x_a, x_b = _kernel.qsub(_ONE, x_a), _kernel.qneg(x_b)
+        r, x = _euclid(a_m, x_a, r, x, right)
+        r, x = _euclid(r, x, b_m, x_b, right)
+    return _gcd_result(r, x, a, b, nb, side, True)
+
+
+def _cli_gcd(a, b, side):
+    """`gcd`, with the plain loop's witnesses below min(N(a), N(b)) = 2**32.
+
+    The gcd is the same.  This exists only for the CLI's `gcd` output, whose
+    witnesses perfbench/reference.json digests for 40 argv; ROADMAP item 3
+    deletes it, with `_REDUCE_FROM`, when those keys are re-recorded.
+    """
+    nb = b.norm()
+    if min(a.norm(), nb) >= _REDUCE_FROM or (a.is_zero and b.is_zero):
+        return gcd(a, b, side)  # which raises BothZero for (0, 0)
+    _check_side(side)
+    r, x = _euclid(a.doubled, _ONE, b.doubled, _ZERO, side == "right")
+    return _gcd_result(r, x, a.doubled, b.doubled, nb, side, False)
+
+
+def _gcd_result(r, x, a, b, nb, side, reduce_x):
+    """`GcdResult` from Euclid's last remainder r and its witness x.
+
+    Canonicalizes r on the generating side (unit*g generates the same
+    left ideal, g*unit the same right ideal), reduces x modulo N(b)/N(g)
+    if reduce_x, and recovers y by one exact division; see `gcd`.
+    """
+    right = side == "right"
     g, unit = _canonical(r, right)
     x = _kernel.qmul(unit, x) if right else _kernel.qmul(x, unit)
     if nb == 0:
         y = ZERO
     else:
-        if reduce:
+        if reduce_x:
             x = _split(x, nb // _kernel.qnorm(g))[1]
-        # y = (g - x*a) * conj(b) / N(b), or conj(b) * (g - a*x) / N(b).
         if right:
             y = _kernel.qmul(_kernel.qsub(g, _kernel.qmul(x, a)), _kernel.qconj(b))
         else:
@@ -219,27 +252,6 @@ def _bezout(na, nb):
     k = nb // m
     s = pow(na // m, -1, k)
     return m, s - k if 2 * s > k else s
-
-
-def _reduced_euclid(a, b, na, nb, right):
-    """Euclid's loop on a and b, of norms na and nb, reduced modulo
-    gcd(na, nb); see `gcd`."""
-    m, s = _bezout(na, nb)
-    a0, a1, a2, a3 = a
-    w = (s * a0, -s * a1, -s * a2, -s * a3)  # s*conj(a), the witness of m
-    if m == 1:  # a unit gcd: m itself generates the ideal
-        return _ONE, w
-    ca, a_m = _split(a, m)
-    cb, b_m = _split(b, m)
-    # The witnesses of a' = a - c_a*m and b' = b - c_b*m (a - m*c_a and
-    # b - m*c_b on the left).
-    if right:
-        x_a, x_b = _kernel.qmul(ca, w), _kernel.qmul(cb, w)
-    else:
-        x_a, x_b = _kernel.qmul(w, ca), _kernel.qmul(w, cb)
-    x_a, x_b = _kernel.qsub(_ONE, x_a), _kernel.qneg(x_b)
-    r, x = _euclid(a_m, x_a, (2 * m, 0, 0, 0), w, right)
-    return _euclid(r, x, b_m, x_b, right)
 
 
 def _split(u, n):

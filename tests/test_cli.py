@@ -575,14 +575,15 @@ def test_gcd_json_carries_valid_bezout_witnesses():
 def test_gcd_json_above_the_crossover_carries_reduced_witnesses():
     # Norms near 2^79 and 2^81 take the path that reduces modulo the gcd
     # of the norms; its witnesses differ from Euclid's but must still
-    # satisfy Bezout, with x reduced modulo N(b)/N(g).
+    # satisfy Bezout, with x reduced modulo N(b)/N(g).  They are the
+    # library's byte for byte.
     literals = ("123456789012-98765432109i+55555555555j-7k", "1/2-987654321099/2i+3/2j-5/2k")
     for side in ("right", "left"):
         doc = json.loads(dispatch(["gcd", "--json", "--side", side, *literals]).payload)
         a, b, g, x, y = (parse_quaternion(doc[key]) for key in ("a", "b", "gcd", "x", "y"))
         assert min(a.norm(), b.norm()) >= euclid._REDUCE_FROM
         assert (x * a + y * b if side == "right" else a * x + b * y) == g
-        assert g == euclid.gcd(a, b, side).gcd
+        assert (g, x, y) == euclid.gcd(a, b, side)[:3]
         assert all(abs(e) <= b.norm() // g.norm() for e in x.doubled)
 
 
@@ -1213,20 +1214,33 @@ def test_every_traced_name_resolves_after_importing_the_cli():
     assert unbound == []
 
 
+def _replayed_gcd_keys():
+    """Each recorded `gcd --side SIDE A B --json` argv, split into words."""
+    keys = json.loads(_REFERENCE.read_text())["cli"]
+    return [key.split(" ") for key in keys if key.startswith("gcd ")]
+
+
 def test_gcd_crossover_lies_above_every_replayed_literal():
-    # The replay pins the Bezout witnesses of the plain Euclid loop; a gcd
-    # or factor literal at or above the crossover would print reduced ones.
-    # factor's gcds take its alpha and a rational prime, so the smaller
-    # norm is at most N(alpha).
-    norms = {"gcd": [], "factor": []}
-    for key in json.loads(_REFERENCE.read_text())["cli"]:
-        words = key.split(" ")
-        if words[0] == "gcd":  # gcd --side SIDE A B --json
-            norms["gcd"] += [parse_quaternion(w).norm() for w in words[3:5]]
-        elif words[0] == "factor":  # factor ALPHA --model ... --json
-            norms["factor"].append(parse_quaternion(words[1]).norm())
-    assert all(norms.values())
-    assert max(max(found) for found in norms.values()) < euclid._REDUCE_FROM
+    # The replay pins the Bezout witnesses of the plain Euclid loop, which
+    # the CLI's helper runs below its threshold; a gcd literal at or above
+    # it would print reduced ones.
+    norms = [parse_quaternion(w).norm() for words in _replayed_gcd_keys() for w in words[3:5]]
+    assert norms
+    assert max(norms) < euclid._REDUCE_FROM
+
+
+def test_replayed_gcd_literals_print_the_library_gcd():
+    # Only the witnesses may differ from public gcd's, and both pairs are
+    # Bezout witnesses of the same gcd.
+    keys = _replayed_gcd_keys()
+    assert len(keys) == 40
+    for words in keys:
+        side, a, b = words[2], parse_quaternion(words[3]), parse_quaternion(words[4])
+        doc = json.loads(dispatch(words).payload)
+        lib = quatlat.gcd(a, b, side)
+        assert parse_quaternion(doc["gcd"]) == lib.gcd, words
+        for x, y in ((parse_quaternion(doc["x"]), parse_quaternion(doc["y"])), lib[1:3]):
+            assert (x * a + y * b if side == "right" else a * x + b * y) == lib.gcd, words
 
 
 def test_json_flag_position_is_flexible():

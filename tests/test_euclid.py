@@ -421,9 +421,12 @@ def _oracle_gcd(a, b, side, reduce):
 
 
 def _gcd_on_path(a, b, side, reduce):
-    """Public `gcd` forced onto the reduced path or the plain loop."""
-    with mock.patch.object(euclid, "_REDUCE_FROM", 0 if reduce else float("inf")):
+    """Public `gcd`, which reduces at every size, or the plain loop: the
+    CLI's `_cli_gcd` with its threshold out of reach."""
+    if reduce:
         return gcd(a, b, side)
+    with mock.patch.object(euclid, "_REDUCE_FROM", float("inf")):
+        return euclid._cli_gcd(a, b, side)
 
 
 def _assert_gcd_matches_the_oracle(a, b, side):
@@ -552,10 +555,11 @@ def _assert_reduced_witnesses(a, b, res):
 
 @pytest.mark.parametrize("span", _BANDS)
 def test_gcd_matches_the_two_witness_reference(span):
-    # Below the crossover (and with a zero argument) the plain loop runs,
-    # so the witnesses are Euclid's byte for byte.  Above it the pair is
-    # reduced modulo gcd(N(a), N(b)) first: the gcd is still the
-    # reference's, the witnesses are other valid ones.
+    # Public gcd reduces modulo gcd(N(a), N(b)) first at every size: the
+    # gcd is still the reference's, the witnesses are other valid ones.
+    # The CLI's helper runs the plain loop below the crossover (and with
+    # a zero argument), so there its witnesses are Euclid's byte for
+    # byte; above it, it is public gcd.
     rng = random.Random(2116 + span.bit_length())
     for a, b in _seeded_pairs(rng, span, 60):
         ha, hb = HurwitzQuaternion(*a), HurwitzQuaternion(*b)
@@ -564,11 +568,13 @@ def test_gcd_matches_the_two_witness_reference(span):
         for side in ("right", "left"):
             res = gcd(ha, hb, side)
             want = _ref_gcd(a, b, side)
+            assert res.gcd.doubled == want[0], (a, b, side)
+            _assert_reduced_witnesses(ha, hb, res)
+            plain = euclid._cli_gcd(ha, hb, side)
             if reduced:
-                assert res.gcd.doubled == want[0], (a, b, side)
-                _assert_reduced_witnesses(ha, hb, res)
+                assert plain == res, (a, b, side)
             else:
-                got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
+                got = (plain.gcd.doubled, plain.x.doubled, plain.y.doubled)
                 assert got == want, (a, b, side)
 
 
@@ -607,9 +613,10 @@ def test_reduced_gcd_with_a_zero_argument(other, side):
 
 @pytest.mark.parametrize("side", ("right", "left"))
 def test_the_reduced_path_starts_at_the_threshold(side):
-    # The smaller norm decides: 2^32 - 1 runs the plain loop, 2^32 the
-    # reduced path, whichever argument carries it.  The two paths give
-    # the same gcd and different witnesses on every pair here.
+    # In the CLI's helper the smaller norm decides: 2^32 - 1 runs the
+    # plain loop, 2^32 the reduced path, whichever argument carries it.
+    # The two paths give the same gcd and different witnesses on every
+    # pair here.
     assert euclid._REDUCE_FROM == 2**32
     below = HurwitzQuaternion.from_coords(65535, 362, 5, 1)
     at = HurwitzQuaternion.from_coords(2**16, 0, 0, 0)
@@ -625,7 +632,23 @@ def test_the_reduced_path_starts_at_the_threshold(side):
                 plain = _gcd_on_path(*pair, side, False)
                 reduced = _gcd_on_path(*pair, side, True)
                 assert plain.gcd == reduced.gcd and plain != reduced
-                assert gcd(*pair, side) == (reduced if reduce else plain), (pair, side)
+                assert euclid._cli_gcd(*pair, side) == (reduced if reduce else plain), (pair, side)
+
+
+@pytest.mark.parametrize("side", ("right", "left"))
+def test_public_gcd_reduces_at_small_norms(side):
+    # Far below the crossover, with units and zero partners, public gcd
+    # is the reduced path of the object oracle and bounds its x.
+    rng = random.Random(2119)
+    samples = [ZERO, *UNITS] + [random_hurwitz(rng, 40) for _ in range(30)]
+    for a in samples:
+        for b in samples:
+            if a.is_zero and b.is_zero:
+                continue
+            res = gcd(a, b, side)
+            got = (res.gcd.doubled, res.x.doubled, res.y.doubled)
+            assert got == _oracle_gcd(a, b, side, True), (a, b)
+            _assert_reduced_witnesses(a, b, res)
 
 
 def test_canonical_associate_is_the_brute_force_minimum():

@@ -582,8 +582,8 @@ def _prime_of_norm(p, seed, unit):
     return UNITS[unit] * HurwitzQuaternion.from_coords(*four_squares(p, seed=seed))
 
 
-# 65537 and 1000003 are past 2**16: with N(alpha) >= 2**32, a gcd with
-# either of them takes the public gcd's reduced path (_REDUCE_FROM).
+# 65537 and 1000003 are past 2**16, so the models reach norms N(alpha)
+# past 2**32 as well as small ones.
 _MODEL_PRIMES = (3, 5, 7, 13, 65537, 1000003)
 
 
