@@ -34,11 +34,7 @@ import sys
 from typing import NamedTuple
 
 from quatlat.checks import SUITE_IDS, run_all, run_check
-from quatlat.core import (
-    GaussianInteger,
-    HurwitzQuaternion,
-    inner_product,
-)
+from quatlat.core import _SIDES, GaussianInteger, HurwitzQuaternion, inner_product
 from quatlat.cross import cross3
 from quatlat.errors import MixedParity, ParseError, PreconditionViolated, QuatlatError
 from quatlat.euclid import _cli_gcd, divide
@@ -213,15 +209,7 @@ def _run_gcd(args):
     a = parse_quaternion(args.a)
     b = parse_quaternion(args.b)
     res = _cli_gcd(a, b, args.side)
-    doc = {
-        "kind": "gcd",
-        "side": args.side,
-        "a": a,
-        "b": b,
-        "gcd": res.gcd,
-        "x": res.x,
-        "y": res.y,
-    }
+    doc = {"kind": "gcd", "side": args.side, "a": a, "b": b, **res._asdict()}
     return doc, lambda: str(res.gcd), 0
 
 
@@ -229,14 +217,7 @@ def _run_divmod(args):
     a = parse_quaternion(args.a)
     b = parse_quaternion(args.b)
     res = divide(a, b, args.side)
-    doc = {
-        "kind": "division",
-        "side": args.side,
-        "a": a,
-        "b": b,
-        "quotient": res.quotient,
-        "remainder": res.remainder,
-    }
+    doc = {"kind": "division", "side": args.side, "a": a, "b": b, **res._asdict()}
     return doc, lambda: f"quotient = {res.quotient}\nremainder = {res.remainder}", 0
 
 
@@ -273,8 +254,7 @@ def _run_pall(args):
         "alpha": alpha,
         "m": args.m,
         "count": rep.count,
-        "divisors": rep.divisors,
-        "left_associated": rep.left_associated,
+        **rep._asdict(),
     }
     return doc, lambda: "\n".join(str(d) for d in rep.divisors), 0
 
@@ -290,12 +270,7 @@ def _run_factor(args):
     alpha = parse_quaternion(args.a)
     model = _parse_model(args.model)
     fac = factor_modelled(alpha, model)
-    doc = {
-        "kind": "factorization",
-        "alpha": alpha,
-        "model": model,
-        "factors": fac.factors,
-    }
+    doc = {"kind": "factorization", "alpha": alpha, "model": model, **fac._asdict()}
     return doc, lambda: "\n".join(str(f) for f in fac.factors), 0
 
 
@@ -303,14 +278,7 @@ def _run_igama(args):
     z = parse_gaussian(args.z)
     w = parse_gaussian(args.w)
     res = igama_check(z, w)
-    doc = {
-        "kind": "igama",
-        "z": z,
-        "w": w,
-        "ideal_trivial": res.ideal_trivial,
-        "coprime": res.coprime,
-        "gcld_norm": res.gcld_norm,
-    }
+    doc = {"kind": "igama", "z": z, "w": w, **res._asdict()}
     return doc, lambda: (
         f"ideal_trivial={'true' if res.ideal_trivial else 'false'} "
         f"coprime={'true' if res.coprime else 'false'} "
@@ -416,7 +384,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 _JSON = ("--json", {"action": "store_true", "help": "emit a single JSON object"})
-_SIDE = ("--side", {"choices": ("left", "right"), "required": True})
+_SIDE = ("--side", {"choices": _SIDES, "required": True})
 _INT = {"type": int}
 _SEED = ("--seed", _INT)
 
@@ -499,16 +467,15 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> dict[tuple[str, ...], argparse.ArgumentParser]:
-    """Every parser of the grammar by its command words, the top-level one by ()."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser of the grammar, its subparsers built from _COMMANDS."""
     parser = _ArgumentParser(
         prog="quatlat",
         description="Exact arithmetic for Lipschitz and Hurwitz quaternions.",
     )
-    parsers = {(): parser}
     groups = {(): parser.add_subparsers(dest="command", required=True)}
     for words, help_text, arguments, handler in _COMMANDS:
-        p = parsers[words] = groups[words[:-1]].add_parser(words[-1], help=help_text)
+        p = groups[words[:-1]].add_parser(words[-1], help=help_text)
         if handler is None:
             groups[words] = p.add_subparsers(
                 dest=f"{words[-1]}_command", required=True
@@ -517,13 +484,12 @@ def _build_parser() -> dict[tuple[str, ...], argparse.ArgumentParser]:
         for name, keywords in (_JSON, *arguments):
             p.add_argument(name, **keywords)
         p.set_defaults(handler=handler)
-    return parsers
+    return parser
 
 
-_PARSERS = _build_parser()
-_PARSER = _PARSERS[()]
-# Each subcommand's handler, its arguments by name (--json first) as
-# (namespace attribute, keywords), and the names of its positionals.
+_PARSER = _build_parser()
+# Each row's handler (None for a group), its arguments by name (--json
+# first) as (namespace attribute, keywords), and the names of its positionals.
 _ROWS = {
     words: (
         handler,
@@ -531,7 +497,6 @@ _ROWS = {
         [name for name, _ in arguments if not name.startswith("-")],
     )
     for words, _, arguments, handler in _COMMANDS
-    if handler
 }
 # Every option with its add_argument keywords; argparse itself adds --help.
 _OPTIONS = dict(
@@ -547,7 +512,7 @@ def _preprocess(argv: list[str]) -> tuple[tuple[str, ...], list[str], list[str]]
     options.  Every token that starts with '--', and '-h', is an option,
     each known option that takes a value joined to it with '='; so a
     misspelt option reaches argparse, not the literal parser.  The
-    command words are the leading tokens that name a parser in _PARSERS,
+    command words are the leading tokens that name a row of _COMMANDS,
     () if none.  After an explicit '--' every token, '--' too, is a
     positional.  _table_parse reads valid argv from it; argparse, the rest.
     """
@@ -566,7 +531,7 @@ def _preprocess(argv: list[str]) -> tuple[tuple[str, ...], list[str], list[str]]
         else:
             tail.append(token)
     words: tuple[str, ...] = ()
-    while tail and (*words, tail[0]) in _PARSERS:
+    while tail and (*words, tail[0]) in _ROWS:
         words += (tail.pop(0),)
     return words, options, tail
 
@@ -610,9 +575,8 @@ def dispatch(argv) -> CommandResult:
     """Parse argv, run the subcommand, and map errors to exit codes.
 
     Valid argv is read from its _COMMANDS row, with no argparse call.
-    argparse serves help and usage errors: the parser the command words
-    name, or the top-level parser for argv that names no command, which
-    reports the tokens left over.  Only the format asked for is rendered.
+    The top-level parser reads every other argv, and so serves help and
+    usage errors.  Only the format asked for is rendered.
     """
     words, options, positionals = _preprocess(list(argv))
     as_json = "--json" in options
@@ -628,11 +592,7 @@ def dispatch(argv) -> CommandResult:
                 # Reported first: a subcommand would otherwise complain of a
                 # missing positional that the option only seemed to take.
                 _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
-            args, extras = _PARSERS[words].parse_known_args(
-                options + (["--", *positionals] if positionals else [])
-            )
-            if extras:
-                _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+            args = _PARSER.parse_args([*words, *options, "--", *positionals])
     except UsageError as exc:
         return CommandResult(2, _error_payload(exc, True) if as_json else "")
     except SystemExit as exc:

@@ -229,8 +229,12 @@ def inner_product(u: HurwitzQuaternion, v: HurwitzQuaternion) -> Fraction:
     return Fraction(_kernel.qdot4(u.doubled, v.doubled), 4)
 
 
+# The sides of a one-sided operation, in the order `--side` lists them.
+_SIDES = ("left", "right")
+
+
 def _check_side(side: str) -> None:
-    if side not in ("left", "right"):
+    if side not in _SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

@@ -328,8 +328,6 @@ def _pollard_brent(n: int) -> int:
     # batch whose gcd is n is walked again from its start ys, one gcd
     # per step; if that reaches n too, the cycles mod every prime factor
     # closed together and c moves on.
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y = 2

@@ -17,7 +17,7 @@ import random
 import re
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -26,10 +26,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quatlat
-from quatlat import cli, euclid
+from quatlat import cli, core, euclid
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
 from quatlat.checks import SUITE_IDS, run_check
-from quatlat.cli import _COMMANDS, _PARSER, _PARSERS, dispatch, main, parse_gaussian, parse_quaternion
+from quatlat.cli import _COMMANDS, _PARSER, dispatch, main, parse_gaussian, parse_quaternion
 from quatlat.factor import CONVENTIONS
 from quatlat.lattice import orthogonal_basis
 from conftest import random_hurwitz
@@ -806,7 +806,7 @@ def _subcommands(parser):
 
 
 def _parser_for(words):
-    # Walks the argparse tree, independently of the _PARSERS table.
+    # Walks the argparse tree, independently of the _COMMANDS table.
     parser = _PARSER
     for word in words:
         parser = _subcommands(parser)[word]
@@ -852,7 +852,6 @@ def _sample_argvs(words):
 def test_parser_matches_command_table(row):
     words, _, arguments, handler = row
     parser = _parser_for(words)
-    assert _PARSERS[words] is parser
     if handler is None:
         assert [(*words, word) for word in _subcommands(parser)] == [
             other for other, *_ in _COMMANDS if other[:-1] == words
@@ -919,21 +918,9 @@ def test_routed_namespace_matches_the_top_level_parse(words, monkeypatch):
         assert received == [expected], argv
 
 
-class _TopLevelRoute(dict):
-    """_PARSERS as seen when the top-level parser's parse_args reads every argv."""
-
-    def __getitem__(self, words):
-        return argparse.Namespace(
-            parse_known_args=lambda rest: (_PARSER.parse_args([*words, *rest]), [])
-        )
-
-
-@contextmanager
 def _argparse_only():
     """dispatch as it runs when the top-level parser reads every argv."""
-    with mock.patch.object(cli, "_table_parse", lambda *split: None):
-        with mock.patch.object(cli, "_PARSERS", _TopLevelRoute(_PARSERS)):
-            yield
+    return mock.patch.object(cli, "_table_parse", lambda *split: None)
 
 
 _USAGE_ERRORS = [
@@ -1093,6 +1080,9 @@ def test_choices_are_declared_by_the_library():
     assert convention.choices == CONVENTIONS
     (suite,) = [a for a in _parser_for(("check",))._actions if a.dest == "suite"]
     assert suite.choices == ("all",) + SUITE_IDS
+    for words in (("gcd",), ("divmod",)):
+        (side,) = [a for a in _parser_for(words)._actions if "--side" in a.option_strings]
+        assert side.choices is core._SIDES
 
 
 def test_check_command_exit_codes():

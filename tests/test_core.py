@@ -370,13 +370,19 @@ def test_gaussian_integers_behave():
 
 
 def test_gaussian_integers_refuse_other_operands():
-    # Each operator returns NotImplemented, as HurwitzQuaternion's do,
-    # so Python raises TypeError on either side.
+    # Each operator of both classes returns NotImplemented for a foreign
+    # operand, so Python raises TypeError on either side.  An int is the
+    # one scalar a HurwitzQuaternion's * takes.
     z = GaussianInteger(1, 2)
-    for op in (operator.add, operator.sub, operator.mul):
-        for pair in ((z, 1), (1, z)):
+    q = HurwitzQuaternion.from_coords(1, 2, 0, -1)
+    ops = (operator.add, operator.sub, operator.mul)
+    refused = [(x, op, other) for x in (z, q) for op in ops for other in (1.5, "1")]
+    refused += [(z, op, 1) for op in ops] + [(q, op, 1) for op in ops[:2]]
+    for x, op, other in refused:
+        for pair in ((x, other), (other, x)):
             with pytest.raises(TypeError):
                 op(*pair)
+    assert q * 3 == 3 * q == HurwitzQuaternion.from_coords(3, 6, 0, -3)
 
 
 def test_gaussian_integers_are_immutable_and_hash_like_their_pair():

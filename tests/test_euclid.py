@@ -104,6 +104,14 @@ def test_division_by_zero_raises():
         divide(ONE, ZERO, "left")
 
 
+def test_kernel_division_by_zero_raises():
+    # divide refuses a zero divisor first, so only a direct call reaches
+    # the kernel's own check.
+    for right_quotient in (True, False):
+        with pytest.raises(ZeroDivisionError, match="^quaternion division by zero$"):
+            _kernel.qdivmod((2, 0, 0, 0), (0, 0, 0, 0), right_quotient)
+
+
 def test_division_tie_breaks_deterministically():
     # Whatever candidate wins, reruns win identically.
     rng = random.Random(2105)
