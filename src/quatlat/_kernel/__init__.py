@@ -1,8 +1,8 @@
 """Arithmetic kernel on plain 4-tuples of doubled coordinates.
 
-Library modules call the kernel through this namespace rather than
-through `pure` itself, so a tracer can wrap these attributes while the
-kernel's internal calls stay untraced.
+Library modules call the traced entry points below through this
+namespace, so a tracer can wrap them while the kernel's internal calls
+stay untraced; untraced private helpers (`xgcd`, for one) come from `pure`.
 """
 
 from quatlat._kernel.pure import (

@@ -38,29 +38,25 @@ def _matrix_mod_p(u: tuple, p: int, x: int, y: int) -> tuple[int, int, int, int]
     return (a + s) % p, (t - b) % p, (t + b) % p, (a - s) % p
 
 
-def _line_keyer(p: int):
+def _line_keys(p: int, elements) -> tuple[list[int], list[int]]:
     # The right and left divisor classes of norm p of primitive doubled
     # tuples whose norm p divides, as points of P^1(F_p).  Each matrix
     # has rank 1; the right divisor is read from the row line (the first
     # nonzero row) and the left one from the column line (the first
     # nonzero column).  A line (u : v) is keyed v/u, or p when u = 0.
-    # The returned function keys a batch of tuples; it shares (x, y) and
-    # the inverses mod p, each computed on first use, across batches.
+    # Each inverse mod p is computed on first use and cached for the
+    # rest of the batch.
     x, y = _minus_one_as_two_squares(p)
     inv: dict[int, int] = {}
-
-    def line_keys(elements) -> tuple[list[int], list[int]]:
-        right: list[int] = []
-        left: list[int] = []
-        for m00, m01, m10, m11 in [_matrix_mod_p(t, p, x, y) for t in elements]:
-            u, v = (m00, m01) if m00 or m01 else (m10, m11)
-            right.append(
-                v * (inv.get(u) or inv.setdefault(u, pow(u, -1, p))) % p if u else p
-            )
-            u, v = (m00, m10) if m00 or m10 else (m01, m11)
-            left.append(
-                v * (inv.get(u) or inv.setdefault(u, pow(u, -1, p))) % p if u else p
-            )
-        return right, left
-
-    return line_keys
+    right: list[int] = []
+    left: list[int] = []
+    for m00, m01, m10, m11 in [_matrix_mod_p(t, p, x, y) for t in elements]:
+        u, v = (m00, m01) if m00 or m01 else (m10, m11)
+        right.append(
+            v * (inv.get(u) or inv.setdefault(u, pow(u, -1, p))) % p if u else p
+        )
+        u, v = (m00, m10) if m00 or m10 else (m01, m11)
+        left.append(
+            v * (inv.get(u) or inv.setdefault(u, pow(u, -1, p))) % p if u else p
+        )
+    return right, left

@@ -166,9 +166,12 @@ class HurwitzQuaternion:
     def __pow__(self, exponent: int) -> "HurwitzQuaternion":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are defined")
+        # Square and multiply over the bits from the top: O(log e) products.
         result = ONE
-        for _ in range(exponent):
-            result = result * self
+        for bit in bin(exponent)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -206,17 +209,9 @@ K = HurwitzQuaternion.from_coords(0, 0, 0, 1)
 OMEGA = HurwitzQuaternion(1, 1, 1, 1)
 
 
-def _build_units() -> tuple[HurwitzQuaternion, ...]:
-    found = [
-        HurwitzQuaternion._raw(d)
-        for d in _kernel.norm_representations(1, True)
-    ]
-    return tuple(found)
-
-
+_UNIT_DOUBLED = tuple(_kernel.norm_representations(1, True))
 #: The 24 invertible Hurwitz integers, sorted by doubled quadruple.
-UNITS: tuple[HurwitzQuaternion, ...] = _build_units()
-_UNIT_DOUBLED = tuple(e.doubled for e in UNITS)
+UNITS: tuple[HurwitzQuaternion, ...] = tuple(HurwitzQuaternion._raw_many(_UNIT_DOUBLED))
 
 
 def units() -> tuple[HurwitzQuaternion, ...]:

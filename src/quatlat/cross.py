@@ -156,10 +156,7 @@ class RationalQuaternion:
         return h
 
     def __str__(self) -> str:
-        body = "+".join(
-            f"{n}{axis}" for n, axis in zip(self.numerators, ("", "i", "j", "k"))
-        ).replace("+-", "-")
-        return f"({body})/{self.denominator}"
+        return f"({HurwitzQuaternion.from_coords(*self.numerators)})/{self.denominator}"
 
 
 def cross3(

@@ -19,7 +19,7 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from quatlat import _kernel
-from quatlat._modp import _line_keyer
+from quatlat._modp import _line_keys
 from quatlat.core import (
     GaussianInteger,
     HurwitzQuaternion,
@@ -225,6 +225,7 @@ def pall_right_divisors(alpha: HurwitzQuaternion, m: int) -> PallReport:
     divisors = tuple(
         delta
         for delta in HurwitzQuaternion._raw_many(associates)
+        # Redundant given a correct gcd; it is what fails thm-2-2 on a broken qgcd.
         if delta.norm() == m
         and delta.is_lipschitz
         and is_multiple(alpha, delta, "right", lipschitz_cofactor=True)
@@ -377,8 +378,8 @@ def semiprime_pair_fraction(
     n = p * q
     _check_bound(n)
     reps = _kernel.norm_representations(n, False)
-    right_p, left_p = _line_keyer(p)(reps)
-    right_q, left_q = _line_keyer(q)(reps)
+    right_p, left_p = _line_keys(p, reps)
+    right_q, left_q = _line_keys(q, reps)
     # (coefficient, class lists) terms of t_p + t_q - 2*t_p*t_q per side.
     right = ((1, (right_p,)), (1, (right_q,)), (-2, (right_p, right_q)))
     left = ((1, (left_p,)), (1, (left_q,)), (-2, (left_p, left_q)))
@@ -501,8 +502,8 @@ def semiprime_factor_attempt(
         )
     else:
         distinct = list(dict.fromkeys(elements))
-        right_p, left_p = _line_keyer(p)(distinct)
-        right_q, left_q = _line_keyer(q)(distinct)
+        right_p, left_p = _line_keys(p, distinct)
+        right_q, left_q = _line_keys(q, distinct)
         key = dict(zip(distinct, zip(right_p, right_q, left_p, left_q))).__getitem__
         # The prime a side reveals, by 2 * (p-class shared) + (q-class shared).
         reveals = (0, q, p, 0)

@@ -29,6 +29,7 @@ import quatlat
 from quatlat import cli, core, euclid
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
 from quatlat.checks import SUITE_IDS, run_check
+from quatlat.cross import RationalQuaternion
 from quatlat.cli import _COMMANDS, _PARSER, dispatch, main, parse_gaussian, parse_quaternion
 from quatlat.factor import CONVENTIONS
 from quatlat.lattice import orthogonal_basis
@@ -92,6 +93,18 @@ def test_parse_inverts_format(u):
 def test_parse_gaussian_inverts_format(z):
     assert str(z) == _format_reference(HurwitzQuaternion.from_coords(z.re, z.im, 0, 0))
     assert parse_gaussian(str(z)) == z
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.tuples(*[_coord] * 4), st.sampled_from((2, 4, 8)))
+@example((0, -1, 1, 0), 2)
+@example((-1, 0, 0, 1), 2)
+def test_rational_quaternion_formats_through_the_literal_grammar(nums, d):
+    r = RationalQuaternion(nums, d)
+    u = HurwitzQuaternion.from_coords(*nums)
+    assert str(r) == "(" + _format_reference(u) + ")/" + str(d)
+    inside, _, _ = str(r)[1:].rpartition(")/")
+    assert parse_quaternion(inside) == u
 
 
 def test_parse_literal_examples():
@@ -456,6 +469,9 @@ def test_dispatch_cross_example():
     result = dispatch(["cross", "1", "i", "j"])
     assert result.exit_code == 0
     assert result.payload == "k"
+    # Numerators (0, 0, -1, 1) over 2: zero terms and unit coefficients
+    # print as the literal grammar writes them.
+    assert dispatch(["cross", "1/2+1/2i+1/2j+1/2k", "1", "i"]).payload == "(-j+k)/2"
 
 
 def test_cross_json_shows_a_non_hurwitz_result_in_literal_syntax():
@@ -469,6 +485,8 @@ def test_cross_json_shows_a_non_hurwitz_result_in_literal_syntax():
         ' "b": "7/2-5/2i-1/2j-5/2k", "c": "1/2+7/2i+1/2j+1/2k",'
         ' "result": "(46-10i-63j+87k)/2", "hurwitz": false}'
     )
+    argv = ["cross", "--json", "1/2+1/2i+1/2j+1/2k", "1", "i"]
+    assert '"result": "(-j+k)/2"' in dispatch(argv).payload
 
 
 def test_import_leaves_dataclasses_and_inspect_out():

@@ -340,6 +340,21 @@ def test_divisibility_by_zero_is_refused():
             is_multiple(ONE, ZERO, side)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_small_hurwitz, st.integers(0, 12))
+def test_power_agrees_with_the_product_loop(u, exponent):
+    product = ONE
+    for _ in range(exponent):
+        product = product * u
+    assert u**exponent == product
+
+
+def test_power_takes_logarithmically_many_products():
+    # A billion and one factors: square and multiply needs about 60.
+    assert I ** (10**9 + 1) == I
+    assert OMEGA ** (6 * 10**9 + 1) == OMEGA
+
+
 def test_powers_are_nonnegative_integers():
     for exponent in (-1, 0.5):
         with pytest.raises(ValueError, match="nonnegative integer"):

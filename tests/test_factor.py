@@ -66,7 +66,7 @@ import quatlat.checks as checks_module
 import quatlat.factor as factor_module
 import quatlat.rational as rational_module
 from quatlat._kernel import pure
-from quatlat._modp import _line_keyer, _matrix_mod_p, _minus_one_as_two_squares
+from quatlat._modp import _line_keys, _matrix_mod_p, _minus_one_as_two_squares
 from quatlat.core import canonical_associate, cofactor
 from quatlat.euclid import gaussian_gcd, gcd as quaternion_gcd
 
@@ -1092,7 +1092,7 @@ def test_line_keys_split_like_euclid_classes():
     for p, q in _ORACLE_PAIRS:
         reps = pure.norm_representations(p * q, False)
         for m in (p, q):
-            right, left = _line_keyer(m)(reps)
+            right, left = _line_keys(m, reps)
             assert len(set(right)) == len(set(left)) == m + 1
             assert _same_partition(right, _euclid_classes(reps, m, True)), (p, q, m)
             assert _same_partition(left, _euclid_classes(reps, m, False)), (p, q, m)
@@ -1144,8 +1144,8 @@ def test_every_divisor_class_cell_holds_eight_representations(p, q):
     # (p + 1)(q + 1) cells of right classes, and of left classes, each
     # with 8 of the 8 * sigma(pq) representations.
     reps = pure.norm_representations(p * q, False)
-    right_p, left_p = _line_keyer(p)(reps)
-    right_q, left_q = _line_keyer(q)(reps)
+    right_p, left_p = _line_keys(p, reps)
+    right_q, left_q = _line_keys(q, reps)
     for cells in (Counter(zip(right_p, right_q)), Counter(zip(left_p, left_q))):
         assert len(cells) == (p + 1) * (q + 1)
         assert set(cells.values()) == {8}
@@ -1156,8 +1156,8 @@ def test_pair_fraction_counts_match_pairwise_class_comparison(p, q):
     # Each ordered pair classified directly from its four divisor
     # classes: a side is nontrivial when exactly one class is shared.
     reps = pure.norm_representations(p * q, False)
-    right_p, left_p = _line_keyer(p)(reps)
-    right_q, left_q = _line_keyer(q)(reps)
+    right_p, left_p = _line_keys(p, reps)
+    right_q, left_q = _line_keys(q, reps)
     keys = list(zip(right_p, right_q, left_p, left_q))
     right = left = either = 0
     for a in keys:
