@@ -17,8 +17,8 @@ Two entries carry most of the library's enumeration:
   counted, as one coefficient of a Kronecker-packed product that
   `_count_orthogonal` builds by one exact division per nonzero
   coordinate, and none can fail; a basis without the
-  certificate raises.  `lattice.in_orthogonal_lattice` reads the same
-  certificate, so it is the one test of whether a basis spans.
+  certificate raises.  It is the one test of whether a basis spans;
+  `lattice.in_orthogonal_lattice` reads no basis.
 - The sphere walk `norm_representations` files the pairs (c, d) by
   c^2 + d^2 and meets them with the pairs (a, b), in O(n + output)
   rather than the O(n^1.5) of a triple loop that solves for d.

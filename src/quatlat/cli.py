@@ -26,6 +26,7 @@ the same grammar restricted to "a+bi".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -467,8 +468,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser of the grammar, its subparsers built from _COMMANDS."""
+    """The top-level parser of the grammar, built from _COMMANDS on first use."""
     parser = _ArgumentParser(
         prog="quatlat",
         description="Exact arithmetic for Lipschitz and Hurwitz quaternions.",
@@ -487,7 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = _build_parser()
 # Each row's handler (None for a group), its arguments by name (--json
 # first) as (namespace attribute, keywords), and the names of its positionals.
 _ROWS = {
@@ -591,8 +592,8 @@ def dispatch(argv) -> CommandResult:
             if unknown:
                 # Reported first: a subcommand would otherwise complain of a
                 # missing positional that the option only seemed to take.
-                _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
-            args = _PARSER.parse_args([*words, *options, "--", *positionals])
+                _build_parser().error(f"unrecognized arguments: {' '.join(unknown)}")
+            args = _build_parser().parse_args([*words, *options, "--", *positionals])
     except UsageError as exc:
         return CommandResult(2, _error_payload(exc, True) if as_json else "")
     except SystemExit as exc:

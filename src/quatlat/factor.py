@@ -82,7 +82,7 @@ class PrimeModel(tuple):
             raise PreconditionViolated("a model needs at least one prime")
         for p in self:
             if not miller_rabin(p):
-                raise PreconditionViolated(f"model entry {p} is not prime")
+                raise PreconditionViolated(f"model entry {_shown(p)} is not prime")
         return self
 
     @property
@@ -213,9 +213,9 @@ def pall_right_divisors(alpha: HurwitzQuaternion, m: int) -> PallReport:
         NotPrimitive: when alpha is not primitive mod m.
     """
     if m < 1:
-        raise PreconditionViolated(f"m must be positive, got {m}")
+        raise PreconditionViolated(f"m must be positive, got {_shown(m)}")
     if m % 2 == 0:
-        raise BadResidueClass(f"m must be odd, got {m}")
+        raise BadResidueClass(f"m must be odd, got {_shown(m)}")
     if alpha.norm() % m:
         raise PreconditionViolated(f"{m} does not divide norm {_shown(alpha.norm())}")
     if not is_primitive_mod(alpha, m):
@@ -322,7 +322,7 @@ def _check_odd_semiprime_pair(p: int, q: int) -> None:
         raise PreconditionViolated("p and q must be distinct")
     for v in (p, q):
         if v % 2 == 0 or not miller_rabin(v):
-            raise PreconditionViolated(f"{v} is not an odd prime")
+            raise PreconditionViolated(f"{_shown(v)} is not an odd prime")
 
 
 def _shared(*lists: list[int]) -> int:
@@ -463,12 +463,12 @@ def semiprime_factor_attempt(
             or trials < 1.
     """
     if trials < 1:
-        raise PreconditionViolated(f"trials must be positive, got {trials}")
+        raise PreconditionViolated(f"trials must be positive, got {_shown(trials)}")
     if n % 2 == 0:
-        raise PreconditionViolated(f"n must be odd, got {n}")
+        raise PreconditionViolated(f"n must be odd, got {_shown(n)}")
     primes = rational_factorize(n) if n > 1 else []
     if len(primes) != 2:
-        raise PreconditionViolated(f"{n} is not a product of two primes")
+        raise PreconditionViolated(f"{_shown(n)} is not a product of two primes")
     p, q = primes
     rng = random.Random(n if seed is None else seed)
     getrandbits = rng.getrandbits
@@ -587,7 +587,7 @@ def orthogonal_primes_check(p: int) -> OrthogonalPrimesReport:
         BoundExceeded: when p exceeds DEFAULT_ENUM_BOUND.
     """
     if not miller_rabin(p):
-        raise PreconditionViolated(f"{p} is not prime")
+        raise PreconditionViolated(f"{_shown(p)} is not prime")
     elements = representations(p, hurwitz=True)
     doubled = [a.doubled for a in elements]
     index = {ad: i for i, ad in enumerate(doubled)}

@@ -12,10 +12,10 @@ coordinate pair (a, b) and one on (c, d):
 with g1 = gcd(a, b) = a*x0 + b*y0 and g2 = gcd(c, d) = c*z0 + d*t0.
 When one coordinate pair vanishes the construction degenerates and a
 substitute basis is returned instead (the other pair is then
-coprime).  Membership and the box census both rest on one certificate
-that the basis spans the whole lattice, the vector-product identity
-cross3(beta1, beta2, beta3) = +-alpha with content 1, so a basis that
-fails it is reported loudly rather than papered over.
+coprime).  The box census rests on one certificate that the basis
+spans the whole lattice, the vector-product identity
+cross3(beta1, beta2, beta3) = +-alpha with content 1, and refuses a
+basis that fails it.  Membership is the definition, q . alpha = 0.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from math import gcd
 from typing import NamedTuple
 
 from quatlat import _kernel
-from quatlat._kernel.pure import _spans_orthogonal_lattice, xgcd
+from quatlat._kernel.pure import xgcd
 from quatlat.core import HurwitzQuaternion
 from quatlat.errors import (
     BoundExceeded,
@@ -55,7 +55,7 @@ _CENSUS_BOUND = 1_000_000
 def _check_bound(n: int) -> None:
     if n > DEFAULT_ENUM_BOUND:
         raise BoundExceeded(
-            f"norm {n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}"
+            f"norm {_shown(n)} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}"
         )
 
 
@@ -94,13 +94,19 @@ def orthogonal_basis(alpha: HurwitzQuaternion) -> OrthogonalBasis:
     return OrthogonalBasis(beta1, beta2, beta3, permutation)
 
 
-def _basis_rows(alpha: HurwitzQuaternion):
-    """`orthogonal_basis` as integer coordinate rows: (rows, permutation)."""
+def _primitive_coords(alpha: HurwitzQuaternion) -> tuple[int, ...]:
+    """alpha's coordinates, after the precondition of orthogonal_basis."""
     if alpha.is_zero:
         raise ZeroInput("the orthogonal lattice of 0 is not rank 3")
-    a, b, c, d = alpha.coords
-    if gcd(a, b, c, d) != 1:
+    coords = alpha.coords
+    if gcd(*coords) != 1:
         raise NotPrimitive(f"{_shown(alpha)} has content > 1")
+    return coords
+
+
+def _basis_rows(alpha: HurwitzQuaternion):
+    """`orthogonal_basis` as integer coordinate rows: (rows, permutation)."""
+    a, b, c, d = _primitive_coords(alpha)
     if a == 0 and b == 0:
         return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, d, -c)), "a=b=0"
     if c == 0 and d == 0:
@@ -117,20 +123,11 @@ def _basis_rows(alpha: HurwitzQuaternion):
 def in_orthogonal_lattice(alpha: HurwitzQuaternion, q: HurwitzQuaternion) -> bool:
     """Whether q lies in the orthogonal lattice of alpha.
 
-    The answer is the inner-product characterization: q is Lipschitz
-    with q . alpha = 0.  The basis spans exactly those q when it carries
-    the vector-product certificate `_spans_orthogonal_lattice` (proved
-    in `count_orthogonality_failures`); a basis without it raises
-    RuntimeError at every q rather than answer for a lattice it may not
-    span.  alpha must meet the precondition of orthogonal_basis, and
+    By the definition: q is Lipschitz with q . alpha = 0, and no basis
+    is read.  alpha must meet the precondition of orthogonal_basis, and
     raises as it does.
     """
-    rows = _basis_rows(alpha)[0]
-    if not _spans_orthogonal_lattice(alpha.coords, rows):
-        raise RuntimeError(
-            f"orthogonal basis of {_shown(alpha)} is inconsistent:"
-            " cross3 of its rows is not +-alpha"
-        )
+    _primitive_coords(alpha)
     return q.is_lipschitz and _kernel.qdot4(alpha.doubled, q.doubled) == 0
 
 
@@ -180,7 +177,7 @@ def representations(n: int, hurwitz: bool = False) -> list[HurwitzQuaternion]:
         BoundExceeded: when n exceeds DEFAULT_ENUM_BOUND.
     """
     if n < 1:
-        raise PreconditionViolated(f"norm must be positive, got {n}")
+        raise PreconditionViolated(f"norm must be positive, got {_shown(n)}")
     _check_bound(n)
     return HurwitzQuaternion._raw_many(_kernel.norm_representations(n, hurwitz))
 
@@ -199,9 +196,9 @@ def representation_count(n: int) -> int:
         PreconditionViolated: for n < 1.
     """
     if n % 2 == 0:
-        raise EvenNorm(f"representation_count needs odd n, got {n}")
+        raise EvenNorm(f"representation_count needs odd n, got {_shown(n)}")
     if n < 1:
-        raise PreconditionViolated(f"norm must be positive, got {n}")
+        raise PreconditionViolated(f"norm must be positive, got {_shown(n)}")
     sigma = 1
     if n > 1:
         for p, e in Counter(rational_factorize(n)).items():

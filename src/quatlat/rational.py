@@ -13,7 +13,12 @@ from __future__ import annotations
 import random
 from math import gcd, isqrt, prod
 
-from quatlat.errors import BadResidueClass, NotRepresentable, PreconditionViolated
+from quatlat.errors import (
+    BadResidueClass,
+    NotRepresentable,
+    PreconditionViolated,
+    _shown,
+)
 
 __all__ = [
     "miller_rabin",
@@ -205,9 +210,9 @@ def sqrt_minus_one_mod_p(p: int) -> int:
         PreconditionViolated: when p is not prime.
     """
     if p % 4 != 1:
-        raise BadResidueClass(f"-1 is not a square modulo {p}")
+        raise BadResidueClass(f"-1 is not a square modulo {_shown(p)}")
     if not miller_rabin(p):
-        raise PreconditionViolated(f"{p} is not prime")
+        raise PreconditionViolated(f"{_shown(p)} is not prime")
     return _sqrt_minus_one(p, random.Random(p))
 
 
@@ -236,7 +241,7 @@ def two_squares(p: int) -> tuple[int, int]:
     if p == 2:
         return (1, 1)
     if p % 4 != 1 or not miller_rabin(p):
-        raise NotRepresentable(f"{p} is not a sum of two squares")
+        raise NotRepresentable(f"{_shown(p)} is not a sum of two squares")
     return _two_squares_prime(p, random.Random(p))
 
 
@@ -314,7 +319,7 @@ def four_squares(n: int, seed: int | None = None) -> tuple[int, int, int, int]:
         PreconditionViolated: for n < 1.
     """
     if n < 1:
-        raise PreconditionViolated(f"four_squares needs n >= 1, got {n}")
+        raise PreconditionViolated(f"four_squares needs n >= 1, got {_shown(n)}")
     return _four_squares(n, random.Random(n if seed is None else seed))
 
 
@@ -366,7 +371,7 @@ def rational_factorize(n: int) -> list[int]:
         PreconditionViolated: for n < 2.
     """
     if n < 2:
-        raise PreconditionViolated(f"nothing to factor in {n}")
+        raise PreconditionViolated(f"nothing to factor in {_shown(n)}")
     out: list[int] = []
     for p in _SMALL_PRIMES:
         if p * p > n:

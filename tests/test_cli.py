@@ -30,7 +30,7 @@ from quatlat import cli, core, euclid
 from quatlat import OMEGA, ZERO, HurwitzQuaternion, GaussianInteger, MixedParity, ParseError
 from quatlat.checks import SUITE_IDS, run_check
 from quatlat.cross import RationalQuaternion
-from quatlat.cli import _COMMANDS, _PARSER, dispatch, main, parse_gaussian, parse_quaternion
+from quatlat.cli import _COMMANDS, _build_parser, dispatch, main, parse_gaussian, parse_quaternion
 from quatlat.factor import CONVENTIONS
 from quatlat.lattice import orthogonal_basis
 from conftest import random_hurwitz
@@ -406,6 +406,17 @@ def test_an_overlong_value_is_elided_from_an_error_message(argv, short, code, er
     assert dispatch(argv) == (code, f"{error}: {message}")
     doc = json.loads(dispatch([*argv, "--json"]).payload)
     assert doc == {"kind": "error", "error": error, "message": message}
+
+
+def test_a_huge_pair_fraction_norm_is_a_bound_error(monkeypatch):
+    # Two Mersenne primes within the digit limit whose product is past
+    # it; with primality patched out the bound check is all that runs.
+    monkeypatch.setattr("quatlat.factor.miller_rabin", lambda n: True)
+    argv = ["experiment", "fraction", str(2**9689 - 1), str(2**9941 - 1)]
+    assert dispatch(argv) == (
+        1,
+        f"BoundExceeded: norm {_ELIDED} exceeds the enumeration bound 10000",
+    )
 
 
 # Every subcommand with a literal positional (one declared with no keywords).
@@ -825,7 +836,7 @@ def _subcommands(parser):
 
 def _parser_for(words):
     # Walks the argparse tree, independently of the _COMMANDS table.
-    parser = _PARSER
+    parser = _build_parser()
     for word in words:
         parser = _subcommands(parser)[word]
     return parser
@@ -930,7 +941,7 @@ def test_routed_namespace_matches_the_top_level_parse(words, monkeypatch):
         received.clear()
         assert dispatch(argv).exit_code == 0, argv
         heads, options, positionals = cli._preprocess(argv)
-        expected = vars(_PARSER.parse_args([*heads, *options, "--", *positionals]))
+        expected = vars(_build_parser().parse_args([*heads, *options, "--", *positionals]))
         del expected["command"]
         expected.pop("experiment_command", None)
         assert received == [expected], argv
@@ -1090,6 +1101,12 @@ def test_dispatch_matches_the_argparse_route(argv):
     actual = _outcome(argv)
     with _argparse_only():
         assert _outcome(argv) == actual
+
+
+def test_valid_argv_builds_no_parser():
+    _build_parser.cache_clear()
+    assert dispatch(["norm", "1+i", "--json"]).exit_code == 0
+    assert _build_parser.cache_info().currsize == 0
 
 
 def test_choices_are_declared_by_the_library():

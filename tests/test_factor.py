@@ -16,6 +16,7 @@ randint-drawn four-squares sampler kept here.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -41,6 +42,7 @@ from quatlat import (
     NotRepresentable,
     PreconditionViolated,
     PrimeModel,
+    QuatlatError,
     factor_modelled,
     four_squares,
     igama_check,
@@ -54,6 +56,7 @@ from quatlat import (
     outer_factor_recovery,
     pall_right_divisors,
     rational_factorize,
+    representation_count,
     representations,
     semiprime_factor_attempt,
     semiprime_pair_fraction,
@@ -1318,3 +1321,41 @@ def test_factor_attempt_preconditions():
         semiprime_factor_attempt(13, trials=10)
     with pytest.raises(PreconditionViolated):
         semiprime_factor_attempt(105, trials=10)
+
+
+# 10^5000 is past the interpreter's int -> str digit limit.
+_BIG = 10**5000
+_ALPHA = HurwitzQuaternion.from_coords(1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: four_squares(-_BIG), PreconditionViolated),
+        (lambda: two_squares(3 * _BIG + 3), NotRepresentable),
+        (lambda: sqrt_minus_one_mod_p(4 * _BIG + 3), BadResidueClass),
+        (lambda: rational_factorize(-_BIG), PreconditionViolated),
+        (lambda: representation_count(2 * _BIG), EvenNorm),
+        (lambda: representations(_BIG), BoundExceeded),
+        (lambda: pall_right_divisors(_ALPHA, 2 * _BIG), BadResidueClass),
+        (lambda: pall_right_divisors(_ALPHA, -_BIG), PreconditionViolated),
+        (lambda: is_primitive_mod(_ALPHA, -_BIG), PreconditionViolated),
+        (lambda: semiprime_factor_attempt(2 * _BIG, 3), PreconditionViolated),
+        (lambda: semiprime_factor_attempt(15, -_BIG), PreconditionViolated),
+        (lambda: PrimeModel((_BIG,)), PreconditionViolated),
+        (lambda: orthogonal_primes_check(_BIG), PreconditionViolated),
+        (lambda: semiprime_pair_fraction(_BIG, 3), PreconditionViolated),
+    ],
+    ids=[
+        "four_squares", "two_squares", "sqrt_minus_one_mod_p", "rational_factorize",
+        "representation_count", "representations", "pall-even", "pall-negative",
+        "is_primitive_mod", "factor_attempt-n", "factor_attempt-trials",
+        "PrimeModel", "orthogonal_primes_check", "pair_fraction",
+    ],
+)
+def test_a_huge_argument_raises_its_domain_error(call, error):
+    # str() of the argument would raise ValueError; the message elides it.
+    with pytest.raises(QuatlatError) as info:
+        call()
+    assert type(info.value) is error
+    assert f"<a number of more than {sys.get_int_max_str_digits()} digits>" in str(info.value)

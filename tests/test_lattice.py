@@ -30,6 +30,7 @@ from quatlat._kernel import count_orthogonality_failures, pure
 from quatlat import (
     OMEGA,
     HurwitzQuaternion,
+    I,
     BoundExceeded,
     EvenNorm,
     NotLipschitz,
@@ -119,8 +120,9 @@ def test_basis_rows_are_orthogonal_to_alpha():
 
 
 def test_census_and_membership_share_the_basis_rows():
-    # orthogonality_census and in_orthogonal_lattice read the rows of
-    # `_basis_rows` directly; orthogonal_basis wraps those same rows.
+    # orthogonality_census reads the rows of `_basis_rows` directly and
+    # orthogonal_basis wraps those same rows; in_orthogonal_lattice
+    # reads no rows, only their precondition, so it raises as they do.
     rng = random.Random(4104)
     alphas = [random_primitive(rng, 30) for _ in range(200)]
     alphas += [HurwitzQuaternion.from_coords(*c) for c in ((0, 0, 3, 5), (7, 2, 0, 0))]
@@ -449,17 +451,18 @@ def test_census_refuses_a_box_too_large_to_pack(monkeypatch):
             orthogonality_census(HurwitzQuaternion.from_coords(*coords), q_bound)
 
 
-def test_membership_reports_a_broken_basis(monkeypatch):
+def test_membership_reads_no_basis(monkeypatch):
     alpha = HurwitzQuaternion.from_coords(1, 2, 3, 4)
-    rows, permutation = lattice._basis_rows(alpha)
-    broken = (tuple(2 * x for x in rows[0]),) + rows[1:]
-    monkeypatch.setattr(lattice, "_basis_rows", lambda a: (broken, permutation))
-    # Every query raises: a member, zero, a Lipschitz non-member and a
-    # half-odd q alike.
-    for q in (HurwitzQuaternion.from_coords(*rows[0]), ZERO,
-              HurwitzQuaternion.from_coords(1, 0, 0, 0), OMEGA):
-        with pytest.raises(RuntimeError, match="inconsistent"):
-            in_orthogonal_lattice(alpha, q)
+    member = HurwitzQuaternion.from_coords(*lattice._basis_rows(alpha)[0][0])
+
+    def no_basis(*args):
+        raise AssertionError("membership built a basis")
+
+    monkeypatch.setattr(lattice, "_basis_rows", no_basis)
+    assert in_orthogonal_lattice(alpha, member)
+    assert in_orthogonal_lattice(alpha, ZERO)
+    assert not in_orthogonal_lattice(alpha, HurwitzQuaternion.from_coords(1, 0, 0, 0))
+    assert not in_orthogonal_lattice(alpha, OMEGA)
 
 
 def test_membership_examples():
@@ -471,18 +474,32 @@ def test_membership_examples():
     assert not in_orthogonal_lattice(alpha, OMEGA)
 
 
+# An all-odd alpha, which random_primitive never draws, and the two
+# shapes with one coordinate pair zero.
+_FIXED_ALPHAS = [
+    HurwitzQuaternion.from_coords(*c) for c in ((1, 1, 1, 3), (0, 0, 3, 5), (7, 2, 0, 0))
+]
+
+
+def _membership_alphas(rng, span):
+    """200 random primitive alphas, then the fixed shapes."""
+    for _ in range(200):
+        yield random_primitive(rng, span)
+    yield from _FIXED_ALPHAS
+
+
 def test_membership_agrees_with_inner_product():
     rng = random.Random(4104)
-    for _ in range(200):
-        alpha = random_primitive(rng, 10)
-        q = HurwitzQuaternion.from_coords(*(rng.randint(-12, 12) for _ in range(4)))
-        assert in_orthogonal_lattice(alpha, q) == (inner_product(alpha, q) == 0)
+    for alpha in _membership_alphas(rng, 10):
+        r = HurwitzQuaternion.from_coords(*(rng.randint(-12, 12) for _ in range(4)))
+        # alpha * i is orthogonal to alpha, so each alpha meets a member.
+        for q in (r, alpha * I):
+            assert in_orthogonal_lattice(alpha, q) == (inner_product(alpha, q) == 0)
 
 
 def test_integer_combinations_of_basis_are_members():
     rng = random.Random(4105)
-    for _ in range(200):
-        alpha = random_primitive(rng, 12)
+    for alpha in _membership_alphas(rng, 12):
         basis = orthogonal_basis(alpha)
         q = sum(
             (rng.randint(-6, 6) * beta for beta in (basis.beta1, basis.beta2, basis.beta3)),
@@ -553,12 +570,13 @@ def _jacobi_counts(n: int) -> tuple[int, int]:
 _SPHERE_NORMS = list(range(401)) + [1009, 1913, 4999, 10000]
 
 
-@pytest.mark.parametrize("half_odd", (False, True))
-def test_sphere_walk_matches_the_triple_loop(half_odd):
+def test_sphere_walk_matches_the_triple_loop():
+    # One oracle run per n: the Lipschitz sphere is the Hurwitz sphere's
+    # tuples with even doubled coordinates, so with an even first one.
     for n in _SPHERE_NORMS:
-        assert pure.norm_representations(n, half_odd) == _ref_norm_representations(
-            n, half_odd
-        ), n
+        expected = _ref_norm_representations(n, True)
+        assert pure.norm_representations(n, True) == expected, n
+        assert pure.norm_representations(n, False) == [t for t in expected if t[0] % 2 == 0], n
 
 
 def test_sphere_sizes_follow_jacobi():
