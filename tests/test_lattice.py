@@ -508,8 +508,8 @@ def test_integer_combinations_of_basis_are_members():
         assert in_orthogonal_lattice(alpha, q)
 
 
-def _ref_norm_representations(n, include_half_odd):
-    """The triple loop over (a, b, c) that solves for d; the sphere oracle."""
+def _ref_lipschitz_sphere(n):
+    """The triple loop over integer (a, b, c) that solves for d; the Lipschitz oracle."""
     out = []
     r0 = isqrt(n)
     for a in range(-r0, r0 + 1):
@@ -527,7 +527,14 @@ def _ref_norm_representations(n, include_half_odd):
                     else:
                         out.append((2 * a, 2 * b, 2 * c, 2 * d))
                         out.append((2 * a, 2 * b, 2 * c, -2 * d))
-    if include_half_odd and n % 2 == 1:
+    out.sort()
+    return out
+
+
+def _ref_half_odd_sphere(n):
+    """The same loop over odd doubled (a, b, c); the oracle for the rest of the Hurwitz sphere."""
+    out = []
+    if n % 2 == 1:
         m = 4 * n
         r0 = isqrt(m)
         r0 -= 1 - r0 % 2
@@ -570,13 +577,19 @@ def _jacobi_counts(n: int) -> tuple[int, int]:
 _SPHERE_NORMS = list(range(401)) + [1009, 1913, 4999, 10000]
 
 
-def test_sphere_walk_matches_the_triple_loop():
-    # One oracle run per n: the Lipschitz sphere is the Hurwitz sphere's
-    # tuples with even doubled coordinates, so with an even first one.
+@pytest.mark.parametrize("half_odd", (False, True))
+def test_sphere_walk_matches_the_triple_loop(half_odd):
+    # Each triple loop runs once per n over the two cases. A Hurwitz tuple is
+    # all even or all odd, so [True] holds the Hurwitz sphere's even tuples to
+    # the Lipschitz walk, which [False] holds to its loop, and its odd tuples
+    # to the half-odd loop.
     for n in _SPHERE_NORMS:
-        expected = _ref_norm_representations(n, True)
-        assert pure.norm_representations(n, True) == expected, n
-        assert pure.norm_representations(n, False) == [t for t in expected if t[0] % 2 == 0], n
+        walk = pure.norm_representations(n, half_odd)
+        if half_odd:
+            assert [t for t in walk if t[0] % 2 == 0] == pure.norm_representations(n, False), n
+            assert [t for t in walk if t[0] % 2] == _ref_half_odd_sphere(n), n
+        else:
+            assert walk == _ref_lipschitz_sphere(n), n
 
 
 def test_sphere_sizes_follow_jacobi():
