@@ -138,7 +138,8 @@ def factor_modelled(alpha: HurwitzQuaternion, model) -> ModelledFactorization:
         g = _canonical_gcd(work, HurwitzQuaternion.from_integer(p), True)
         if g.norm() != p:
             raise ModelMismatch(
-                f"right gcd with {p} has norm {_shown(g.norm())}, expected {p}"
+                f"right gcd with {_shown(p)} has norm {_shown(g.norm())},"
+                f" expected {_shown(p)}"
             )
         factors.append(g)
         work = cofactor(work, g, "right")
@@ -217,9 +218,11 @@ def pall_right_divisors(alpha: HurwitzQuaternion, m: int) -> PallReport:
     if m % 2 == 0:
         raise BadResidueClass(f"m must be odd, got {_shown(m)}")
     if alpha.norm() % m:
-        raise PreconditionViolated(f"{m} does not divide norm {_shown(alpha.norm())}")
+        raise PreconditionViolated(
+            f"{_shown(m)} does not divide norm {_shown(alpha.norm())}"
+        )
     if not is_primitive_mod(alpha, m):
-        raise NotPrimitive(f"{_shown(alpha)} is not primitive modulo {m}")
+        raise NotPrimitive(f"{_shown(alpha)} is not primitive modulo {_shown(m)}")
     g = _canonical_gcd(alpha, HurwitzQuaternion.from_integer(m), True).doubled
     associates = sorted(_kernel.qmul(e, g) for e in _UNIT_DOUBLED)
     divisors = tuple(

@@ -1339,6 +1339,11 @@ _ALPHA = HurwitzQuaternion.from_coords(1, 2, 3, 4)
         (lambda: representations(_BIG), BoundExceeded),
         (lambda: pall_right_divisors(_ALPHA, 2 * _BIG), BadResidueClass),
         (lambda: pall_right_divisors(_ALPHA, -_BIG), PreconditionViolated),
+        (lambda: pall_right_divisors(_ALPHA, _BIG + 1), PreconditionViolated),
+        (
+            lambda: pall_right_divisors(HurwitzQuaternion.from_integer(_BIG + 1), _BIG + 1),
+            NotPrimitive,
+        ),
         (lambda: is_primitive_mod(_ALPHA, -_BIG), PreconditionViolated),
         (lambda: semiprime_factor_attempt(2 * _BIG, 3), PreconditionViolated),
         (lambda: semiprime_factor_attempt(15, -_BIG), PreconditionViolated),
@@ -1349,6 +1354,7 @@ _ALPHA = HurwitzQuaternion.from_coords(1, 2, 3, 4)
     ids=[
         "four_squares", "two_squares", "sqrt_minus_one_mod_p", "rational_factorize",
         "representation_count", "representations", "pall-even", "pall-negative",
+        "pall-not-dividing", "pall-not-primitive",
         "is_primitive_mod", "factor_attempt-n", "factor_attempt-trials",
         "PrimeModel", "orthogonal_primes_check", "pair_fraction",
     ],

@@ -582,10 +582,12 @@ def test_sphere_walk_matches_the_triple_loop(half_odd):
     # Each triple loop runs once per n over the two cases. A Hurwitz tuple is
     # all even or all odd, so [True] holds the Hurwitz sphere's even tuples to
     # the Lipschitz walk, which [False] holds to its loop, and its odd tuples
-    # to the half-odd loop.
+    # to the half-odd loop; with the walk sorted, that is the walk equal to
+    # the sorted union of the two loops.
     for n in _SPHERE_NORMS:
         walk = pure.norm_representations(n, half_odd)
         if half_odd:
+            assert walk == sorted(walk), n
             assert [t for t in walk if t[0] % 2 == 0] == pure.norm_representations(n, False), n
             assert [t for t in walk if t[0] % 2] == _ref_half_odd_sphere(n), n
         else:
