@@ -8,18 +8,20 @@ attempt of `quatlat.factor` read divisor classes this way, with no gcd.
 
 from __future__ import annotations
 
-from quatlat.rational import sqrt_minus_one_mod_p
-
 
 def _minus_one_as_two_squares(p: int) -> tuple[int, int]:
-    # (x, y) with x^2 + y^2 = -1 mod the odd prime p, in O(log p) steps.
-    # For p % 4 == 1, -1 is itself a square.  Otherwise take the first x
-    # for which t = -1 - x^2 is a square (about every other x is), whose
-    # root t^((p+1)/4) is exact because p % 4 == 3.  The pair only has
-    # to exist: line keys are compared with each other, never with keys
-    # from another (x, y).
+    # (x, y) with x^2 + y^2 = -1 mod the odd prime p, which the callers
+    # have proven prime.  For p % 4 == 1, x = z^((p-1)/4) for the first
+    # non-residue z, and y = 0.  Otherwise x is the first for which
+    # t = -1 - x^2 is a square, and y = t^((p+1)/4), exact as p % 4 == 3.
+    # Both searches run Euler's criterion, and about every other value
+    # passes.  The pair only has to exist: line keys are compared with
+    # each other, never with keys from another (x, y).
     if p % 4 == 1:
-        return sqrt_minus_one_mod_p(p), 0
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        return pow(z, (p - 1) // 4, p), 0
     x = 1
     while pow(-1 - x * x, (p - 1) // 2, p) != 1:
         x += 1

@@ -401,7 +401,7 @@ def is_primitive_mod(u: HurwitzQuaternion, m: int) -> bool:
     if m < 1:
         raise PreconditionViolated(f"modulus must be positive, got {_shown(m)}")
     a, b, c, d = u.coords
-    return gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)), m) == 1
+    return gcd(a, b, c, d, m) == 1
 
 
 class GaussianInteger:

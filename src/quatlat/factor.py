@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from typing import NamedTuple
 
 from quatlat import _kernel
@@ -41,7 +41,7 @@ from quatlat.errors import (
     _shown,
 )
 from quatlat.euclid import _canonical_gcd, gaussian_gcd, is_multiple
-from quatlat.lattice import DEFAULT_ENUM_BOUND, _check_bound, representations
+from quatlat.lattice import DEFAULT_ENUM_BOUND, _check_bound
 from quatlat.rational import _four_squares, _randbelow, miller_rabin, rational_factorize
 
 __all__ = [
@@ -96,10 +96,6 @@ class PrimeModel(tuple):
         return prod(self)
 
 
-def _as_model(model) -> PrimeModel:
-    return model if isinstance(model, PrimeModel) else PrimeModel(model)
-
-
 class ModelledFactorization(NamedTuple):
     """Factors of a primitive Hurwitz integer, norms matching the model."""
 
@@ -121,17 +117,18 @@ def factor_modelled(alpha: HurwitzQuaternion, model) -> ModelledFactorization:
     left cofactor recurses on the shorter model.  The returned factors
     multiply to alpha in order.
 
-    Raises:
+    Raises, checking in this order (primality last, as the dearest):
         NotPrimitive: when alpha has content > 1.
         ModelMismatch: when the model's product is not norm(alpha).
+        PreconditionViolated: when PrimeModel refuses the model.
     """
-    model = _as_model(model)
     if not is_primitive(alpha):
         raise NotPrimitive(f"{_shown(alpha)} is not primitive")
-    if model.product() != alpha.norm():
+    if prod(model) != alpha.norm():
         raise ModelMismatch(
-            f"model product {_shown(model.product())} != norm {_shown(alpha.norm())}"
+            f"model product {_shown(prod(model))} != norm {_shown(alpha.norm())}"
         )
+    model = model if isinstance(model, PrimeModel) else PrimeModel(model)
     factors: list[HurwitzQuaternion] = []
     work = alpha
     for p in reversed(model[1:]):
@@ -156,8 +153,9 @@ def unit_migration_equal(
     """Whether two same-model factorizations differ only by unit migration.
 
     Migration means f2[i] = e(i-1)^-1 * f1[i] * e(i) for units e(i)
-    with e(0) = e(k) = 1.  Each e(i) is forced by the previous one, so
-    a single left-to-right pass decides.
+    with e(0) = e(k) = 1.  Each e(i) is forced by the previous one, and
+    is a unit once the factor norms match the model, so a single
+    left-to-right pass decides: e(k) = 1 exactly when the products agree.
 
     Raises:
         ModelMismatch: when the models differ, or a factor's norm does
@@ -168,12 +166,10 @@ def unit_migration_equal(
     for f, g, p in zip(f1.factors, f2.factors, f1.model):
         if f.norm() != p or g.norm() != p:
             raise ModelMismatch("factor norms do not match the model")
-    if f1.product() != f2.product():
-        return False
     eps = ONE
     for f, g in zip(f1.factors, f2.factors):
         eps = cofactor(eps * g, f, "left")
-        if eps is None or eps.norm() != 1:
+        if eps is None:
             return False
     return eps == ONE
 
@@ -320,14 +316,6 @@ class PairFractionReport(NamedTuple):
         return self.fraction == self.predicted_fraction
 
 
-def _check_odd_semiprime_pair(p: int, q: int) -> None:
-    if p == q:
-        raise PreconditionViolated("p and q must be distinct")
-    for v in (p, q):
-        if v % 2 == 0 or not miller_rabin(v):
-            raise PreconditionViolated(f"{_shown(v)} is not an odd prime")
-
-
 def _shared(*lists: list[int]) -> int:
     # Ordered pairs of representations in the same class on every list.
     return sum(m * m for m in Counter(zip(*lists)).values())
@@ -368,18 +356,26 @@ def semiprime_pair_fraction(
     P(p) + P(q) alone: it counts the pairs sharing both classes, whose
     gcd is trivial, instead of subtracting them from each term.
 
-    Raises:
-        PreconditionViolated: unless p and q are distinct odd primes.
-        BoundExceeded: when p*q exceeds DEFAULT_ENUM_BOUND.
+    Raises, checking in this order (primality last, as the dearest):
         ValueError: unless convention is one of CONVENTIONS.
+        PreconditionViolated: when p = q, or p or q is even.
+        BoundExceeded: when p*q exceeds DEFAULT_ENUM_BOUND.
+        PreconditionViolated: when p or q is not prime.
     """
     if convention not in CONVENTIONS:
         raise ValueError(
             f"convention must be one of {CONVENTIONS}, got {convention!r}"
         )
-    _check_odd_semiprime_pair(p, q)
+    if p == q:
+        raise PreconditionViolated("p and q must be distinct")
+    for v in (p, q):
+        if v % 2 == 0:
+            raise PreconditionViolated(f"{_shown(v)} is not an odd prime")
     n = p * q
     _check_bound(n)
+    for v in (p, q):
+        if not miller_rabin(v):
+            raise PreconditionViolated(f"{_shown(v)} is not an odd prime")
     reps = _kernel.norm_representations(n, False)
     right_p, left_p = _line_keys(p, reps)
     right_q, left_q = _line_keys(q, reps)
@@ -498,7 +494,7 @@ def semiprime_factor_attempt(
 
         def revealed(a, b, right):
             g = _kernel.qnorm(_kernel.qgcd(a, b, right))
-            return 0 if g in (1, n) else gcd(g, n)
+            return 0 if g in (1, n) else g
 
         outcomes = (
             (revealed(a, b, True), revealed(a, b, False)) for a, b in zip(firsts, seconds)
@@ -585,13 +581,14 @@ def orthogonal_primes_check(p: int) -> OrthogonalPrimesReport:
     with a before b in the sphere, sorted by position, are the failing
     unordered pairs in the order a pairwise walk would find them.
 
-    Raises:
-        PreconditionViolated: for composite p.
+    Raises, checking in this order (primality last, as the dearest):
         BoundExceeded: when p exceeds DEFAULT_ENUM_BOUND.
+        PreconditionViolated: for p that is not prime.
     """
+    _check_bound(p)
     if not miller_rabin(p):
         raise PreconditionViolated(f"{_shown(p)} is not prime")
-    elements = representations(p, hurwitz=True)
+    elements = HurwitzQuaternion._raw_many(_kernel.norm_representations(p, True))
     doubled = [a.doubled for a in elements]
     index = {ad: i for i, ad in enumerate(doubled)}
     in_orbit = set()

@@ -6,7 +6,20 @@ reproduce exactly; nothing here touches global random state.
 
 import random
 
+import pytest
+
 from quatlat import HurwitzQuaternion, is_primitive
+
+
+@pytest.fixture
+def no_primality_proof(monkeypatch):
+    """Fail the test on any call to the primality test, under either name."""
+
+    def refuse(n):
+        raise AssertionError("a primality proof ran")
+
+    for module in ("quatlat.factor", "quatlat.rational"):
+        monkeypatch.setattr(f"{module}.miller_rabin", refuse)
 
 
 def random_lipschitz(rng: random.Random, span: int) -> HurwitzQuaternion:

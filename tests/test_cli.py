@@ -408,14 +408,23 @@ def test_an_overlong_value_is_elided_from_an_error_message(argv, short, code, er
     assert doc == {"kind": "error", "error": error, "message": message}
 
 
-def test_a_huge_pair_fraction_norm_is_a_bound_error(monkeypatch):
+def test_a_huge_pair_fraction_norm_is_a_bound_error():
     # Two Mersenne primes within the digit limit whose product is past
-    # it; with primality patched out the bound check is all that runs.
-    monkeypatch.setattr("quatlat.factor.miller_rabin", lambda n: True)
+    # it; the bound is checked before either is proven prime.
     argv = ["experiment", "fraction", str(2**9689 - 1), str(2**9941 - 1)]
     assert dispatch(argv) == (
         1,
         f"BoundExceeded: norm {_ELIDED} exceeds the enumeration bound 10000",
+    )
+
+
+def test_a_model_mismatch_proves_no_prime(no_primality_proof):
+    # The model's product is compared with the norm before its one
+    # entry, a Mersenne prime of 2,917 digits, is proven prime.
+    model = 2**9689 - 1
+    assert dispatch(["factor", "1+i", "--model", str(model)]) == (
+        1,
+        f"ModelMismatch: model product {model} != norm 2",
     )
 
 

@@ -482,6 +482,62 @@ def test_no_module_imports_inside_a_function():
     assert nested == []
 
 
+# The interpolations in error messages that cannot reach the int -> str
+# digit limit: strings (a literal kind, a parsed word, the text that
+# failed to parse, coordinates `_shown` has already formatted), positions
+# and lengths of objects in memory, and constants.
+_BOUNDED_INTERPOLATIONS = {
+    ("cli.py", "literal"),
+    ("cli.py", "pos"),
+    ("cli.py", "text!r"),
+    ("cli.py", "axis_word"),
+    ("cli.py", "sys.get_int_max_str_digits()"),
+    ("core.py", "coords"),
+    ("cross.py", "length"),
+    ("cross.py", "len(vec)"),
+    ("cross.py", "len(rows)"),
+    ("cross.py", "n"),
+    ("lattice.py", "DEFAULT_ENUM_BOUND"),
+    ("lattice.py", "_CENSUS_BOUND"),
+}
+
+
+def test_error_messages_show_integers_through_shown():
+    # str() of an integer past sys.get_int_max_str_digits() raises
+    # ValueError, so an f-string message to a QuatlatError interpolates
+    # only errors._shown(...) calls, or one of the bounded values above.
+    import quatlat
+    from quatlat import errors
+
+    error_names = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.QuatlatError)
+    }
+    unshown = []
+    for path in sorted(Path(quatlat.__file__).parent.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name not in error_names:
+                continue
+            for arg in [*call.args, *(keyword.value for keyword in call.keywords)]:
+                for node in ast.walk(arg):
+                    if not isinstance(node, ast.FormattedValue):
+                        continue
+                    value = node.value
+                    if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "_shown":
+                        continue
+                    shown = ast.unparse(value)
+                    if node.conversion != -1:
+                        shown += "!" + chr(node.conversion)
+                    if (path.name, shown) not in _BOUNDED_INTERPOLATIONS:
+                        unshown.append(f"{path.name}:{node.lineno}: {shown}")
+    assert unshown == []
+
+
 # The parameter names of every exported callable.  A new parameter, an
 # option to the public API, has to be added here in plain sight.
 _PUBLIC_PARAMETERS = {

@@ -28,6 +28,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from quatlat import (
     OMEGA,
+    ONE,
     DEFAULT_ENUM_BOUND,
     BadResidueClass,
     BoundExceeded,
@@ -688,6 +689,56 @@ def test_unit_migration_is_more_than_an_equal_product():
     assert not unit_migration_equal(g, f)
 
 
+def _migrated(f, chain):
+    # f with f[i] replaced by e(i-1)^-1 * f[i] * e(i), e(0) = e(k) = 1.
+    eps = (ONE, *chain, ONE)
+    factors = tuple(e.conjugate() * x * e2 for e, x, e2 in zip(eps, f.factors, eps[1:]))
+    return ModelledFactorization(factors, f.model)
+
+
+def _migrates_by_search(f, g):
+    # Whether some chain of units e(1), ..., e(k-1) carries f to g:
+    # all 24^(k-1) chains are tried.
+    return any(
+        _migrated(f, chain).factors == g.factors
+        for chain in product(UNITS, repeat=len(f.factors) - 1)
+    )
+
+
+@pytest.mark.parametrize("model", [(3, 5), (5, 7), (3, 3), (3, 5, 7), (5, 3, 3)])
+def test_unit_migration_matches_a_search_over_unit_chains(model):
+    rng = random.Random(6104 + sum(model))
+    k = len(model)
+    cases = []
+    while len(cases) < 12:
+        pieces = [rng.choice(representations(p, hurwitz=True)) for p in model]
+        alpha = prod(pieces[1:], start=pieces[0])
+        if not is_primitive(alpha):
+            continue
+        f = factor_modelled(alpha, model)
+        # A twisted twin, a twist on one side of one seam, and the
+        # factorization of another alpha of the same norm.
+        chain = [rng.choice(UNITS) for _ in range(k - 1)]
+        i = rng.randrange(k)
+        twisted = list(f.factors)
+        twisted[i] = twisted[i] * rng.choice([e for e in UNITS if e != ONE])
+        other = [rng.choice(representations(p, hurwitz=True)) for p in model]
+        beta = prod(other[1:], start=other[0])
+        cases += [
+            (f, _migrated(f, chain)),
+            (f, ModelledFactorization(tuple(twisted), f.model)),
+        ]
+        if is_primitive(beta) and beta != alpha:
+            cases.append((f, factor_modelled(beta, model)))
+    outcomes = set()
+    for f, g in cases:
+        expected = _migrates_by_search(f, g)
+        assert unit_migration_equal(f, g) == expected, (f, g)
+        assert unit_migration_equal(g, f) == expected, (g, f)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_pall_divisor_counts_are_eight():
     alpha = HurwitzQuaternion.from_coords(-1, 3, 1, -2)
     for m in (1, 3, 5, 15):
@@ -1090,8 +1141,9 @@ _ORACLE_PAIRS = [
 ] + [(31, 37)]
 
 
-def test_line_keys_split_like_euclid_classes():
-    # P^1 rows and columns against one-sided gcds with p and with q.
+def test_line_keys_split_like_euclid_classes(no_primality_proof):
+    # P^1 rows and columns against one-sided gcds with p and with q.  The
+    # keys trust p to be prime, as their callers have proven it.
     for p, q in _ORACLE_PAIRS:
         reps = pure.norm_representations(p * q, False)
         for m in (p, q):
@@ -1312,6 +1364,17 @@ def test_factor_attempt_keys_each_drawn_element_once(monkeypatch):
     assert all(m == 2 for m in Counter(calls).values())
 
 
+def test_a_cheaper_refusal_proves_no_prime(no_primality_proof):
+    # 10007 and 10009 are primes past the bound, and 1+i has norm 2, so
+    # each call is refused before any primality proof would run.
+    with pytest.raises(BoundExceeded):
+        semiprime_pair_fraction(10007, 10009)
+    with pytest.raises(ModelMismatch):
+        factor_modelled(HurwitzQuaternion.from_coords(1, 1, 0, 0), (10007,))
+    with pytest.raises(BoundExceeded):
+        orthogonal_primes_check(10007)
+
+
 def test_factor_attempt_preconditions():
     with pytest.raises(PreconditionViolated):
         semiprime_factor_attempt(15, trials=0)
@@ -1348,7 +1411,8 @@ _ALPHA = HurwitzQuaternion.from_coords(1, 2, 3, 4)
         (lambda: semiprime_factor_attempt(2 * _BIG, 3), PreconditionViolated),
         (lambda: semiprime_factor_attempt(15, -_BIG), PreconditionViolated),
         (lambda: PrimeModel((_BIG,)), PreconditionViolated),
-        (lambda: orthogonal_primes_check(_BIG), PreconditionViolated),
+        # Composite and past the bound: the bound is checked first.
+        (lambda: orthogonal_primes_check(_BIG), BoundExceeded),
         (lambda: semiprime_pair_fraction(_BIG, 3), PreconditionViolated),
     ],
     ids=[
